@@ -11,6 +11,7 @@ from .discrimination import (
     GapReport,
     helstrom_measurement,
     is_separating,
+    min_separation_gap,
     pair_gap,
     separation_gap,
     trace_distance,
@@ -28,9 +29,7 @@ from .saddle import (
     Checkpoint,
     SaddleResult,
     SolverConfig,
-    best_response_measurement,
     certify_forward,
-    min_mixture_distance,
     solve_saddle,
 )
 from .states import (
@@ -58,13 +57,12 @@ __all__ = [
     "StateSet",
     "StatesepError",
     "as_mixture_weights",
-    "best_response_measurement",
     "brute_force_epsilon_d2",
     "certify_forward",
     "helstrom_measurement",
     "hermitian_eig",
     "is_separating",
-    "min_mixture_distance",
+    "min_separation_gap",
     "mixture_grid_oracle",
     "mixture_state",
     "pair_gap",

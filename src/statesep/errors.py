@@ -49,6 +49,16 @@ class EmptySetError(StatesepError):
     """A state set with no states was passed to the solver."""
 
 
+# --- expectation gaps ---
+
+class ImaginaryResidueError(StatesepError):
+    """Tr(T rho) has an imaginary part beyond tolerance: an operator is not Hermitian."""
+
+
+class GapOutOfBandError(StatesepError):
+    """An expectation gap falls outside [-1, 1]: T is not a valid POVM element."""
+
+
 # --- oracles ---
 
 class WrongDimensionError(StatesepError):

@@ -51,12 +51,6 @@ def as_matrix(m) -> np.ndarray:
     return a
 
 
-def max_asymmetry(m) -> float:
-    """Largest entry of |M - M^dag|."""
-    a = as_matrix(m)
-    return float(np.abs(a - a.conj().T).max())
-
-
 def check_hermitian(m, tol: float = HERMITICITY_TOL) -> np.ndarray:
     """Return the input as a matrix, raising NotHermitianError beyond `tol`."""
     a = as_matrix(m)

@@ -8,14 +8,23 @@ measurement player maximizes the worst pair gap; the optimal margin is
 and by minimax duality it equals the smallest trace_distance between a
 mixture of S0 and a mixture of S1 (half-norm convention, so no factor 2).
 
-solve_saddle runs multiplicative-weights regret minimization for the
-adversary, who keeps a distribution over the finite pair set S0 x S1 and
-multiplies the weight of pair (i, j) by exp(-eta * gap) each round; the
-measurement player answers the current marginal mixtures with the exact
-best response (the positive-eigenspace projector of their difference,
-whose value is the mixtures' trace distance).  Each round therefore emits
-one certified upper bound on eps*: no measurement beats the round's
-mixture distance.  Certified lower bounds come from explicit measurements:
+solve_saddle runs multiplicative-weights regret minimization (Hedge) for
+the adversary over the pair set S0 x S1, against an exact best response.
+Pair (i, j) has weight proportional to exp(-eta * sum_t gap_t(i, j)), and
+gap_t(i, j) = Tr(T_t rho_i) - Tr(T_t sigma_j) splits into a part for i and
+a part for j.  The weight of a pair is therefore the product mu0_i * mu1_j
+of two Hedge vectors: mu0 over S0 with losses Tr(T_t rho_i), mu1 over S1
+with gains Tr(T_t sigma_j), each renormalized on its own.  This is the
+l0 x l1 pair distribution exactly, starting from the uniform one, and its
+marginals are mu0 and mu1, so a round costs O(|S0| + |S1|) beyond the
+eigendecomposition and no pair array is ever built.  The learning rate is
+that of Hedge over all l0 * l1 pairs, since ln(l0 l1) = ln l0 + ln l1.
+
+The measurement player answers the mixtures mu0, mu1 with the exact best
+response (the positive-eigenspace projector of their difference, whose
+value is the mixtures' trace distance).  Each round therefore emits one
+certified upper bound on eps*: no measurement beats the round's mixture
+distance.  Certified lower bounds come from explicit measurements:
 averages of the responses played so far (valid POVM elements, being convex
 combinations of projectors) evaluated against every pair.  Besides the
 full running average, the solver certifies tail averages restarted at
@@ -33,18 +42,18 @@ from typing import Callable
 import numpy as np
 
 from ._rng import SplitMix64
-from .discrimination import separation_gap, trace_distance
+from .discrimination import min_separation_gap, separation_gap, trace_distance
 from .errors import DimensionMismatchError, EmptySetError
-from .hermitian import POSITIVE_CUTOFF, hermitian_eig
+from .hermitian import POSITIVE_CUTOFF, hermitian_eig, positive_part_projector
 from .states import (
-    DensityMatrix,
     PovmElement,
     StateSet,
     as_mixture_weights,
     mixture_state,
 )
 
-_WEIGHT_FLOOR = 1e-300  # renormalization guard; never reached with |gap| <= 1
+# Renormalization guard; only an explicit, huge learning rate reaches it.
+_WEIGHT_FLOOR = 1e-300
 
 
 @dataclass(frozen=True)
@@ -52,16 +61,17 @@ class SolverConfig:
     """Knobs for solve_saddle.
 
     learning_rate "auto" resolves to sqrt(8 ln(|S0| |S1|) / max_rounds),
-    the standard multiplicative-weights schedule for payoffs in [-1, 1].
-    `seed` is reserved for future randomized variants; the solver itself
-    is deterministic.
+    the standard multiplicative-weights schedule for payoffs in [-1, 1] over
+    the |S0| |S1| pairs.  The adversary plays that Hedge game as two
+    factored vectors (see the module docstring) with the same rate: the
+    product form is exact, so the schedule is unchanged.  The solver is
+    deterministic.
     """
 
     max_rounds: int = 20000
     target_gap: float = 1e-4
     learning_rate: float | str = "auto"
     check_interval: int = 100
-    seed: int = 0
 
     def __post_init__(self):
         if self.max_rounds < 1:
@@ -114,8 +124,9 @@ class SaddleResult:
     measurement is the best certified averaged measurement; lower_bound is
     its worst pair gap (an achievable margin), upper_bound the smallest
     mixture trace distance visited (no measurement can beat it).  mu0/mu1
-    are the marginals of the time-averaged adversary pair distribution;
-    best_mu0/best_mu1 are the mixtures attaining upper_bound.
+    are the time averages of the adversary's two Hedge vectors, which are
+    the marginals of its time-averaged pair distribution; best_mu0/best_mu1
+    are the mixtures attaining upper_bound.
     """
 
     measurement: PovmElement
@@ -131,21 +142,6 @@ class SaddleResult:
     trace: tuple[Checkpoint, ...] = field(default=())
 
 
-def best_response_measurement(
-    mu0, mu1, set0: StateSet, set1: StateSet
-) -> PovmElement:
-    """Exact maximizer of the expected gap against fixed mixtures.
-
-    Returns the positive-eigenspace projector of the mixture difference;
-    its value equals the trace distance of the two mixtures.
-    """
-    from .discrimination import helstrom_measurement
-
-    rho = mixture_state(mu0, set0)
-    sigma = mixture_state(mu1, set1)
-    return helstrom_measurement(rho, sigma)
-
-
 def _check_instance(set0: StateSet, set1: StateSet) -> None:
     if len(set0) == 0 or len(set1) == 0:
         raise EmptySetError("both state sets must be non-empty")
@@ -155,12 +151,13 @@ def _check_instance(set0: StateSet, set1: StateSet) -> None:
         )
 
 
-def _response_projector(diff: np.ndarray) -> np.ndarray:
-    """Positive-eigenspace projector of a (nearly) Hermitian difference."""
-    diff = (diff + diff.conj().T) / 2.0
-    dec = hermitian_eig(diff)
-    cols = dec.eigenvectors[:, dec.eigenvalues > POSITIVE_CUTOFF]
-    return cols @ cols.conj().T
+def _hedge_step(mu: np.ndarray, factor: np.ndarray) -> np.ndarray:
+    """One multiplicative-weights update of a distribution, renormalized."""
+    mu = mu * factor
+    total = mu.sum()
+    if not total > _WEIGHT_FLOOR:
+        return np.full(mu.shape[0], 1.0 / mu.shape[0])
+    return mu / total
 
 
 def solve_saddle(
@@ -194,23 +191,27 @@ def solve_saddle(
 
     identity_half = PovmElement(np.eye(d, dtype=np.complex128) / 2.0)
     best_t = identity_half
-    best_lower = separation_gap(identity_half, set0, set1).min_gap
+    best_lower = min_separation_gap(identity_half, set0, set1)
 
-    weights = np.full((l0, l1), 1.0 / (l0 * l1))
-    weight_sum = np.zeros((l0, l1))
+    # The adversary's pair weights are outer(mu0, mu1); both vectors, their
+    # running sums and their tail-window sums stand in for l0 x l1 arrays.
+    mu0 = np.full(l0, 1.0 / l0)
+    mu1 = np.full(l1, 1.0 / l1)
+    mu0_sum = np.zeros(l0)
+    mu1_sum = np.zeros(l1)
+    window_mu0_sum = np.zeros(l0)
+    window_mu1_sum = np.zeros(l1)
     response_sum = np.zeros((d, d), dtype=np.complex128)
     window_sum = np.zeros((d, d), dtype=np.complex128)
-    window_weight_sum = np.zeros((l0, l1))
     window_start = 1
 
-    def mixture_value(m0: np.ndarray, m1: np.ndarray) -> float:
+    def mixture_difference(m0: np.ndarray, m1: np.ndarray) -> np.ndarray:
         diff = (m0 @ flat0 - m1 @ flat1).reshape(d, d)
-        diff = (diff + diff.conj().T) / 2.0
-        return float(0.5 * np.abs(hermitian_eig(diff).eigenvalues).sum())
+        return (diff + diff.conj().T) / 2.0
 
     best_upper = np.inf
-    best_mu0 = weights.sum(axis=1)
-    best_mu1 = weights.sum(axis=0)
+    best_mu0 = mu0
+    best_mu1 = mu1
     history: list[Checkpoint] = []
     rounds_used = 0
     converged = False
@@ -220,16 +221,13 @@ def solve_saddle(
         if t >= 2 * window_start:
             window_start = t
             window_sum[:] = 0.0
-            window_weight_sum[:] = 0.0
-        mu0 = weights.sum(axis=1)
-        mu1 = weights.sum(axis=0)
+            window_mu0_sum[:] = 0.0
+            window_mu1_sum[:] = 0.0
 
-        # Exact best response to the marginal mixtures: one Hermitian
+        # Exact best response to the current mixtures: one Hermitian
         # eigendecomposition yields both the responding measurement and
         # the mixtures' trace distance (the round's upper bound).
-        diff = (mu0 @ flat0 - mu1 @ flat1).reshape(d, d)
-        diff = (diff + diff.conj().T) / 2.0
-        dec = hermitian_eig(diff)
+        dec = hermitian_eig(mixture_difference(mu0, mu1))
         cols = dec.eigenvectors[:, dec.eigenvalues > POSITIVE_CUTOFF]
         response = cols @ cols.conj().T
         round_value = float(0.5 * np.abs(dec.eigenvalues).sum())
@@ -241,31 +239,30 @@ def solve_saddle(
 
         response_sum += response
         window_sum += response
-        weight_sum += weights
-        window_weight_sum += weights
+        mu0_sum += mu0
+        mu1_sum += mu1
+        window_mu0_sum += mu0
+        window_mu1_sum += mu1
 
-        # Adversary update: weight(i, j) *= exp(-eta * gap_t(i, j)).
+        # Adversary update: weight(i, j) *= exp(-eta * gap_t(i, j)), that is
+        # mu0_i *= exp(-eta Tr(T rho_i)) and mu1_j *= exp(eta Tr(T sigma_j)).
         flat_response = response.reshape(d * d)
-        exp0 = (flat0_t @ flat_response).real
-        exp1 = (flat1_t @ flat_response).real
-        weights = weights * (np.exp(-eta * exp0)[:, None] * np.exp(eta * exp1)[None, :])
-        total = weights.sum()
-        if not total > _WEIGHT_FLOOR:
-            weights = np.full((l0, l1), 1.0 / (l0 * l1))
-        else:
-            weights = weights / total
+        mu0 = _hedge_step(mu0, np.exp(-eta * (flat0_t @ flat_response).real))
+        mu1 = _hedge_step(mu1, np.exp(eta * (flat1_t @ flat_response).real))
 
         if t % cfg.check_interval == 0 or t == cfg.max_rounds:
             # Visited mixtures also include the time-averaged adversary
             # play (full history and current tail window), the strategies
             # regret analysis actually speaks about.
-            mixture_candidates = [weight_sum / t]
+            window_len = t - window_start + 1
+            mixture_candidates = [(mu0_sum / t, mu1_sum / t)]
             if window_start > 1:
-                mixture_candidates.append(window_weight_sum / (t - window_start + 1))
-            for pairs in mixture_candidates:
-                m0 = pairs.sum(axis=1)
-                m1 = pairs.sum(axis=0)
-                value = mixture_value(m0, m1)
+                mixture_candidates.append(
+                    (window_mu0_sum / window_len, window_mu1_sum / window_len)
+                )
+            for m0, m1 in mixture_candidates:
+                lam = hermitian_eig(mixture_difference(m0, m1)).eigenvalues
+                value = float(0.5 * np.abs(lam).sum())
                 if value < best_upper:
                     best_upper = value
                     best_mu0 = m0
@@ -274,14 +271,14 @@ def solve_saddle(
             averaged = PovmElement(response_sum / t)
             candidates = [averaged]
             if window_start > 1:
-                candidates.append(PovmElement(window_sum / (t - window_start + 1)))
+                candidates.append(PovmElement(window_sum / window_len))
             # The exact response to the best mixtures found so far is often
             # the sharpest certificate once the upper bound has settled.
-            candidates.append(PovmElement(_response_projector(
-                (best_mu0 @ flat0 - best_mu1 @ flat1).reshape(d, d)
+            candidates.append(PovmElement(positive_part_projector(
+                mixture_difference(best_mu0, best_mu1)
             )))
             for candidate in candidates:
-                lower_t = separation_gap(candidate, set0, set1).min_gap
+                lower_t = min_separation_gap(candidate, set0, set1)
                 if lower_t > best_lower:
                     best_lower = lower_t
                     best_t = candidate
@@ -295,11 +292,10 @@ def solve_saddle(
                 converged = True
                 break
 
-    mean_pairs = weight_sum / rounds_used
     return SaddleResult(
         measurement=best_t,
-        mu0=mean_pairs.sum(axis=1),
-        mu1=mean_pairs.sum(axis=0),
+        mu0=mu0_sum / rounds_used,
+        mu1=mu1_sum / rounds_used,
         lower_bound=best_lower,
         upper_bound=best_upper,
         gap=best_upper - best_lower,
@@ -309,18 +305,6 @@ def solve_saddle(
         best_mu1=best_mu1,
         trace=tuple(history),
     )
-
-
-def min_mixture_distance(
-    set0: StateSet, set1: StateSet, config: SolverConfig | None = None
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Best mixture pair found by the solver and its trace distance.
-
-    The value equals solve_saddle's upper_bound for the same config; it is
-    the certified ceiling on any achievable separation margin.
-    """
-    result = solve_saddle(set0, set1, config)
-    return result.best_mu0, result.best_mu1, result.upper_bound
 
 
 def certify_forward(

@@ -15,11 +15,12 @@ here re-parses to bit-identical matrices.
 from __future__ import annotations
 
 import json
+import math
 from typing import Any
 
 import numpy as np
 
-from .errors import MultiStateFileError, ParseError
+from .errors import MultiStateFileError, ParseError, StatesepError
 from .states import DensityMatrix, PovmElement, StateSet, validate_density, validate_povm_element
 
 
@@ -123,12 +124,21 @@ def save_measurement(path: str, t: PovmElement) -> None:
 def _parse_entry(obj, where: str) -> complex:
     if not isinstance(obj, dict):
         raise ParseError(f"{where}: matrix entry must be an object with re/im")
+    parts = []
     for key in ("re", "im"):
         if key not in obj:
             raise ParseError(f"{where}: entry missing {key!r}")
         if isinstance(obj[key], bool) or not isinstance(obj[key], (int, float)):
             raise ParseError(f"{where}: entry field {key!r} is not a number")
-    return complex(float(obj["re"]), float(obj["im"]))
+        # json.loads accepts NaN and Infinity, and integers of any size.
+        try:
+            value = float(obj[key])
+        except OverflowError:
+            value = math.inf
+        if not math.isfinite(value):
+            raise ParseError(f"{where}: entry field {key!r} is not a finite number")
+        parts.append(value)
+    return complex(*parts)
 
 
 def parse_matrix(obj, dim: int, where: str) -> np.ndarray:
@@ -195,7 +205,7 @@ def load_state_set(path: str) -> StateSet:
     for k, (_, matrix) in enumerate(raw):
         try:
             states.append(validate_density(matrix))
-        except Exception as exc:
+        except StatesepError as exc:
             raise type(exc)(f"{path}: state {k}: {exc}") from exc
     labels = [label for label, _ in raw]
     have_labels = any(label is not None for label in labels)

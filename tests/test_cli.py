@@ -54,6 +54,19 @@ class TestValidate:
         assert run_cli("validate", files["orth0"], str(three)) == 1
         assert "dimension mismatch" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "literal", ["NaN", "Infinity", "-Infinity", "1" + "0" * 400],
+        ids=["nan", "inf", "-inf", "huge-int"],
+    )
+    def test_non_finite_entry_named(self, files, capsys, tmp_path, literal):
+        doc = stateio.state_set_to_jsonable(state_set(KET0, MIXED2))
+        doc["states"][1]["matrix"][0][1]["im"] = "PLACEHOLDER"
+        bad = tmp_path / "nonfinite.json"
+        bad.write_text(json.dumps(doc).replace('"PLACEHOLDER"', literal), encoding="utf-8")
+        assert run_cli("validate", str(bad), files["orth1"]) == 1
+        err = capsys.readouterr().err
+        assert f"{bad}: state 1[0][1]: entry field 'im' is not a finite number" in err
+
     def test_parse_error_exit_1(self, files, capsys, tmp_path):
         broken = tmp_path / "broken.json"
         broken.write_text("{", encoding="utf-8")

@@ -1,8 +1,14 @@
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import statesep as ss
-from statesep.errors import DimensionMismatchError
+from statesep.errors import DimensionMismatchError, GapOutOfBandError, ImaginaryResidueError
 
 from conftest import (
     DIST_KET0_PLUS,
@@ -168,6 +174,109 @@ class TestSeparationGap:
             assert rep.min_gap == rep.per_pair_gaps.min()
             i, j = rep.argmin_pair
             assert rep.per_pair_gaps[i, j] == rep.min_gap
+
+
+class TestMinSeparationGap:
+    def test_bit_identical_to_pair_array_minimum(self):
+        rng = np.random.RandomState(31)
+        for dim, l0, l1 in ((2, 5, 3), (3, 1, 6), (4, 4, 4)):
+            set0 = ss.StateSet(dim=dim, states=tuple(
+                ss.random_density(dim, 1 + k % dim, 100 * dim + k) for k in range(l0)))
+            set1 = ss.StateSet(dim=dim, states=tuple(
+                ss.random_density(dim, 1 + k % dim, 100 * dim + 50 + k) for k in range(l1)))
+            for _ in range(10):
+                t = random_povm_element(rng, dim)
+                assert ss.min_separation_gap(t, set0, set1) == (
+                    ss.separation_gap(t, set0, set1).min_gap
+                )
+
+    def test_example_instance(self, degenerate_instance):
+        t = ss.validate_povm_element(np.diag([1.0, 0.0]))
+        assert ss.min_separation_gap(t, *degenerate_instance) == pytest.approx(-0.5, abs=1e-12)
+
+    def test_dimension_mismatch(self):
+        t = ss.PovmElement(np.eye(3) / 2.0)
+        with pytest.raises(DimensionMismatchError):
+            ss.min_separation_gap(t, state_set(KET0), state_set(KET1))
+
+
+# Unvalidated elements that break the gap checks: T is not Hermitian, so
+# Tr(T |+><+|) = 0.5j; and T = diag(3, 0) gives pair gaps of +/-3.
+NON_HERMITIAN = np.array([[0.0, 1.0j], [0.0, 0.0]])
+OUT_OF_BAND = np.diag([3.0, 0.0])
+
+_UNDER_OPTIMIZE = """
+import numpy as np
+import statesep as ss
+
+plus = ss.validate_density(np.full((2, 2), 0.5))
+ket0 = ss.validate_density(np.diag([1.0, 0.0]))
+ket1 = ss.validate_density(np.diag([0.0, 1.0]))
+t = ss.PovmElement(np.array([[0.0, 1.0j], [0.0, 0.0]]))
+band = ss.PovmElement(np.diag([3.0, 0.0]))
+calls = [lambda: ss.pair_gap(t, plus, ket0)]
+for gap in (ss.separation_gap, ss.min_separation_gap):
+    calls.append(lambda gap=gap: gap(t, ss.StateSet(2, (plus,)), ss.StateSet(2, (ket0,))))
+    calls.append(lambda gap=gap: gap(band, ss.StateSet(2, (ket0,)), ss.StateSet(2, (ket1,))))
+for call in calls:
+    try:
+        call()
+    except ss.StatesepError as exc:
+        print(type(exc).__name__)
+"""
+
+
+class TestTypedChecks:
+    def test_imaginary_residue(self, qubits):
+        t = ss.PovmElement(NON_HERMITIAN)
+        set0, set1 = state_set(PLUS), state_set(KET0)
+        with pytest.raises(ImaginaryResidueError):
+            ss.pair_gap(t, qubits["plus"], qubits["ket0"])
+        with pytest.raises(ImaginaryResidueError):
+            ss.separation_gap(t, set0, set1)
+        with pytest.raises(ImaginaryResidueError):
+            ss.min_separation_gap(t, set0, set1)
+        # The residue of either set is checked.
+        with pytest.raises(ImaginaryResidueError):
+            ss.min_separation_gap(t, set1, set0)
+
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_gap_outside_band(self, swap):
+        set0, set1 = state_set(KET0), state_set(KET1)
+        if swap:  # gap -3 instead of +3
+            set0, set1 = set1, set0
+        t = ss.PovmElement(OUT_OF_BAND)
+        with pytest.raises(GapOutOfBandError):
+            ss.separation_gap(t, set0, set1)
+        with pytest.raises(GapOutOfBandError):
+            ss.min_separation_gap(t, set0, set1)
+
+    def test_errors_are_statesep_errors(self):
+        assert issubclass(ImaginaryResidueError, ss.StatesepError)
+        assert issubclass(GapOutOfBandError, ss.StatesepError)
+
+    def test_checks_survive_python_optimize(self):
+        src = str(Path(ss.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", _UNDER_OPTIMIZE],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["ImaginaryResidueError"] + 2 * [
+            "ImaginaryResidueError", "GapOutOfBandError"
+        ]
+
+    def test_no_assert_statement_in_package(self):
+        package = Path(ss.__file__).resolve().parent
+        found = [
+            f"{path.name}:{node.lineno}"
+            for path in sorted(package.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Assert)
+        ]
+        assert found == []
 
 
 class TestIsSeparating:

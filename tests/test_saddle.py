@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import statesep as ss
 from statesep.errors import DimensionMismatchError, EmptySetError
+from statesep.hermitian import POSITIVE_CUTOFF
 
 from conftest import (
     DIST_KET0_PLUS,
@@ -49,21 +52,26 @@ class TestSolverConfig:
             ss.SolverConfig(**kwargs)
 
 
+def best_response(mu0, mu1, set0, set1):
+    """The measurement player's exact response to fixed mixtures."""
+    return ss.helstrom_measurement(ss.mixture_state(mu0, set0), ss.mixture_state(mu1, set1))
+
+
 class TestBestResponse:
     def test_point_masses_reduce_to_helstrom(self, qubits):
         set0 = state_set(KET0, KET1)
         set1 = state_set(PLUS, MIXED2)
-        t = ss.best_response_measurement([0.0, 1.0], [1.0, 0.0], set0, set1)
+        t = best_response([0.0, 1.0], [1.0, 0.0], set0, set1)
         want = ss.helstrom_measurement(qubits["ket1"], qubits["plus"])
         np.testing.assert_allclose(t.matrix, want.matrix, atol=1e-12)
 
     def test_equal_mixtures_give_zero_measurement(self, degenerate_instance):
         set0, set1 = degenerate_instance
-        t = ss.best_response_measurement([0.5, 0.5], [1.0], set0, set1)
+        t = best_response([0.5, 0.5], [1.0], set0, set1)
         np.testing.assert_allclose(t.matrix, np.zeros((2, 2)), atol=0)
 
     def test_singletons_identical_to_helstrom(self, qubits):
-        t = ss.best_response_measurement([1.0], [1.0], state_set(KET0), state_set(PLUS))
+        t = best_response([1.0], [1.0], state_set(KET0), state_set(PLUS))
         want = ss.helstrom_measurement(qubits["ket0"], qubits["plus"])
         np.testing.assert_allclose(t.matrix, want.matrix, atol=1e-12)
 
@@ -72,7 +80,7 @@ class TestBestResponse:
         rng = np.random.RandomState(0)
         mu0 = rng.dirichlet(np.ones(len(set0)))
         mu1 = rng.dirichlet(np.ones(len(set1)))
-        t = ss.best_response_measurement(mu0, mu1, set0, set1)
+        t = best_response(mu0, mu1, set0, set1)
         rho = ss.mixture_state(mu0, set0)
         sigma = ss.mixture_state(mu1, set1)
         assert abs(ss.pair_gap(t, rho, sigma) - ss.trace_distance(rho, sigma)) <= 1e-9
@@ -177,36 +185,140 @@ class TestSolveSaddle:
         assert res.gap > 1e-6
 
 
+def pair_matrix_solve(set0, set1, cfg):
+    """solve_saddle with the adversary kept as an l0 x l1 Hedge matrix.
+
+    The unfactored reference: each round multiplies pair (i, j)'s weight by
+    exp(-eta * gap(i, j)) from the response's full pair-gap array.  Returns
+    the marginals of the time-averaged pair weights, the bounds and the
+    rounds used.
+    """
+    d, l0, l1 = set0.dim, len(set0), len(set1)
+    flat0 = set0.stack().reshape(l0, d * d)
+    flat1 = set1.stack().reshape(l1, d * d)
+    eta = cfg.resolve_learning_rate(l0 * l1)
+
+    def difference(pairs):
+        diff = (pairs.sum(axis=1) @ flat0 - pairs.sum(axis=0) @ flat1).reshape(d, d)
+        return (diff + diff.conj().T) / 2.0
+
+    def value(pairs):
+        return float(0.5 * np.abs(ss.hermitian_eig(difference(pairs)).eigenvalues).sum())
+
+    weights = np.full((l0, l1), 1.0 / (l0 * l1))
+    weight_sum = np.zeros((l0, l1))
+    window_weight_sum = np.zeros((l0, l1))
+    response_sum = np.zeros((d, d), dtype=complex)
+    window_sum = np.zeros((d, d), dtype=complex)
+    window_start = 1
+    best_upper, best_pairs = np.inf, weights
+    best_lower = ss.separation_gap(ss.PovmElement(np.eye(d) / 2.0), set0, set1).min_gap
+    for t in range(1, cfg.max_rounds + 1):
+        if t >= 2 * window_start:
+            window_start = t
+            window_sum[:] = 0.0
+            window_weight_sum[:] = 0.0
+        dec = ss.hermitian_eig(difference(weights))
+        cols = dec.eigenvectors[:, dec.eigenvalues > POSITIVE_CUTOFF]
+        response = cols @ cols.conj().T
+        round_value = float(0.5 * np.abs(dec.eigenvalues).sum())
+        if round_value < best_upper:
+            best_upper, best_pairs = round_value, weights
+        response_sum += response
+        window_sum += response
+        weight_sum += weights
+        window_weight_sum += weights
+        gaps = ss.separation_gap(ss.PovmElement(response), set0, set1).per_pair_gaps
+        weights = weights * np.exp(-eta * gaps)
+        weights = weights / weights.sum()
+        if t % cfg.check_interval == 0 or t == cfg.max_rounds:
+            window_len = t - window_start + 1
+            pair_candidates = [weight_sum / t]
+            measurements = [response_sum / t]
+            if window_start > 1:
+                pair_candidates.append(window_weight_sum / window_len)
+                measurements.append(window_sum / window_len)
+            for pairs in pair_candidates:
+                candidate_value = value(pairs)
+                if candidate_value < best_upper:
+                    best_upper, best_pairs = candidate_value, pairs
+            measurements.append(ss.positive_part_projector(difference(best_pairs)))
+            for m in measurements:
+                best_lower = max(
+                    best_lower, ss.separation_gap(ss.PovmElement(m), set0, set1).min_gap
+                )
+            if best_upper - best_lower <= cfg.target_gap:
+                break
+    mean_pairs = weight_sum / t
+    return mean_pairs.sum(axis=1), mean_pairs.sum(axis=0), best_lower, best_upper, t
+
+
+class TestProductForm:
+    # Instances converging at round 100, at round 200, and not within 300.
+    @pytest.mark.parametrize("seed", [19, 28, 14])
+    def test_matches_pair_matrix_reference(self, seed):
+        set0, set1 = random_instance(seed)
+        cfg = ss.SolverConfig(max_rounds=300, target_gap=1e-3)
+        mu0, mu1, lower, upper, rounds = pair_matrix_solve(set0, set1, cfg)
+        res = ss.solve_saddle(set0, set1, cfg)
+        assert res.rounds_used == rounds
+        np.testing.assert_allclose(res.mu0, mu0, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(res.mu1, mu1, rtol=0, atol=1e-12)
+        assert res.lower_bound == pytest.approx(lower, abs=1e-12)
+        assert res.upper_bound == pytest.approx(upper, abs=1e-12)
+
+    def test_no_pair_array_during_solve(self):
+        set0 = ss.StateSet(dim=2, states=tuple(ss.random_density(2, 1, s) for s in range(1024)))
+        set1 = ss.StateSet(
+            dim=2, states=tuple(ss.random_density(2, 1, 5000 + s) for s in range(1024))
+        )
+        cfg = ss.SolverConfig(max_rounds=200, target_gap=1e-12)
+        tracemalloc.start()
+        try:
+            res = ss.solve_saddle(set0, set1, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert res.rounds_used == 200
+        assert peak < 1024 * 1024 * np.dtype(np.float64).itemsize
+
+
 class TestMinMixtureDistance:
+    """solve_saddle's best_mu0/best_mu1 and the upper_bound they attain."""
+
     def test_singletons(self, qubits):
-        mu0, mu1, value = ss.min_mixture_distance(state_set(KET0), state_set(PLUS), FAST)
-        np.testing.assert_allclose(mu0, [1.0])
-        np.testing.assert_allclose(mu1, [1.0])
-        assert value == pytest.approx(DIST_KET0_PLUS, abs=1e-6)
+        res = ss.solve_saddle(state_set(KET0), state_set(PLUS), FAST)
+        np.testing.assert_allclose(res.best_mu0, [1.0])
+        np.testing.assert_allclose(res.best_mu1, [1.0])
+        assert res.upper_bound == pytest.approx(DIST_KET0_PLUS, abs=1e-6)
 
     def test_degenerate(self, degenerate_instance):
         set0, set1 = degenerate_instance
-        mu0, mu1, value = ss.min_mixture_distance(set0, set1, FAST)
-        assert value <= 1e-9
-        np.testing.assert_allclose(mu0, [0.5, 0.5], atol=1e-9)
-        np.testing.assert_allclose(mu1, [1.0])
+        res = ss.solve_saddle(set0, set1, FAST)
+        assert res.upper_bound <= 1e-9
+        np.testing.assert_allclose(res.best_mu0, [0.5, 0.5], atol=1e-9)
+        np.testing.assert_allclose(res.best_mu1, [1.0])
 
     def test_disjoint_supports(self):
         set0 = state_set(np.diag([1.0, 0.0, 0.0]), np.diag([0.0, 1.0, 0.0]))
         set1 = state_set(np.diag([0.0, 0.0, 1.0]))
-        _, _, value = ss.min_mixture_distance(set0, set1, FAST)
-        assert value == pytest.approx(1.0, abs=1e-9)
+        res = ss.solve_saddle(set0, set1, FAST)
+        assert res.upper_bound == pytest.approx(1.0, abs=1e-9)
 
     def test_matches_solver_upper_bound(self):
         set0, set1 = random_instance(21)
-        _, _, value = ss.min_mixture_distance(set0, set1, FAST)
-        assert value == ss.solve_saddle(set0, set1, FAST).upper_bound
+        res = ss.solve_saddle(set0, set1, FAST)
+        # The reported bound is the best one any checkpoint saw.
+        assert res.upper_bound == res.trace[-1].upper_bound
+        assert res.upper_bound == min(c.upper_bound for c in res.trace)
 
     def test_realizes_its_value(self):
         set0, set1 = random_instance(22)
-        mu0, mu1, value = ss.min_mixture_distance(set0, set1, FAST)
-        dist = ss.trace_distance(ss.mixture_state(mu0, set0), ss.mixture_state(mu1, set1))
-        assert dist == pytest.approx(value, abs=1e-9)
+        res = ss.solve_saddle(set0, set1, FAST)
+        dist = ss.trace_distance(
+            ss.mixture_state(res.best_mu0, set0), ss.mixture_state(res.best_mu1, set1)
+        )
+        assert dist == pytest.approx(res.upper_bound, abs=1e-9)
 
 
 class TestCertifyForward:

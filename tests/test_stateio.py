@@ -89,6 +89,19 @@ class TestParsing:
         with pytest.raises(ss.StatesepError, match="state 1"):
             stateio.load_state_set(str(p))
 
+    def test_foreign_error_passes_through_unwrapped(self, tmp_path, monkeypatch):
+        p = tmp_path / "s.json"
+        write(p, GOOD)
+        boom = RuntimeError("boom")
+
+        def fail(matrix):
+            raise boom
+
+        monkeypatch.setattr(stateio, "validate_density", fail)
+        with pytest.raises(RuntimeError) as info:
+            stateio.load_state_set(str(p))
+        assert info.value is boom
+
     def test_single_state_file(self, tmp_path):
         p = tmp_path / "s.json"
         write(p, GOOD)
