@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,31 +33,6 @@ from .states import (
 )
 
 CERT_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class RunRecord:
-    """One CLI invocation: command, parsed inputs, result payload, timing."""
-
-    command: str
-    inputs: dict
-    result: dict
-    wall_time_ms: int
-
-    def to_jsonable(self, include_wall_time: bool = True) -> dict:
-        doc = {"command": self.command, "inputs": self.inputs, "result": self.result}
-        if include_wall_time:
-            doc["wall_time_ms"] = self.wall_time_ms
-        return doc
-
-    @classmethod
-    def from_jsonable(cls, doc: dict) -> "RunRecord":
-        return cls(
-            command=doc["command"],
-            inputs=doc["inputs"],
-            result=doc["result"],
-            wall_time_ms=int(doc.get("wall_time_ms", 0)),
-        )
 
 
 def _fmt(x: float) -> str:
@@ -318,19 +292,16 @@ def run(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     wall_ms = int(round((time.perf_counter() - started) * 1000.0))
-    record = RunRecord(
-        command=args.command,
-        inputs={k: v for k, v in vars(args).items()
-                if k not in ("command", "json", "quiet")},
-        result=payload,
-        wall_time_ms=wall_ms,
-    )
     if args.json:
-        print(stateio.dumps(record.to_jsonable(include_wall_time=False)))
+        inputs = {k: v for k, v in vars(args).items()
+                  if k not in ("command", "json", "quiet")}
+        print(stateio.dumps(
+            {"command": args.command, "inputs": inputs, "result": payload}
+        ))
     elif not args.quiet:
         for line in lines:
             print(line)
-        print(f"({record.wall_time_ms} ms)")
+        print(f"({wall_ms} ms)")
     return code
 
 

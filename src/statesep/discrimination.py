@@ -87,10 +87,11 @@ def _check_band(largest: float) -> None:
 
 
 def pair_gap(t: PovmElement, rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """Re(Tr(T rho) - Tr(T sigma)); the imaginary residue must be negligible."""
+    """Re(Tr(T rho) - Tr(T sigma)), with the same checks as separation_gap."""
     _require_same_dim(t.dim, rho.dim, sigma.dim)
     value = complex(np.einsum("ab,ba->", t.matrix, rho.matrix - sigma.matrix))
     _check_residue(abs(value.imag))
+    _check_band(abs(value.real))
     return value.real
 
 

@@ -1,13 +1,16 @@
 """Self-contained dense Hermitian linear algebra.
 
 Matrices are numpy arrays of complex128, shape (d, d), row-major.  The
-eigensolver is a cyclic Jacobi iteration with complex plane rotations;
-no LAPACK routine is involved, which keeps every production code path
-independent of the numpy eigensolvers used as oracles in the tests.
-Dimensions are desk scale (d <= 64), so O(d^3) sweeps are cheap.  Small
-matrices (the solver's hot loop lives at d <= 4) run through a scalar
-kernel on native complex numbers; larger ones use vectorized row/column
-updates.  Both kernels apply the same rotations in the same order.
+eigensolver is a cyclic Jacobi iteration with complex plane rotations
+(Golub & Van Loan, Matrix Computations, 8.5); no LAPACK routine is
+involved, which keeps every production code path independent of the
+numpy eigensolvers used as oracles in the tests.  One kernel serves every
+dimension: it rotates rows and columns kept as Python lists of native
+complex numbers.  Up to d ~ 30 that beats rotating numpy rows and columns
+by slicing (5x faster at d = 4, 2.6x at d = 12, 2x at d = 16); beyond, it
+costs more, 1.4x the sliced rotations' time at d = 48 and about 2x at
+d = 64, where a solve needing thousands of eigendecompositions is
+impractical with either.
 """
 
 from __future__ import annotations
@@ -27,8 +30,6 @@ POSITIVE_CUTOFF = 1e-10
 # Sweep convergence: off-diagonal Frobenius norm relative to ||M||_F.
 _OFFDIAG_REL_TOL = 1e-13
 _MAX_SWEEPS = 100
-# Dimension at or below which the scalar kernel wins over numpy slicing.
-_SCALAR_KERNEL_MAX_DIM = 8
 
 
 @dataclass(frozen=True)
@@ -68,10 +69,6 @@ def trace(m) -> complex:
     return complex(a.diagonal().sum())
 
 
-def frobenius_norm(m) -> float:
-    return float(np.linalg.norm(np.asarray(m)))
-
-
 def _rotation_params(b: complex, app: float, aqq: float):
     """Cosine, sine, and phase zeroing the off-diagonal of a 2x2 Hermitian block.
 
@@ -90,65 +87,16 @@ def _rotation_params(b: complex, app: float, aqq: float):
     return c, t * c, t, absb, phase
 
 
-def _jacobi_numpy(h: np.ndarray, threshold: float, skip: float):
-    """Cyclic sweeps with vectorized row/column updates; h is overwritten."""
-    n = h.shape[0]
-    v = np.eye(n, dtype=np.complex128)
-    limit = threshold * threshold
-
-    def offdiag_sq() -> float:
-        # Summed entry by entry (not total minus diagonal: that subtraction
-        # of near-equal numbers floors out at rounding noise ~1e-15 * ||M||^2).
-        sq = (h * h.conj()).real
-        np.fill_diagonal(sq, 0.0)
-        return float(sq.sum())
-
-    for _ in range(_MAX_SWEEPS):
-        if offdiag_sq() <= limit:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                if abs(h[p, q]) <= skip:
-                    continue
-                c, s, t, absb, phase = _rotation_params(
-                    h[p, q], h[p, p].real, h[q, q].real
-                )
-                app = h[p, p].real
-                aqq = h[q, q].real
-                hp = h[p, :].copy()
-                hq = h[q, :].copy()
-                h[p, :] = c * hp - (s * phase) * hq
-                h[q, :] = s * hp + (c * phase) * hq
-                cp = h[:, p].copy()
-                cq = h[:, q].copy()
-                conj_phase = phase.conjugate()
-                h[:, p] = c * cp - (s * conj_phase) * cq
-                h[:, q] = s * cp + (c * conj_phase) * cq
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = c * vp - (s * conj_phase) * vq
-                v[:, q] = s * vp + (c * conj_phase) * vq
-                # Exact values for the rotated block; kills rounding drift.
-                h[p, q] = 0.0
-                h[q, p] = 0.0
-                h[p, p] = app - t * absb
-                h[q, q] = aqq + t * absb
-    else:
-        if offdiag_sq() > limit:
-            raise NoConvergenceError(
-                f"off-diagonal norm above {threshold:.3e} after {_MAX_SWEEPS} sweeps"
-            )
-    return h.diagonal().real.copy(), v
-
-
-def _jacobi_scalar(hmat: np.ndarray, threshold: float, skip: float):
-    """Same sweeps on native complex scalars; fast for tiny dimensions."""
+def _jacobi(hmat: np.ndarray, threshold: float, skip: float):
+    """Cyclic sweeps on native complex scalars (rows as Python lists)."""
     n = hmat.shape[0]
     h: list[list[complex]] = hmat.tolist()
     v: list[list[complex]] = np.eye(n, dtype=np.complex128).tolist()
     limit = threshold * threshold
 
     def offdiag_sq() -> float:
+        # Summed entry by entry (not total minus diagonal: that subtraction
+        # of near-equal numbers floors out at rounding noise ~1e-15 * ||M||^2).
         total = 0.0
         for p in range(n):
             hp = h[p]
@@ -215,14 +163,11 @@ def hermitian_eig(m) -> EigenDecomposition:
     a = check_hermitian(m)
     h = (a + a.conj().T) / 2.0
     n = h.shape[0]
-    threshold = _OFFDIAG_REL_TOL * frobenius_norm(h)
+    threshold = _OFFDIAG_REL_TOL * float(np.linalg.norm(h))
     # Entries at or below `skip` never need their own rotation: even if all
     # n(n-1) of them remain, the off-diagonal norm stays under threshold.
     skip = threshold / max(n, 2)
-    if n <= _SCALAR_KERNEL_MAX_DIM:
-        eigenvalues, v = _jacobi_scalar(h, threshold, skip)
-    else:
-        eigenvalues, v = _jacobi_numpy(h, threshold, skip)
+    eigenvalues, v = _jacobi(h, threshold, skip)
     order = np.argsort(eigenvalues, kind="stable")
     return EigenDecomposition(
         eigenvalues=np.ascontiguousarray(eigenvalues[order]),

@@ -24,14 +24,18 @@ The measurement player answers the mixtures mu0, mu1 with the exact best
 response (the positive-eigenspace projector of their difference, whose
 value is the mixtures' trace distance).  Each round therefore emits one
 certified upper bound on eps*: no measurement beats the round's mixture
-distance.  Certified lower bounds come from explicit measurements:
-averages of the responses played so far (valid POVM elements, being convex
-combinations of projectors) evaluated against every pair.  Besides the
-full running average, the solver certifies tail averages restarted at
-doubling round numbers, which shed the poor early responses and tighten
-the lower bound much faster; every reported bound is still the exact worst
-pair gap of a concrete measurement.  The duality gap between the best
-bounds of the two kinds is the convergence certificate.
+distance.  The Hedge regret bound puts the mean of these round values,
+and so their minimum, within O(1/sqrt(T)) of eps*; at checkpoints the
+adversary's average over the current tail window is the one other mixture
+tried.  Certified lower bounds come from explicit measurements: averages
+of the responses played so far (valid POVM elements, being convex
+combinations of projectors) evaluated against every pair.  The full
+running average is the one that carries the O(1/sqrt(T)) guarantee; tail
+averages restarted at doubling round numbers shed the poor early
+responses and tighten the lower bound much faster in practice.  Every
+reported bound is still the exact worst pair gap of a concrete
+measurement.  The duality gap between the best bounds of the two kinds is
+the convergence certificate.
 """
 
 from __future__ import annotations
@@ -251,16 +255,14 @@ def solve_saddle(
         mu1 = _hedge_step(mu1, np.exp(eta * (flat1_t @ flat_response).real))
 
         if t % cfg.check_interval == 0 or t == cfg.max_rounds:
-            # Visited mixtures also include the time-averaged adversary
-            # play (full history and current tail window), the strategies
-            # regret analysis actually speaks about.
+            # The adversary's full-history average needs no check here:
+            # the regret bound already puts the mean round value, and so
+            # best_upper (the least round value), within O(1/sqrt(t)) of
+            # eps*.  The tail window's average can still undercut it.
             window_len = t - window_start + 1
-            mixture_candidates = [(mu0_sum / t, mu1_sum / t)]
             if window_start > 1:
-                mixture_candidates.append(
-                    (window_mu0_sum / window_len, window_mu1_sum / window_len)
-                )
-            for m0, m1 in mixture_candidates:
+                m0 = window_mu0_sum / window_len
+                m1 = window_mu1_sum / window_len
                 lam = hermitian_eig(mixture_difference(m0, m1)).eigenvalues
                 value = float(0.5 * np.abs(lam).sum())
                 if value < best_upper:

@@ -2,9 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import statesep as ss
 from statesep._rng import SplitMix64
+
+# Property tests draw the same examples on every run (and so keep no
+# example database); some examples run O(d^3) Jacobi sweeps at d = 20.
+settings.register_profile("statesep", derandomize=True, deadline=None)
+settings.load_profile("statesep")
 
 KET0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
 KET1 = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)

@@ -226,17 +226,6 @@ class TestJsonAndQuiet:
         assert doc["result"]["measurement"]["dim"] == 2
 
 
-class TestRunRecord:
-    def test_round_trip(self):
-        record = cli.RunRecord(
-            command="distance", inputs={"set0": "a"}, result={"distance": 0.5},
-            wall_time_ms=12,
-        )
-        doc = json.loads(stateio.dumps(record.to_jsonable()))
-        back = cli.RunRecord.from_jsonable(doc)
-        assert back == record
-
-
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "statesep.cli", "--help"],

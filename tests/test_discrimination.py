@@ -214,7 +214,7 @@ ket0 = ss.validate_density(np.diag([1.0, 0.0]))
 ket1 = ss.validate_density(np.diag([0.0, 1.0]))
 t = ss.PovmElement(np.array([[0.0, 1.0j], [0.0, 0.0]]))
 band = ss.PovmElement(np.diag([3.0, 0.0]))
-calls = [lambda: ss.pair_gap(t, plus, ket0)]
+calls = [lambda: ss.pair_gap(t, plus, ket0), lambda: ss.pair_gap(band, ket0, ket1)]
 for gap in (ss.separation_gap, ss.min_separation_gap):
     calls.append(lambda gap=gap: gap(t, ss.StateSet(2, (plus,)), ss.StateSet(2, (ket0,))))
     calls.append(lambda gap=gap: gap(band, ss.StateSet(2, (ket0,)), ss.StateSet(2, (ket1,))))
@@ -247,6 +247,8 @@ class TestTypedChecks:
             set0, set1 = set1, set0
         t = ss.PovmElement(OUT_OF_BAND)
         with pytest.raises(GapOutOfBandError):
+            ss.pair_gap(t, set0.states[0], set1.states[0])
+        with pytest.raises(GapOutOfBandError):
             ss.separation_gap(t, set0, set1)
         with pytest.raises(GapOutOfBandError):
             ss.min_separation_gap(t, set0, set1)
@@ -264,9 +266,7 @@ class TestTypedChecks:
             capture_output=True, text=True, env=env,
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["ImaginaryResidueError"] + 2 * [
-            "ImaginaryResidueError", "GapOutOfBandError"
-        ]
+        assert proc.stdout.split() == 3 * ["ImaginaryResidueError", "GapOutOfBandError"]
 
     def test_no_assert_statement_in_package(self):
         package = Path(ss.__file__).resolve().parent

@@ -1,10 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import statesep.hermitian as hm
 from statesep.errors import NoConvergenceError, NotHermitianError
 
 from conftest import random_hermitian
+
+
+@st.composite
+def hermitian_matrices(draw):
+    dim = draw(st.integers(1, 20))
+    parts = draw(hnp.arrays(np.float64, (2, dim, dim), elements=st.floats(-1.0, 1.0)))
+    m = parts[0] + 1j * parts[1]
+    return (m + m.conj().T) / 2.0
 
 
 class TestHermitianEig:
@@ -51,10 +62,21 @@ class TestHermitianEig:
 
     def test_agrees_with_numpy(self):
         rng = np.random.RandomState(7)
-        for dim in (2, 3, 5, 11):
+        for dim in (2, 3, 5, 11, 17, 33):
             h = random_hermitian(rng, dim)
             mine = hm.hermitian_eig(h).eigenvalues
             np.testing.assert_allclose(mine, np.linalg.eigvalsh(h), atol=1e-11)
+
+    @given(hermitian_matrices())
+    def test_properties(self, h):
+        dec = hm.hermitian_eig(h)
+        vecs = dec.eigenvectors
+        assert np.linalg.norm((vecs * dec.eigenvalues) @ vecs.conj().T - h) <= 1e-10
+        assert np.linalg.norm(vecs.conj().T @ vecs - np.eye(dec.dim)) <= 1e-10
+        assert np.all(np.diff(dec.eigenvalues) >= 0.0)
+        again = hm.hermitian_eig(h)
+        assert again.eigenvalues.tobytes() == dec.eigenvalues.tobytes()
+        assert again.eigenvectors.tobytes() == vecs.tobytes()
 
     def test_deterministic(self):
         h = random_hermitian(np.random.RandomState(5), 6)
@@ -74,14 +96,10 @@ class TestHermitianEig:
 
     def test_no_convergence_error(self, monkeypatch):
         monkeypatch.setattr(hm, "_MAX_SWEEPS", 0)
-        with pytest.raises(NoConvergenceError):
-            hm.hermitian_eig(np.array([[0.0, 1.0], [1.0, 0.0]]))
-
-    def test_sweep_cap_hit_on_both_kernels(self, monkeypatch):
-        monkeypatch.setattr(hm, "_MAX_SWEEPS", 0)
-        big = random_hermitian(np.random.RandomState(0), 12)
-        with pytest.raises(NoConvergenceError):
-            hm.hermitian_eig(big)  # numpy kernel path (dim > 8)
+        for h in (np.array([[0.0, 1.0], [1.0, 0.0]]),
+                  random_hermitian(np.random.RandomState(0), 12)):
+            with pytest.raises(NoConvergenceError):
+                hm.hermitian_eig(h)
 
 
 class TestTrace:
