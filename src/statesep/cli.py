@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Commands: validate | solve | distance | helstrom | certify | random.
-Exit codes: 0 success / converged / certified, 2 solver hit the round cap
+Exit codes: 0 success / converged / certified, 2 solver hit the iteration cap
 without converging, 1 any error.  Stdout carries a human summary; --json
 replaces it with a single deterministic JSON document (no timing fields),
 so repeated runs on identical inputs emit identical bytes.
@@ -86,11 +86,7 @@ def _cmd_validate(args) -> tuple[int, dict, list[str]]:
 def _cmd_solve(args) -> tuple[int, dict, list[str]]:
     set0 = stateio.load_state_set(args.set0)
     set1 = stateio.load_state_set(args.set1)
-    config = SolverConfig(
-        max_rounds=args.rounds,
-        target_gap=args.gap,
-        learning_rate=args.eta if args.eta is not None else "auto",
-    )
+    config = SolverConfig(max_rounds=args.rounds, target_gap=args.gap)
     result = solve_saddle(set0, set1, config)
     payload = {
         "lower_bound": result.lower_bound,
@@ -115,7 +111,7 @@ def _cmd_solve(args) -> tuple[int, dict, list[str]]:
         f"upper bound (mixture distance): {_fmt(result.upper_bound)}",
         f"duality gap: {_fmt(result.gap)} (target {_fmt(config.target_gap)})",
         f"converged: {'yes' if result.converged else 'no'} "
-        f"in {result.rounds_used} rounds",
+        f"in {result.rounds_used} iterations",
         f"mu0: {_fmt_weights(result.mu0)}",
         f"mu1: {_fmt_weights(result.mu1)}",
     ]
@@ -245,10 +241,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="compute the optimal separation margin")
     p.add_argument("set0")
     p.add_argument("set1")
-    p.add_argument("--rounds", type=int, default=20000, help="round cap")
+    p.add_argument("--rounds", type=int, default=20000, help="iteration cap")
     p.add_argument("--gap", type=float, default=1e-4, help="target duality gap")
-    p.add_argument("--eta", type=float, default=None,
-                   help="explicit learning rate (default: auto schedule)")
     p.add_argument("--out", default=None, help="write the witness measurement here")
 
     p = sub.add_parser("distance", parents=[common],

@@ -12,7 +12,7 @@ class NotHermitianError(StatesepError):
 
 
 class NoConvergenceError(StatesepError):
-    """Jacobi sweeps exhausted before the off-diagonal norm target was met."""
+    """An iterative method stopped short: Jacobi at its sweep cap, or the master LP."""
 
 
 # --- state / measurement validation ---
@@ -71,6 +71,12 @@ class BadGridStepError(StatesepError):
 
 class SetTooLargeError(StatesepError):
     """State set too large for exhaustive simplex gridding."""
+
+
+# --- solver ---
+
+class BadConfigError(StatesepError, ValueError):
+    """A solver limit out of range: a round cap below 1, or a target gap not finite and > 0."""
 
 
 # --- files / CLI ---

@@ -31,7 +31,10 @@ def format_float(x: float) -> str:
 
     Integral values keep a trailing ".0" so JSON readers produce a float
     (plain "-0" would come back as integer zero and lose the sign bit).
+    JSON has no infinities or NaN, so those raise ValueError.
     """
+    if not math.isfinite(x):
+        raise ValueError(f"{x!r} is not finite and has no JSON form")
     s = format(float(x), ".17g")
     if not any(ch in s for ch in ".eE"):
         s += ".0"

@@ -67,23 +67,36 @@ def test_criterion_1_singleton_reduction():
 
 
 def test_criterion_2_strong_duality(criterion2_runs):
-    """Duality gap <= 1e-3 within 20000 rounds; weak duality at every checkpoint."""
+    """Duality gap <= 1e-3 within 50 iterations; weak duality at every checkpoint."""
     worst_gap = 0.0
     worst_rounds = 0
+    total_rounds = 0
     for k, set0, set1, result in criterion2_runs:
         assert result.converged, (
             f"instance {k} (dim {set0.dim}, {len(set0)}x{len(set1)}) "
-            f"gap {result.gap:.3e} after {result.rounds_used} rounds"
+            f"gap {result.gap:.3e} after {result.rounds_used} iterations"
         )
         assert result.gap <= 1e-3
         for point in result.trace:
             assert point.lower_bound <= point.upper_bound + 1e-9
         worst_gap = max(worst_gap, result.gap)
         worst_rounds = max(worst_rounds, result.rounds_used)
+        total_rounds += result.rounds_used
+    assert worst_rounds <= 50
+    assert total_rounds <= 1000
+
+    # The same instances also reach a gap of 1e-6.
+    tight = ss.SolverConfig(max_rounds=20000, target_gap=1e-6)
+    tight_total = 0
+    for k, set0, set1, _ in criterion2_runs:
+        result = ss.solve_saddle(set0, set1, tight)
+        assert result.converged, f"instance {k}: gap {result.gap:.3e} at 1e-6"
+        tight_total += result.rounds_used
     print(
         f"\n[criterion 2] PASS - {CRIT2_INSTANCES} instances converged; worst gap "
-        f"{worst_gap:.2e} (<= 1e-3), most rounds {worst_rounds} (<= 20000), weak duality "
-        f"held at every checkpoint"
+        f"{worst_gap:.2e} (<= 1e-3), most iterations {worst_rounds} (<= 50), "
+        f"{total_rounds} in all (<= 1000), weak duality held at every checkpoint; "
+        f"all converged at 1e-6 in {tight_total} iterations"
     )
 
 

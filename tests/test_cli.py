@@ -91,8 +91,15 @@ class TestSolve:
         b = tmp_path / "b.json"
         assert run_cli("random", "--dim", "2", "--count", "3", "--seed", "35", "--out", str(a)) == 0
         assert run_cli("random", "--dim", "2", "--count", "4", "--seed", "36", "--out", str(b)) == 0
-        assert run_cli("solve", str(a), str(b), "--rounds", "10", "--gap", "1e-9") == 2
+        assert run_cli("solve", str(a), str(b), "--rounds", "1", "--gap", "1e-9") == 2
         assert "converged: no" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("gap", ["inf", "nan", "0", "-1e-3"])
+    def test_bad_target_gap_exit_1(self, files, capsys, gap):
+        assert run_cli("solve", files["orth0"], files["orth1"], f"--gap={gap}", "--json") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "target_gap must be finite and positive" in captured.err
 
     def test_writes_measurement(self, files, capsys, tmp_path):
         out = tmp_path / "T.json"
@@ -106,9 +113,6 @@ class TestSolve:
         run_cli("solve", files["basis"], files["mixed"], "--json")
         second = capsys.readouterr().out
         assert first == second
-
-    def test_explicit_eta(self, files, capsys):
-        assert run_cli("solve", files["orth0"], files["orth1"], "--eta", "0.1") == 0
 
 
 class TestDistance:

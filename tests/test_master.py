@@ -1,0 +1,119 @@
+"""The cutting-plane master LP against scipy's HiGHS, and its limits.
+
+HiGHS (through scipy.optimize.linprog) serves only as a test oracle, the
+way numpy's eigvalsh serves for the Jacobi kernel; scipy is a test extra,
+not a dependency of the package.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import statesep as ss
+from statesep import _master
+from statesep.errors import NoConvergenceError
+
+from conftest import KET0, KET1, state_set
+
+
+def highs(a0, a1):
+    """Value and S0/S1 row duals of the master by linprog(method="highs")."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    (l0, k), l1 = a0.shape, a1.shape[0]
+    # Variables (w_1..w_K, a, b); maximize a - b.
+    a_ub = np.block([
+        [-a0, np.ones((l0, 1)), np.zeros((l0, 1))],
+        [a1, np.zeros((l1, 1)), -np.ones((l1, 1))],
+    ])
+    res = linprog(
+        np.r_[np.zeros(k), -1.0, 1.0],
+        A_ub=a_ub, b_ub=np.zeros(l0 + l1),
+        A_eq=np.r_[np.ones(k), 0.0, 0.0][None, :], b_eq=[1.0],
+        bounds=[(0, None)] * k + [(None, None)] * 2,
+        method="highs",
+    )
+    assert res.status == 0, res.message
+    duals = -res.ineqlin.marginals
+    return -res.fun, duals[:l0], duals[l0:]
+
+
+def check_against_highs(a0, a1, compare_duals):
+    """Add the cuts one at a time, re-solving warm; check every prefix."""
+    master = _master.Master(a0.shape[0], a1.shape[0])
+    for k in range(a0.shape[1]):
+        master.add_cut(a0[:, k], a1[:, k])
+        w, mu0, mu1 = master.solve()
+        value, want0, want1 = highs(a0[:, :k + 1], a1[:, :k + 1])
+        for v in (w, mu0, mu1):
+            assert v.min() >= 0.0 and abs(v.sum() - 1.0) <= 1e-12
+        # Primal and dual objectives both meet the optimum: each side is
+        # optimal, whichever optimal vertex a degenerate LP settles on.
+        primal = (a0[:, :k + 1] @ w).min() - (a1[:, :k + 1] @ w).max()
+        dual = (mu0 @ a0[:, :k + 1] - mu1 @ a1[:, :k + 1]).max()
+        assert primal == pytest.approx(value, abs=1e-9)
+        assert dual == pytest.approx(value, abs=1e-9)
+        if compare_duals:
+            np.testing.assert_allclose(mu0, want0, rtol=0, atol=1e-7)
+            np.testing.assert_allclose(mu1, want1, rtol=0, atol=1e-7)
+
+
+class TestAgainstHighs:
+    @pytest.mark.parametrize(
+        "l0, l1, cuts", [(3, 4, 6), (6, 2, 9), (10, 10, 20), (1, 5, 5), (5, 1, 5), (40, 30, 25)]
+    )
+    def test_random_cuts(self, l0, l1, cuts):
+        rng = np.random.RandomState(l0 * 100 + l1)
+        check_against_highs(rng.uniform(size=(l0, cuts)), rng.uniform(size=(l1, cuts)), True)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_coarse_cuts(self, seed):
+        # Entries in {0, 1/2, 1}, as projectors give on basis states: ties
+        # everywhere, and many degenerate pivots.
+        rng = np.random.RandomState(seed)
+        l0, l1 = 1 + rng.randint(8), 1 + rng.randint(8)
+        a0 = rng.randint(3, size=(l0, 12)) / 2.0
+        a1 = rng.randint(3, size=(l1, 12)) / 2.0
+        check_against_highs(a0, a1, False)
+
+    def test_duplicate_cuts(self):
+        rng = np.random.RandomState(7)
+        a0, a1 = rng.uniform(size=(4, 5)), rng.uniform(size=(3, 5))
+        check_against_highs(np.repeat(a0, 2, axis=1), np.repeat(a1, 2, axis=1), False)
+
+    @pytest.mark.parametrize("l0, l1", [(1, 1), (1, 4), (4, 1)])
+    def test_single_state_sides(self, l0, l1):
+        rng = np.random.RandomState(l0 + 10 * l1)
+        check_against_highs(rng.uniform(size=(l0, 6)), rng.uniform(size=(l1, 6)), False)
+
+    def test_all_equal_cuts(self):
+        check_against_highs(np.full((3, 4), 0.5), np.full((2, 4), 0.5), False)
+
+
+def test_pivot_cap_raises(monkeypatch):
+    monkeypatch.setattr(_master, "_MAX_PIVOTS", 0)
+    with pytest.raises(NoConvergenceError, match="0 pivots"):
+        ss.solve_saddle(state_set(KET0), state_set(KET1))
+
+
+def test_solve_leaves_scipy_unimported():
+    src = str(Path(ss.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    script = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import statesep as ss\n"
+        "s0 = ss.StateSet.from_matrices([np.diag([1.0, 0.0]), np.eye(2) / 2])\n"
+        "s1 = ss.StateSet.from_matrices([np.diag([0.0, 1.0])])\n"
+        "assert ss.solve_saddle(s0, s1).converged\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

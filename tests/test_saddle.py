@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 import statesep as ss
-from statesep.errors import DimensionMismatchError, EmptySetError
-from statesep.hermitian import POSITIVE_CUTOFF
+from statesep.errors import BadConfigError, DimensionMismatchError, EmptySetError
 
 from conftest import (
     DIST_KET0_PLUS,
@@ -25,16 +24,6 @@ class TestSolverConfig:
         cfg = ss.SolverConfig()
         assert cfg.max_rounds == 20000
         assert cfg.target_gap == 1e-4
-        assert cfg.check_interval == 100
-
-    def test_auto_learning_rate_formula(self):
-        cfg = ss.SolverConfig(max_rounds=20000)
-        assert cfg.resolve_learning_rate(12) == pytest.approx(
-            np.sqrt(8.0 * np.log(12) / 20000), abs=0
-        )
-
-    def test_explicit_learning_rate(self):
-        assert ss.SolverConfig(learning_rate=0.05).resolve_learning_rate(4) == 0.05
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -42,13 +31,13 @@ class TestSolverConfig:
             {"max_rounds": 0},
             {"target_gap": 0.0},
             {"target_gap": -1.0},
-            {"check_interval": 0},
-            {"learning_rate": 0.0},
-            {"learning_rate": -0.1},
+            {"target_gap": float("inf")},
+            {"target_gap": float("nan")},
+            {"target_gap": float("-inf")},
         ],
     )
     def test_rejects_bad_config(self, kwargs):
-        with pytest.raises(ValueError):
+        with pytest.raises(BadConfigError):
             ss.SolverConfig(**kwargs)
 
 
@@ -131,18 +120,11 @@ class TestSolveSaddle:
             assert c.lower_bound <= c.upper_bound + 1e-9
             assert c.gap == c.upper_bound - c.lower_bound
 
-    def test_averaged_measurement_is_povm_at_checkpoints(self):
-        set0, set1 = random_instance(42)
-        seen = []
-
-        def check(rnd, averaged, lower, upper):
-            ss.validate_povm_element(averaged.matrix)
-            seen.append(rnd)
-
-        ss.solve_saddle(set0, set1, FAST, checkpoint_callback=check)
-        assert seen and all(
-            r % FAST.check_interval == 0 or r == FAST.max_rounds for r in seen
-        )
+    def test_witness_is_povm(self):
+        for seed in (42, 43, 44):
+            set0, set1 = random_instance(seed)
+            res = ss.solve_saddle(set0, set1, FAST)
+            ss.validate_povm_element(res.measurement.matrix)
 
     def test_deterministic_bit_identical(self):
         set0, set1 = random_instance(5)
@@ -179,93 +161,15 @@ class TestSolveSaddle:
 
     def test_not_converged_flagged(self):
         set0, set1 = random_instance(35, dims=(2,))
-        res = ss.solve_saddle(set0, set1, ss.SolverConfig(max_rounds=10, target_gap=1e-6))
+        res = ss.solve_saddle(set0, set1, ss.SolverConfig(max_rounds=1, target_gap=1e-6))
         assert not res.converged
-        assert res.rounds_used == 10
+        assert res.rounds_used == 1
+        assert len(res.trace) == 1
         assert res.gap > 1e-6
 
 
-def pair_matrix_solve(set0, set1, cfg):
-    """solve_saddle with the adversary kept as an l0 x l1 Hedge matrix.
-
-    The unfactored reference: each round multiplies pair (i, j)'s weight by
-    exp(-eta * gap(i, j)) from the response's full pair-gap array.  Returns
-    the marginals of the time-averaged pair weights, the bounds and the
-    rounds used.
-    """
-    d, l0, l1 = set0.dim, len(set0), len(set1)
-    flat0 = set0.stack().reshape(l0, d * d)
-    flat1 = set1.stack().reshape(l1, d * d)
-    eta = cfg.resolve_learning_rate(l0 * l1)
-
-    def difference(pairs):
-        diff = (pairs.sum(axis=1) @ flat0 - pairs.sum(axis=0) @ flat1).reshape(d, d)
-        return (diff + diff.conj().T) / 2.0
-
-    def value(pairs):
-        return float(0.5 * np.abs(ss.hermitian_eig(difference(pairs)).eigenvalues).sum())
-
-    weights = np.full((l0, l1), 1.0 / (l0 * l1))
-    weight_sum = np.zeros((l0, l1))
-    window_weight_sum = np.zeros((l0, l1))
-    response_sum = np.zeros((d, d), dtype=complex)
-    window_sum = np.zeros((d, d), dtype=complex)
-    window_start = 1
-    best_upper, best_pairs = np.inf, weights
-    best_lower = ss.separation_gap(ss.PovmElement(np.eye(d) / 2.0), set0, set1).min_gap
-    for t in range(1, cfg.max_rounds + 1):
-        if t >= 2 * window_start:
-            window_start = t
-            window_sum[:] = 0.0
-            window_weight_sum[:] = 0.0
-        dec = ss.hermitian_eig(difference(weights))
-        cols = dec.eigenvectors[:, dec.eigenvalues > POSITIVE_CUTOFF]
-        response = cols @ cols.conj().T
-        round_value = float(0.5 * np.abs(dec.eigenvalues).sum())
-        if round_value < best_upper:
-            best_upper, best_pairs = round_value, weights
-        response_sum += response
-        window_sum += response
-        weight_sum += weights
-        window_weight_sum += weights
-        gaps = ss.separation_gap(ss.PovmElement(response), set0, set1).per_pair_gaps
-        weights = weights * np.exp(-eta * gaps)
-        weights = weights / weights.sum()
-        if t % cfg.check_interval == 0 or t == cfg.max_rounds:
-            window_len = t - window_start + 1
-            pair_candidates = [weight_sum / t]
-            measurements = [response_sum / t]
-            if window_start > 1:
-                pair_candidates.append(window_weight_sum / window_len)
-                measurements.append(window_sum / window_len)
-            for pairs in pair_candidates:
-                candidate_value = value(pairs)
-                if candidate_value < best_upper:
-                    best_upper, best_pairs = candidate_value, pairs
-            measurements.append(ss.positive_part_projector(difference(best_pairs)))
-            for m in measurements:
-                best_lower = max(
-                    best_lower, ss.separation_gap(ss.PovmElement(m), set0, set1).min_gap
-                )
-            if best_upper - best_lower <= cfg.target_gap:
-                break
-    mean_pairs = weight_sum / t
-    return mean_pairs.sum(axis=1), mean_pairs.sum(axis=0), best_lower, best_upper, t
-
-
 class TestProductForm:
-    # Instances converging at round 100, at round 200, and not within 300.
-    @pytest.mark.parametrize("seed", [19, 28, 14])
-    def test_matches_pair_matrix_reference(self, seed):
-        set0, set1 = random_instance(seed)
-        cfg = ss.SolverConfig(max_rounds=300, target_gap=1e-3)
-        mu0, mu1, lower, upper, rounds = pair_matrix_solve(set0, set1, cfg)
-        res = ss.solve_saddle(set0, set1, cfg)
-        assert res.rounds_used == rounds
-        np.testing.assert_allclose(res.mu0, mu0, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(res.mu1, mu1, rtol=0, atol=1e-12)
-        assert res.lower_bound == pytest.approx(lower, abs=1e-12)
-        assert res.upper_bound == pytest.approx(upper, abs=1e-12)
+    """The solve never builds an array over the l0 x l1 state pairs."""
 
     def test_no_pair_array_during_solve(self):
         set0 = ss.StateSet(dim=2, states=tuple(ss.random_density(2, 1, s) for s in range(1024)))
@@ -279,7 +183,9 @@ class TestProductForm:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert res.rounds_used == 200
+        # The master keeps its 2049 x K cut columns and a basis block of
+        # at most K + 2 square, never a 2049-square basis inverse.
+        assert res.converged
         assert peak < 1024 * 1024 * np.dtype(np.float64).itemsize
 
 

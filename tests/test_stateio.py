@@ -154,3 +154,8 @@ class TestRoundTrip:
         parsed = json.loads(stateio.dumps(doc))
         assert parsed["b"]["re"] == 1 / 3
         assert parsed["c"] is True and parsed["d"] is None
+
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan"), np.inf])
+    def test_dumps_rejects_non_finite(self, value):
+        with pytest.raises(ValueError, match="not finite"):
+            stateio.dumps({"gap": value})
