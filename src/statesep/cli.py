@@ -24,13 +24,7 @@ from .errors import (
     StatesepError,
 )
 from .saddle import SolverConfig, certify_forward, solve_saddle
-from .states import (
-    StateSet,
-    as_mixture_weights,
-    mixture_state,
-    random_density,
-    validate_density,
-)
+from .states import StateSet, mixture_state, random_density, validate_density
 
 CERT_TOL = 1e-9
 
@@ -125,16 +119,10 @@ def _cmd_solve(args) -> tuple[int, dict, list[str]]:
 def _cmd_distance(args) -> tuple[int, dict, list[str]]:
     set0 = stateio.load_state_set(args.set0)
     set1 = stateio.load_state_set(args.set1)
-    mu0 = (
-        as_mixture_weights(_parse_weight_flag(args.mu0), size=len(set0))
-        if args.mu0 is not None
-        else np.full(len(set0), 1.0 / len(set0))
-    )
-    mu1 = (
-        as_mixture_weights(_parse_weight_flag(args.mu1), size=len(set1))
-        if args.mu1 is not None
-        else np.full(len(set1), 1.0 / len(set1))
-    )
+    n0, n1 = len(set0), len(set1)
+    mu0 = np.full(n0, 1.0 / n0) if args.mu0 is None else _parse_weight_flag(args.mu0)
+    mu1 = np.full(n1, 1.0 / n1) if args.mu1 is None else _parse_weight_flag(args.mu1)
+    # mixture_state checks each weight vector.
     dist = trace_distance(mixture_state(mu0, set0), mixture_state(mu1, set1))
     payload = {
         "distance": dist,

@@ -183,6 +183,4 @@ def positive_part_projector(h) -> np.ndarray:
     """
     dec = hermitian_eig(h)
     cols = dec.eigenvectors[:, dec.eigenvalues > POSITIVE_CUTOFF]
-    if cols.shape[1] == 0:
-        return np.zeros((dec.dim, dec.dim), dtype=np.complex128)
     return cols @ cols.conj().T

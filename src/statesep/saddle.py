@@ -42,12 +42,7 @@ from ._rng import SplitMix64
 from .discrimination import min_separation_gap, separation_gap, trace_distance
 from .errors import BadConfigError, DimensionMismatchError, EmptySetError
 from .hermitian import POSITIVE_CUTOFF, hermitian_eig
-from .states import (
-    PovmElement,
-    StateSet,
-    as_mixture_weights,
-    mixture_state,
-)
+from .states import PovmElement, StateSet, mixture_state
 
 
 @dataclass(frozen=True)
@@ -254,8 +249,8 @@ def certify_forward(
     worst_mu0 = None
     worst_mu1 = None
     for _ in range(trials):
-        mu0 = as_mixture_weights(rng.simplex(l0), size=l0)
-        mu1 = as_mixture_weights(rng.simplex(l1), size=l1)
+        mu0 = np.array(rng.simplex(l0))
+        mu1 = np.array(rng.simplex(l1))
         dist = trace_distance(mixture_state(mu0, set0), mixture_state(mu1, set1))
         if dist < min_distance:
             min_distance = dist

@@ -162,12 +162,17 @@ def parse_matrix(obj, dim: int, where: str) -> np.ndarray:
 
 
 def _load_json(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from exc
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise ParseError(f"{path}: JSON nested too deeply to parse") from exc
 
 
 def _parse_dim(doc, path: str) -> int:

@@ -42,9 +42,12 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 class DensityMatrix:
     """Hermitian, positive semidefinite, unit-trace operator.
 
-    Construct through validate_density (or the operations that guarantee
-    the invariants analytically); the dataclass itself only freezes the
-    underlying array.
+    Construct through validate_density, which checks a matrix from outside
+    the program, or through an operation that guarantees the invariants
+    analytically and so checks nothing: mixture_state (a convex combination
+    of states) or random_density (G G^dag / Tr).  The solver's convex
+    combination of projectors builds its PovmElement the same way,
+    unchecked.  The dataclass itself only freezes the underlying array.
     """
 
     matrix: np.ndarray
@@ -78,6 +81,7 @@ class StateSet:
     dim: int
     states: tuple[DensityMatrix, ...]
     labels: tuple[str, ...] | None = field(default=None)
+    _stack: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         states = tuple(self.states)
@@ -96,6 +100,7 @@ class StateSet:
                 raise LengthMismatchError(
                     f"{len(labels)} labels for {len(states)} states"
                 )
+        object.__setattr__(self, "_stack", _freeze(np.stack([r.matrix for r in states])))
 
     def __len__(self) -> int:
         return len(self.states)
@@ -110,8 +115,12 @@ class StateSet:
                    labels=tuple(labels) if labels is not None else None)
 
     def stack(self) -> np.ndarray:
-        """All states as one (len, dim, dim) array, in set order."""
-        return np.stack([rho.matrix for rho in self.states])
+        """All states as one (len, dim, dim) array, in set order.
+
+        The array is built once, with the set, and every call returns that
+        same read-only array: callers share it and must not write to it.
+        """
+        return self._stack
 
 
 def validate_density(m) -> DensityMatrix:
@@ -153,7 +162,8 @@ def as_mixture_weights(weights, size: int | None = None) -> np.ndarray:
     """Coerce to a probability vector; enforce simplex membership.
 
     Raises LengthMismatchError when `size` is given and differs, and
-    BadWeightsError for negative entries or a sum off 1 by more than 1e-9.
+    BadWeightsError for a non-finite entry (its index named), a negative
+    entry, or a sum off 1 by more than 1e-9.
     """
     w = np.asarray(weights, dtype=np.float64)
     if w.ndim != 1:
@@ -162,6 +172,9 @@ def as_mixture_weights(weights, size: int | None = None) -> np.ndarray:
         raise LengthMismatchError(f"{w.shape[0]} weights for {size} states")
     if w.shape[0] == 0:
         raise BadWeightsError("weight vector is empty")
+    bad = np.flatnonzero(~np.isfinite(w))
+    if bad.size:
+        raise BadWeightsError(f"weight {bad[0]} is {w[bad[0]]}, not a finite number")
     if float(w.min()) < 0.0:
         raise BadWeightsError(f"negative weight {float(w.min()):.3e}")
     total = float(w.sum())
@@ -171,10 +184,14 @@ def as_mixture_weights(weights, size: int | None = None) -> np.ndarray:
 
 
 def mixture_state(mu, state_set: StateSet) -> DensityMatrix:
-    """Convex combination sum_i mu_i rho_i of the set under distribution mu."""
+    """Convex combination sum_i mu_i rho_i of the set under distribution mu.
+
+    Only mu is checked (as_mixture_weights).  A convex combination of
+    states is a state analytically, so the result is not re-validated,
+    which would cost an eigendecomposition per mixture.
+    """
     w = as_mixture_weights(mu, size=len(state_set))
-    mixed = np.einsum("i,iab->ab", w, state_set.stack())
-    return validate_density(mixed)
+    return DensityMatrix(np.einsum("i,iab->ab", w, state_set.stack()))
 
 
 def random_density(dim: int, rank: int, seed: int) -> DensityMatrix:
@@ -183,9 +200,11 @@ def random_density(dim: int, rank: int, seed: int) -> DensityMatrix:
 
     G is filled row-major, the real then the imaginary part of each entry,
     from the SplitMix64 + Box-Muller stream documented in ``_rng``; equal
-    seeds give bit-identical output.  With rank == dim the result is full
-    rank with overwhelming probability; a near-singular draw is flagged
-    with a warning rather than rejected.
+    seeds give bit-identical output.  G G^dag / Tr is a state by
+    construction, so the result is not validated.  With rank == dim it is
+    full rank with overwhelming probability; a near-singular draw is
+    flagged with a warning rather than rejected, at the cost of one
+    eigendecomposition, the only one this function spends.
     """
     if dim < 1:
         raise BadRankError(f"dimension must be >= 1, got {dim}")
@@ -199,13 +218,12 @@ def random_density(dim: int, rank: int, seed: int) -> DensityMatrix:
             g[i, j] = complex(re, im)
     gram = g @ g.conj().T
     rho = gram / gram.diagonal().real.sum()
-    state = validate_density(rho)
     if rank == dim:
-        lo = float(hermitian_eig(state.matrix).eigenvalues[0])
+        lo = float(hermitian_eig(rho).eigenvalues[0])
         if lo <= 1e-12:
             warnings.warn(
                 f"full-rank draw came out near-singular (min eigenvalue {lo:.3e})",
                 RuntimeWarning,
                 stacklevel=2,
             )
-    return state
+    return DensityMatrix(rho)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import settings
 
 import statesep as ss
+from statesep import hermitian
 from statesep._rng import SplitMix64
 
 # Property tests draw the same examples on every run (and so keep no
@@ -68,3 +69,17 @@ def qubits():
 def degenerate_instance():
     """S0 = {|0><0|, |1><1|}, S1 = {I/2}: margin is analytically zero."""
     return state_set(KET0, KET1), state_set(MIXED2)
+
+
+@pytest.fixture
+def jacobi_calls(monkeypatch):
+    """List that grows by one per eigendecomposition: each runs one _jacobi."""
+    calls = []
+    original = hermitian._jacobi
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(hermitian, "_jacobi", counted)
+    return calls

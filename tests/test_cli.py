@@ -73,6 +73,18 @@ class TestValidate:
         assert run_cli("validate", str(broken), files["orth1"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_deep_nesting_exit_1(self, files, capsys, tmp_path):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000, encoding="utf-8")
+        assert run_cli("solve", str(deep), files["orth1"]) == 1
+        assert f"error: {deep}: JSON nested too deeply" in capsys.readouterr().err
+
+    def test_non_utf8_exit_1_names_path(self, files, capsys, tmp_path):
+        binary = tmp_path / "binary.json"
+        binary.write_bytes(b'{"dim": 1, "states": [\xff]}')
+        assert run_cli("solve", str(binary), files["orth1"]) == 1
+        assert f"error: {binary}: not UTF-8 text" in capsys.readouterr().err
+
 
 class TestSolve:
     def test_orthogonal_converges(self, files, capsys):
@@ -137,6 +149,13 @@ class TestDistance:
     def test_wrong_length_exit_1(self, files, capsys):
         assert run_cli("distance", files["basis"], files["mixed"], "--mu0", "1") == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, index", [("nan,1", 0), ("1,inf", 1), ("-inf,1", 0)])
+    def test_non_finite_weight_named(self, files, capsys, flag, index):
+        assert run_cli("distance", files["basis"], files["mixed"], f"--mu0={flag}") == 1
+        err = capsys.readouterr().err
+        assert f"error: weight {index} is " in err
+        assert "not a finite number" in err
 
 
 class TestHelstrom:

@@ -136,6 +136,12 @@ class TestPositivePartProjector:
             atol=1e-12,
         )
 
+    def test_no_positive_part_gives_exact_zero(self):
+        for h in (np.zeros((3, 3)), np.diag([-1.0, 0.0, -2.0])):
+            p = hm.positive_part_projector(h)
+            assert p.dtype == np.complex128
+            assert p.tobytes() == np.zeros((3, 3), dtype=np.complex128).tobytes()
+
     def test_kernel_excluded(self):
         p = hm.positive_part_projector(np.diag([1.0, 0.0, -1.0]))
         np.testing.assert_allclose(p, np.diag([1.0, 0.0, 0.0]), atol=1e-12)

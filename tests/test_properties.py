@@ -8,10 +8,14 @@ draws small instances (d = 2-4, one to three states a side) from seeds,
 in the conftest's random_instance convention.
 """
 
+import os
+import tempfile
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 import statesep as ss
+from statesep import stateio
 
 from conftest import random_instance
 
@@ -112,6 +116,35 @@ def test_mixture_of_s0_inside_s1_gives_zero(seed, raw_weights):
     res = solve(set0, grown1)
     assert res.lower_bound <= 1e-9
     assert res.upper_bound <= TARGET + 1e-9
+
+
+@EXAMPLES
+@given(seeds, st.booleans(), st.data(), seeds)
+def test_adding_a_state_never_raises_upper_bound(seed, to_set1, data, state_seed):
+    # More states leave eps* where it was or lower it, and each converged
+    # upper bound sits within TARGET above its eps*.
+    set0, set1 = small_instance(seed)
+    rank = data.draw(st.integers(min_value=1, max_value=set0.dim))
+    extra = ss.random_density(set0.dim, rank, state_seed)
+    if to_set1:
+        grown = (set0, ss.StateSet(dim=set1.dim, states=set1.states + (extra,)))
+    else:
+        grown = (ss.StateSet(dim=set0.dim, states=set0.states + (extra,)), set1)
+    assert solve(*grown).upper_bound <= solve(set0, set1).upper_bound + TARGET
+
+
+@EXAMPLES
+@given(seeds)
+def test_state_files_round_trip_bit_for_bit(seed):
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = os.path.join(tmp, "a.json"), os.path.join(tmp, "b.json")
+        for sset in small_instance(seed):
+            stateio.save_state_set(first, sset)
+            back = stateio.load_state_set(first)
+            assert back.stack().tobytes() == sset.stack().tobytes()
+            stateio.save_state_set(second, back)
+            with open(first, "rb") as a, open(second, "rb") as b:
+                assert a.read() == b.read()
 
 
 sizes = st.integers(min_value=1, max_value=3)

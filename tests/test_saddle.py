@@ -257,6 +257,15 @@ class TestCertifyForward:
         assert a.min_distance == b.min_distance
         assert a.worst_mu0.tobytes() == b.worst_mu0.tobytes()
 
+    def test_one_eigendecomposition_per_trial(self, jacobi_calls):
+        # The mixtures of validated states are not re-validated: each trial
+        # spends only the eigendecomposition of its trace distance.
+        set0, set1 = random_instance(11)
+        t = ss.PovmElement(np.eye(set0.dim) / 2.0)
+        jacobi_calls.clear()
+        ss.certify_forward(t, set0, set1, trials=37, seed=4)
+        assert len(jacobi_calls) == 37
+
     def test_trials_validated(self, degenerate_instance):
         set0, set1 = degenerate_instance
         with pytest.raises(ValueError):

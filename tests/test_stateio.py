@@ -70,6 +70,19 @@ class TestParsing:
         with pytest.raises(ParseError, match="line"):
             stateio.load_state_set(str(p))
 
+    def test_deep_nesting_is_parse_error(self, tmp_path):
+        p = tmp_path / "s.json"
+        p.write_text('{"dim": 1, "states": ' + "[" * 100_000, encoding="utf-8")
+        with pytest.raises(ParseError, match="nested too deeply"):
+            stateio.load_state_set(str(p))
+
+    def test_non_utf8_names_path(self, tmp_path):
+        p = tmp_path / "s.json"
+        p.write_bytes(b'{"dim": 1, "states": [\xff]}')
+        with pytest.raises(ParseError, match="not UTF-8") as info:
+            stateio.load_measurement(str(p))
+        assert str(p) in str(info.value)
+
     def test_bad_dim_rejected(self, tmp_path):
         p = tmp_path / "s.json"
         write(p, {"dim": 0, "states": []})

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import statesep as ss
 from statesep.errors import (
@@ -152,6 +153,14 @@ class TestRandomDensity:
             assert lam[-1] == pytest.approx(1.0, abs=1e-9)
             assert np.all(lam[:-1] <= 1e-9)
 
+    def test_eigendecompositions_spent(self, jacobi_calls):
+        # Only the full-rank near-singularity warning needs a spectrum.
+        ss.random_density(4, 4, seed=5)
+        assert len(jacobi_calls) == 1
+        for rank in (1, 2, 3):
+            ss.random_density(4, rank, seed=5)
+        assert len(jacobi_calls) == 1
+
     def test_full_rank_is_positive(self):
         for seed in range(5):
             rho = ss.random_density(3, 3, seed)
@@ -177,3 +186,56 @@ class TestMixtureWeights:
             ss.as_mixture_weights([[0.5, 0.5]])
         with pytest.raises(BadWeightsError):
             ss.as_mixture_weights([])
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_named(self, value):
+        with pytest.raises(BadWeightsError, match=rf"weight 1 is {value}, not a finite"):
+            ss.as_mixture_weights([0.5, value, 0.5])
+        with pytest.raises(BadWeightsError, match="weight 0 "):
+            ss.mixture_state([value, 1.0], state_set(KET0, KET1))
+
+
+# The checks that mixture_state and random_density no longer run, kept as
+# properties: their outputs pass validate_density unchanged.
+
+@st.composite
+def validated_sets(draw, max_dim=6, max_states=5):
+    dim = draw(st.integers(min_value=1, max_value=max_dim))
+    count = draw(st.integers(min_value=1, max_value=max_states))
+    matrices = [
+        ss.random_density(dim, draw(st.integers(1, dim)), draw(st.integers(0, 2**64 - 1))).matrix
+        for _ in range(count)
+    ]
+    return ss.StateSet.from_matrices(matrices)
+
+
+@st.composite
+def simplex_weights(draw, size):
+    raw = draw(st.lists(st.floats(0.0, 1.0), min_size=size, max_size=size)
+               .filter(lambda xs: sum(xs) > 0.0))
+    w = np.array(raw)
+    return w / w.sum()
+
+
+def assert_validates_unchanged(rho):
+    assert ss.validate_density(rho.matrix).matrix.tobytes() == rho.matrix.tobytes()
+
+
+class TestAnalyticInvariants:
+    @given(validated_sets(), st.data())
+    def test_mixture_is_a_valid_state(self, sset, data):
+        mu = data.draw(simplex_weights(len(sset)))
+        assert_validates_unchanged(ss.mixture_state(mu, sset))
+
+    @given(st.integers(1, 8), st.data(), st.integers(0, 2**64 - 1))
+    def test_random_density_is_a_valid_state(self, dim, data, seed):
+        rank = data.draw(st.integers(1, dim))
+        assert_validates_unchanged(ss.random_density(dim, rank, seed))
+
+    @given(validated_sets())
+    def test_stack_is_shared_and_read_only(self, sset):
+        stack = sset.stack()
+        assert sset.stack() is stack
+        assert stack.tobytes() == np.stack([rho.matrix for rho in sset.states]).tobytes()
+        with pytest.raises(ValueError):
+            stack[0, 0, 0] = 0.0
