@@ -10,6 +10,7 @@ so repeated runs on identical inputs emit identical bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 
@@ -265,8 +266,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # One per process: building the tree costs about 15 parses.
+    return build_parser()
+
+
 def run(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     started = time.perf_counter()
     try:
         code, payload, lines = _COMMANDS[args.command](args)

@@ -4,13 +4,24 @@ Matrices are numpy arrays of complex128, shape (d, d), row-major.  The
 eigensolver is a cyclic Jacobi iteration with complex plane rotations
 (Golub & Van Loan, Matrix Computations, 8.5); no LAPACK routine is
 involved, which keeps every production code path independent of the
-numpy eigensolvers used as oracles in the tests.  One kernel serves every
-dimension: it rotates rows and columns kept as Python lists of native
-complex numbers.  Up to d ~ 30 that beats rotating numpy rows and columns
-by slicing (5x faster at d = 4, 2.6x at d = 12, 2x at d = 16); beyond, it
-costs more, 1.4x the sliced rotations' time at d = 48 and about 2x at
-d = 64, where a solve needing thousands of eigendecompositions is
-impractical with either.
+numpy eigensolvers used as oracles in the tests.  Two kernels run it.
+
+hermitian_eig, the only one that returns eigenvectors, serves every
+single matrix at every dimension.  It rotates rows and columns kept as
+Python lists of native complex numbers.  Up to d ~ 30 that beats rotating
+numpy rows and columns by slicing (5x faster at d = 4, 2.6x at d = 12, 2x
+at d = 16); beyond, it costs more, 1.4x the sliced rotations' time at
+d = 48 and about 2x at d = 64, where a solve needing thousands of
+eigendecompositions is impractical with either.
+
+_eigvals_stack computes only eigenvalues, of an (n, d, d) stack, and
+applies each rotation to all n matrices at once with numpy; certify_forward
+screens its sampled mixture pairs with it.  Every rotation pays numpy's
+per-call overhead, so the stack kernel loses on small stacks and wins on
+large ones.  Against a loop of hermitian_eig at d = 2-16 it ran at
+0.14-0.35x that speed for n = 1, broke even at n = 4-8 and was 7-24x
+faster at n = 100 (2-core machine, Python 3.11.7, numpy 2.4.6).  Set
+loading validates its states one by one, on hermitian_eig.
 """
 
 from __future__ import annotations
@@ -173,6 +184,93 @@ def hermitian_eig(m) -> EigenDecomposition:
         eigenvalues=np.ascontiguousarray(eigenvalues[order]),
         eigenvectors=np.ascontiguousarray(v[:, order]),
     )
+
+
+def _eigvals_stack(stack) -> np.ndarray:
+    """Eigenvalues of every matrix of an (n, d, d) Hermitian stack, shape (n, d).
+
+    The batched, eigenvalue-only twin of hermitian_eig: each matrix passes
+    the same Hermiticity gate and symmetrization and gets its own threshold
+    and skip level; the sweeps visit (p, q) in the same cyclic order, with
+    each rotation applied to the whole stack at once, and more than 100
+    sweeps raises NoConvergenceError.  A matrix that is converged, or whose
+    (p, q) entry is at or below its skip level, gets the identity rotation
+    (c = 1, s = 0, phase = 1), which leaves every entry as it was up to the
+    sign of a zero, so row k of the result does not depend on the rest of
+    the stack.  Each row is sorted ascending.  Its rounding differs from
+    hermitian_eig's (about 1e-15 apart), so no caller may mix the two
+    kernels' outputs in one result.
+    """
+    a = np.asarray(stack, dtype=np.complex128)
+    if a.ndim != 3 or a.shape[1] != a.shape[2] or a.shape[1] < 1:
+        raise ValueError(f"expected an (n, d, d) stack, got shape {a.shape}")
+    adjoint = a.conj().transpose(0, 2, 1)
+    asym = np.abs(a - adjoint).max(axis=(1, 2))
+    bad = np.flatnonzero(~(asym <= HERMITICITY_TOL))
+    if bad.size:
+        k = bad[0]
+        raise NotHermitianError(
+            f"matrix {k}: max entry asymmetry {asym[k]:.3e} exceeds tolerance "
+            f"{HERMITICITY_TOL:.1e}"
+        )
+    h = (a + adjoint) / 2.0
+    n = h.shape[1]
+    threshold = _OFFDIAG_REL_TOL * np.sqrt((h.real ** 2 + h.imag ** 2).sum(axis=(1, 2)))
+    skip = threshold / max(n, 2)
+    limit = threshold * threshold
+    off = ~np.eye(n, dtype=bool)
+
+    def offdiag_sq() -> np.ndarray:
+        # Summed over the off-diagonal entries themselves, as in _jacobi.
+        return (h.real[:, off] ** 2 + h.imag[:, off] ** 2).sum(axis=1)
+
+    for _ in range(_MAX_SWEEPS):
+        active = offdiag_sq() > limit
+        if not active.any():
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                b = h[:, p, q]
+                absb = np.hypot(b.real, b.imag)
+                rot = active & (absb > skip)
+                if not rot.any():
+                    continue
+                # Copies: h's diagonal views change as the rows rotate.
+                app = h[:, p, p].real.copy()
+                aqq = h[:, q, q].real.copy()
+                # Masked matrices divide by 1, never by a zero |b|.
+                safe = np.where(rot, absb, 1.0)
+                phase = np.where(rot, b / safe, 1.0)
+                tau = (aqq - app) / (2.0 * safe)
+                # _rotation_params' two branches as sign / (|tau| + root).
+                root = np.sqrt(tau * tau + 1.0)
+                t = np.where(rot, np.where(tau >= 0.0, 1.0, -1.0) / (np.abs(tau) + root), 0.0)
+                c = 1.0 / np.sqrt(t * t + 1.0)
+                s = t * c
+                cc = c[:, None]
+                sc = s[:, None]
+                row_p = h[:, p, :]
+                row_q = h[:, q, :]
+                new_p = cc * row_p - (s * phase)[:, None] * row_q
+                h[:, q, :] = sc * row_p + (c * phase)[:, None] * row_q
+                h[:, p, :] = new_p
+                conj_phase = phase.conj()
+                col_p = h[:, :, p]
+                col_q = h[:, :, q]
+                new_p = cc * col_p - (s * conj_phase)[:, None] * col_q
+                h[:, :, q] = sc * col_p + (c * conj_phase)[:, None] * col_q
+                h[:, :, p] = new_p
+                h[rot, p, q] = 0.0
+                h[rot, q, p] = 0.0
+                shift = t * absb
+                h[:, p, p] = app - shift
+                h[:, q, q] = aqq + shift
+    else:
+        if (offdiag_sq() > limit).any():
+            raise NoConvergenceError(
+                f"off-diagonal norm above its threshold after {_MAX_SWEEPS} sweeps"
+            )
+    return np.sort(h.diagonal(axis1=1, axis2=2).real, axis=1)
 
 
 def positive_part_projector(h) -> np.ndarray:

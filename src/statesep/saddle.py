@@ -40,9 +40,20 @@ import numpy as np
 from ._master import Master
 from ._rng import SplitMix64
 from .discrimination import min_separation_gap, separation_gap, trace_distance
-from .errors import BadConfigError, DimensionMismatchError, EmptySetError
-from .hermitian import POSITIVE_CUTOFF, hermitian_eig
-from .states import PovmElement, StateSet, mixture_state
+from .errors import BadConfigError, BadWeightsError, DimensionMismatchError, EmptySetError
+from .hermitian import POSITIVE_CUTOFF, _eigvals_stack, hermitian_eig
+from .states import WEIGHT_SUM_TOL, PovmElement, StateSet, mixture_state
+
+# certify_forward draws and screens its trials in blocks of this many
+# weights, or matrix entries where a trial's matrix has more of them.
+_CERTIFY_BLOCK = 1 << 14
+# Screened distances within _SCREEN_SLACK * d of the smallest are
+# recomputed exactly.  Each kernel keeps every eigenvalue within
+# 1e-13 * max(1, ||H||_F) of eigvalsh's (pinned by a property test), and a
+# mixture difference has ||H||_F <= 2, so each kernel's distance lies
+# within d * 1e-13 of the reference one; the trial with the least exact
+# distance then screens within 4d * 1e-13 of the least screened distance.
+_SCREEN_SLACK = 4e-13
 
 
 @dataclass(frozen=True)
@@ -221,6 +232,18 @@ def solve_saddle(
     )
 
 
+def _check_weight_rows(rows: np.ndarray, first_trial: int) -> None:
+    # as_mixture_weights' rules, one row per sampled mixture.
+    bad = (
+        ~np.isfinite(rows).all(axis=1)
+        | (rows.min(axis=1) < 0.0)
+        | (np.abs(rows.sum(axis=1) - 1.0) > WEIGHT_SUM_TOL)
+    )
+    if bad.any():
+        trial = first_trial + int(np.flatnonzero(bad)[0])
+        raise BadWeightsError(f"trial {trial}: sampled weights are off the simplex")
+
+
 def certify_forward(
     t: PovmElement,
     set0: StateSet,
@@ -235,6 +258,17 @@ def certify_forward(
     samples `trials` uniform (Dirichlet(1,...,1)) mixture pairs from the
     documented SplitMix64 stream (mu0's exponentials drawn before mu1's,
     per trial) and reports the largest violation found, expected <= 1e-9.
+
+    The trials are screened, then the closest pair is computed exactly.
+    Each block of trials takes one array draw, and its mixture differences
+    (built by one einsum, with the bits of the per-trial mixture_state)
+    go through one batched eigenvalue-only Jacobi call.  Every trial whose
+    screened distance lies within a rounding slack of the smallest is then
+    recomputed with trace_distance, in trial order, and the first strict
+    minimum of those values is reported, so no reported number comes from
+    the batched kernel.  The slack covers the two kernels' disagreement,
+    so the report is the one a trial-by-trial loop with trace_distance
+    gives; normally a single trial is recomputed.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -243,14 +277,34 @@ def certify_forward(
         raise DimensionMismatchError(f"measurement dim {t.dim} != set dim {set0.dim}")
     margin = separation_gap(t, set0, set1).min_gap
     rng = SplitMix64(seed)
-    l0, l1 = len(set0), len(set1)
+    l0, l1, d = len(set0), len(set1), set0.dim
+    stack0 = set0.stack()
+    stack1 = set1.stack()
+    per_block = max(1, _CERTIFY_BLOCK // max(l0 + l1, d * d))
+    slack = _SCREEN_SLACK * d
+
+    best = np.inf
+    # (screened distance, mu0, mu1) of every trial within slack of best, in
+    # trial order, keyed by its weights: a repeat (every trial, when both
+    # sets are singletons) can never beat its first occurrence.
+    pool: dict[bytes, tuple[float, np.ndarray, np.ndarray]] = {}
+    for start in range(0, trials, per_block):
+        w0, w1 = rng.simplex_pairs(min(per_block, trials - start), l0, l1)
+        _check_weight_rows(w0, start)
+        _check_weight_rows(w1, start)
+        diff = np.einsum("ti,iab->tab", w0, stack0) - np.einsum("ti,iab->tab", w1, stack1)
+        lam = _eigvals_stack((diff + diff.conj().transpose(0, 2, 1)) / 2.0)
+        screened = 0.5 * np.abs(lam).sum(axis=1)
+        best = min(best, float(screened.min()))
+        pool = {key: entry for key, entry in pool.items() if entry[0] <= best + slack}
+        for k in np.flatnonzero(screened <= best + slack):
+            key = w0[k].tobytes() + w1[k].tobytes()
+            pool.setdefault(key, (float(screened[k]), w0[k].copy(), w1[k].copy()))
 
     min_distance = np.inf
     worst_mu0 = None
     worst_mu1 = None
-    for _ in range(trials):
-        mu0 = np.array(rng.simplex(l0))
-        mu1 = np.array(rng.simplex(l1))
+    for _, mu0, mu1 in pool.values():
         dist = trace_distance(mixture_state(mu0, set0), mixture_state(mu1, set1))
         if dist < min_distance:
             min_distance = dist

@@ -1,5 +1,7 @@
 """Shared fixtures and instance builders."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -52,6 +54,36 @@ def random_instance(seed: int, dims=(2, 3, 4), max_states: int = 4):
     set0 = ss.StateSet(dim=dim, states=tuple(draw() for _ in range(l0)))
     set1 = ss.StateSet(dim=dim, states=tuple(draw() for _ in range(l1)))
     return set0, set1
+
+
+def reference_certify(t, set0, set1, trials, seed):
+    """certify_forward as one trace_distance per trial, drawn from next_uint64."""
+    rng = SplitMix64(seed)
+
+    def simplex(size):
+        draws = [-math.log(((rng.next_uint64() >> 11) + 0.5) * 2.0 ** -53)
+                 for _ in range(size)]
+        total = 0.0
+        for e in draws:
+            total += e
+        return np.array([e / total for e in draws])
+
+    best = (np.inf, None, None)
+    for _ in range(trials):
+        mu0, mu1 = simplex(len(set0)), simplex(len(set1))
+        dist = ss.trace_distance(ss.mixture_state(mu0, set0), ss.mixture_state(mu1, set1))
+        if dist < best[0]:
+            best = (dist, mu0, mu1)
+    margin = ss.separation_gap(t, set0, set1).min_gap
+    return ss.CertReport(margin=margin, max_violation=margin - best[0], worst_mu0=best[1],
+                         worst_mu1=best[2], min_distance=best[0], trials=trials)
+
+
+def assert_same_report(a, b):
+    assert (a.margin, a.max_violation, a.min_distance, a.trials) == (
+        b.margin, b.max_violation, b.min_distance, b.trials)
+    assert a.worst_mu0.tobytes() == b.worst_mu0.tobytes()
+    assert a.worst_mu1.tobytes() == b.worst_mu1.tobytes()
 
 
 @pytest.fixture

@@ -256,3 +256,27 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert "validate" in proc.stdout and "solve" in proc.stdout
+
+
+def test_parser_reused_across_runs_matches_fresh_processes(files, capsys, tmp_path):
+    # run() builds its parser once per process; a bad argv in between must
+    # leave nothing behind that changes a later run.
+    witness = str(tmp_path / "T.json")
+    stateio.save_measurement(witness, ss.PovmElement(np.eye(2) / 2.0))
+    certify = ["certify", files["basis"], files["mixed"], witness, "--json",
+               "--trials", "40", "--seed", "3"]
+    solve = ["solve", files["orth0"], files["orth1"], "--json",
+             "--out", str(tmp_path / "W.json")]
+    in_process = []
+    for argv in (certify, solve, ["solve", files["orth0"], "--rounds", "x"], certify):
+        try:
+            code = cli.run(argv)
+        except SystemExit as exc:
+            code = exc.code
+        in_process.append((code, capsys.readouterr().out))
+    assert in_process[2][0] == 2
+    assert in_process[0] == in_process[3]
+    for argv, (code, out) in zip((certify, solve), in_process):
+        proc = subprocess.run([sys.executable, "-m", "statesep.cli", *argv],
+                              capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout) == (code, out)

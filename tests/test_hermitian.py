@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -100,6 +102,82 @@ class TestHermitianEig:
                   random_hermitian(np.random.RandomState(0), 12)):
             with pytest.raises(NoConvergenceError):
                 hm.hermitian_eig(h)
+
+
+def mixed_stack():
+    """Random, diagonal, zero, tiny and huge matrices, d = 5, in one stack."""
+    rng = np.random.RandomState(17)
+    mats = [random_hermitian(rng, 5) for _ in range(6)]
+    mats[1] = np.diag([3.0, -1.0, 0.0, 0.5, 2.0]).astype(complex)
+    mats[2] = np.zeros((5, 5), dtype=complex)
+    mats[3] = mats[3] * 1e-30
+    mats[4] = mats[4] * 1e30
+    # Block diagonal: exact zeros at (p, q) pairs the others rotate.
+    mats[5][:2, 2:] = 0.0
+    mats[5][2:, :2] = 0.0
+    return np.array(mats)
+
+
+class TestEigvalsStack:
+    def test_rows_match_each_matrix_alone_bit_for_bit(self):
+        stack = mixed_stack()
+        lam = hm._eigvals_stack(stack)
+        for k in range(len(stack)):
+            assert hm._eigvals_stack(stack[k:k + 1])[0].tobytes() == lam[k].tobytes()
+        order = np.random.RandomState(3).permutation(len(stack))
+        assert hm._eigvals_stack(stack[order]).tobytes() == lam[order].tobytes()
+
+    def test_agrees_with_hermitian_eig(self):
+        stack = mixed_stack()
+        for h, lam in zip(stack, hm._eigvals_stack(stack)):
+            bound = 1e-13 * max(1.0, np.linalg.norm(h))
+            assert np.abs(lam - hm.hermitian_eig(h).eigenvalues).max() <= bound
+            assert np.abs(lam - np.linalg.eigvalsh(h)).max() <= bound
+
+    def test_dim_one(self):
+        lam = hm._eigvals_stack(np.array([[[2.5]], [[-1.0]], [[0.0]]]))
+        assert lam.tobytes() == np.array([[2.5], [-1.0], [0.0]]).tobytes()
+
+    def test_zero_and_diagonal_stacks_are_exact(self):
+        assert hm._eigvals_stack(np.zeros((3, 4, 4))).tobytes() == np.zeros((3, 4)).tobytes()
+        diag = np.array([[2.0, -1.0, 0.5], [0.0, 7.0, -3.0]])
+        stack = np.array([np.diag(row) for row in diag])
+        assert hm._eigvals_stack(stack).tobytes() == np.sort(diag, axis=1).tobytes()
+
+    def test_ascending_rows(self):
+        lam = hm._eigvals_stack(mixed_stack())
+        assert np.all(np.diff(lam, axis=1) >= 0.0)
+
+    def test_rejects_nan_and_names_the_matrix(self):
+        stack = mixed_stack()
+        stack[2, 1, 3] = np.nan
+        with pytest.raises(NotHermitianError, match="matrix 2"):
+            hm._eigvals_stack(stack)
+
+    def test_rejects_non_hermitian(self):
+        with pytest.raises(NotHermitianError):
+            hm._eigvals_stack(np.array([[[0.0, 1.0], [0.0, 0.0]]]))
+
+    def test_rejects_bad_shapes(self):
+        for shape in ((2, 2), (1, 2, 3), (1, 0, 0)):
+            with pytest.raises(ValueError):
+                hm._eigvals_stack(np.zeros(shape))
+
+    def test_no_convergence_error(self, monkeypatch):
+        monkeypatch.setattr(hm, "_MAX_SWEEPS", 0)
+        with pytest.raises(NoConvergenceError):
+            hm._eigvals_stack(mixed_stack())
+        # A stack that needs no sweep at all still passes the cap.
+        assert hm._eigvals_stack(np.zeros((2, 3, 3))).shape == (2, 3)
+
+    def test_no_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            hm._eigvals_stack(mixed_stack())
+            for dim in (1, 2, 3, 8):
+                hm._eigvals_stack(np.array(
+                    [random_hermitian(np.random.RandomState(dim + k), dim) for k in range(4)]
+                ))
 
 
 class TestTrace:

@@ -6,18 +6,28 @@ with the same eps* agree within TARGET on each bound, whatever algorithm
 produced them, and the exact cases below pin eps* itself.  Hypothesis
 draws small instances (d = 2-4, one to three states a side) from seeds,
 in the conftest's random_instance convention.
+
+The later properties cover the layers under the solver: the batched
+eigenvalue kernel against hermitian_eig and eigvalsh, certify_forward
+against a trial-by-trial reference loop, and the CLI's typed exit on
+every kind of malformed input file.
 """
 
+import contextlib
+import io
+import json
 import os
 import tempfile
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import statesep as ss
-from statesep import stateio
+from statesep import cli, hermitian, stateio
 
-from conftest import random_instance
+from conftest import assert_same_report, random_instance, reference_certify
 
 TARGET = 2e-3
 CONFIG = ss.SolverConfig(max_rounds=20000, target_gap=TARGET)
@@ -181,3 +191,151 @@ def test_singletons_reach_helstrom_value(dim, seed0, seed1):
     res = solve(ss.StateSet(dim=dim, states=(rho,)), ss.StateSet(dim=dim, states=(sigma,)))
     assert helstrom - TARGET <= res.lower_bound <= helstrom + 1e-9
     assert helstrom - 1e-9 <= res.upper_bound <= helstrom + TARGET
+
+
+@st.composite
+def hermitian_stacks(draw):
+    dim = draw(st.integers(min_value=1, max_value=16))
+    count = draw(st.integers(min_value=1, max_value=4))
+    parts = draw(hnp.arrays(np.float64, (2, count, dim, dim), elements=st.floats(-1.0, 1.0)))
+    scales = draw(st.lists(st.sampled_from([1e-8, 1.0, 1e8]), min_size=count, max_size=count))
+    m = (parts[0] + 1j * parts[1]) * np.array(scales)[:, None, None]
+    return (m + m.conj().transpose(0, 2, 1)) / 2.0
+
+
+@settings(max_examples=60)
+@given(hermitian_stacks())
+def test_batched_eigenvalues_agree_with_both_references(stack):
+    lam = hermitian._eigvals_stack(stack)
+    for h, row in zip(stack, lam):
+        bound = 1e-13 * max(1.0, np.linalg.norm(h))
+        assert np.abs(row - hermitian.hermitian_eig(h).eigenvalues).max() <= bound
+        assert np.abs(row - np.linalg.eigvalsh(h)).max() <= bound
+
+
+@EXAMPLES
+@given(seeds, st.integers(min_value=1, max_value=120), seeds)
+def test_certify_matches_trial_by_trial_reference(seed, trials, certify_seed):
+    set0, set1 = small_instance(seed)
+    t = solve(set0, set1).measurement
+    report = ss.certify_forward(t, set0, set1, trials=trials, seed=certify_seed)
+    assert_same_report(report, reference_certify(t, set0, set1, trials, certify_seed))
+
+
+# --- malformed files: every corruption is a typed error, exit code 1 ---
+# validate and solve read only set files, so a corrupted measurement file
+# goes through certify alone.
+
+SET_CORRUPTIONS = ("truncated", "missing key", "wrong type", "non-finite", "wrong dim",
+                   "non-square", "non-Hermitian", "non-PSD", "bad trace")
+MEASUREMENT_CORRUPTIONS = SET_CORRUPTIONS[:-1] + ("above one",)
+# Found by validate_density itself, which `validate` reports per state.
+PHYSICS = ("non-Hermitian", "non-PSD", "bad trace")
+
+
+@st.composite
+def corrupted_files(draw, measurement, kind):
+    """The text of a valid set or measurement file with one corruption."""
+    dim = draw(st.integers(min_value=1, max_value=3))
+    if measurement:
+        doc = stateio.measurement_to_jsonable(ss.PovmElement(np.eye(dim) / 2.0))
+        state = None
+        matrix = doc["matrix"]
+    else:
+        count = draw(st.integers(min_value=1, max_value=3))
+        sset = ss.StateSet(dim=dim, states=tuple(
+            ss.random_density(dim, dim, draw(seeds)) for _ in range(count)))
+        doc = stateio.state_set_to_jsonable(sset)
+        state = draw(st.integers(min_value=0, max_value=count - 1))
+        matrix = doc["states"][state]["matrix"]
+    i = draw(st.integers(min_value=0, max_value=dim - 1))
+    j = draw(st.integers(min_value=0, max_value=dim - 1))
+    if kind == "truncated":
+        text = stateio.dumps(doc)
+        return text[:draw(st.integers(0, len(text) - 1))]
+    if kind == "missing key":
+        owner = draw(st.sampled_from(["top", "entry"] + ([] if measurement else ["state"])))
+        if owner == "top":
+            del doc[draw(st.sampled_from(["dim", "matrix" if measurement else "states"]))]
+        elif owner == "state":
+            del doc["states"][state]["matrix"]
+        else:
+            del matrix[i][j][draw(st.sampled_from(["re", "im"]))]
+    elif kind == "wrong type":
+        bad = draw(st.sampled_from(["2", None, True, [1.0], {"re": 0.0}]))
+        where = draw(st.sampled_from(["dim", "body", "row", "entry", "field"]))
+        if where == "dim":
+            doc["dim"] = bad
+        elif where == "body":
+            doc["matrix" if measurement else "states"] = bad
+        elif where == "row":
+            matrix[i] = bad
+        elif where == "entry":
+            matrix[i][j] = bad
+        else:
+            matrix[i][j][draw(st.sampled_from(["re", "im"]))] = bad
+    elif kind == "non-finite":
+        value = draw(st.sampled_from([float("nan"), float("inf"), float("-inf")]))
+        matrix[i][j][draw(st.sampled_from(["re", "im"]))] = value
+    elif kind == "wrong dim":
+        doc["dim"] = draw(st.sampled_from([0, -1, dim + 1] + ([dim - 1] if dim > 1 else [])))
+    elif kind == "non-square":
+        if draw(st.booleans()):
+            matrix[i].pop(j)
+        else:
+            matrix[i].append({"re": 0.0, "im": 0.0})
+    elif kind == "non-Hermitian":
+        matrix[i][i]["im"] = 0.25
+    elif kind == "non-PSD":
+        for a in range(dim):
+            for b in range(dim):
+                matrix[a][b] = {"re": 0.0, "im": 0.0}
+        matrix[0][0]["re"] = -0.5
+        if not measurement and dim > 1:
+            matrix[1][1]["re"] = 1.5
+    elif kind in ("bad trace", "above one"):
+        for row in matrix:
+            for entry in row:
+                entry["re"] *= 3.0
+                entry["im"] *= 3.0
+    return json.dumps(doc)
+
+
+def run_quietly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "measurement,kind",
+    [(False, kind) for kind in SET_CORRUPTIONS]
+    + [(True, kind) for kind in MEASUREMENT_CORRUPTIONS],
+)
+@settings(max_examples=10)
+@given(data=st.data(), as_set1=st.booleans())
+def test_malformed_files_exit_1_with_a_typed_error(measurement, kind, data, as_set1):
+    text = data.draw(corrupted_files(measurement, kind))
+    with tempfile.TemporaryDirectory() as tmp:
+        good = os.path.join(tmp, "good.json")
+        bad = os.path.join(tmp, "bad.json")
+        witness = os.path.join(tmp, "witness.json")
+        stateio.save_state_set(good, ss.StateSet(dim=2, states=(ss.random_density(2, 2, 1),)))
+        stateio.save_measurement(witness, ss.PovmElement(np.eye(2) / 2.0))
+        with open(bad, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        if measurement:
+            runs = [["certify", good, good, bad]]
+        else:
+            pair = [good, bad] if as_set1 else [bad, good]
+            runs = [["validate", *pair], ["solve", *pair], ["certify", *pair, witness]]
+        for argv in runs:
+            code, out, err = run_quietly(argv)
+            assert code == 1, (kind, argv[0], out, err)
+            assert "Traceback" not in out + err
+            if argv[0] == "validate" and kind in PHYSICS:
+                # validate reports each state's typed error on stdout.
+                assert "Error: " in out and err == ""
+            else:
+                assert err.startswith("error: "), (kind, argv[0], err)

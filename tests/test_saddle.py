@@ -1,9 +1,11 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 import statesep as ss
+from statesep import saddle
 from statesep.errors import BadConfigError, DimensionMismatchError, EmptySetError
 
 from conftest import (
@@ -12,7 +14,9 @@ from conftest import (
     KET1,
     MIXED2,
     PLUS,
+    assert_same_report,
     random_instance,
+    reference_certify,
     state_set,
 )
 
@@ -257,14 +261,78 @@ class TestCertifyForward:
         assert a.min_distance == b.min_distance
         assert a.worst_mu0.tobytes() == b.worst_mu0.tobytes()
 
-    def test_one_eigendecomposition_per_trial(self, jacobi_calls):
-        # The mixtures of validated states are not re-validated: each trial
-        # spends only the eigendecomposition of its trace distance.
+    def test_one_scalar_eigendecomposition_per_certify(self, jacobi_calls, monkeypatch):
+        # Trials are screened by the batched kernel, one call per block; only
+        # the closest trial runs hermitian_eig, through trace_distance.
         set0, set1 = random_instance(11)
         t = ss.PovmElement(np.eye(set0.dim) / 2.0)
+        batched = []
+        original = saddle._eigvals_stack
+
+        def counted(stack):
+            batched.append(len(stack))
+            return original(stack)
+
+        monkeypatch.setattr(saddle, "_eigvals_stack", counted)
+        width = max(len(set0) + len(set1), set0.dim ** 2)
+        for trials, block in ((1, 16384), (37, 16384), (1000, 16384), (1000, 7 * width)):
+            monkeypatch.setattr(saddle, "_CERTIFY_BLOCK", block)
+            jacobi_calls.clear()
+            batched.clear()
+            ss.certify_forward(t, set0, set1, trials=trials, seed=4)
+            assert len(jacobi_calls) == 1
+            assert len(batched) == -(-trials // (block // width))
+            assert sum(batched) == trials
+        # Singletons: every trial is the same pair, recomputed only once.
         jacobi_calls.clear()
-        ss.certify_forward(t, set0, set1, trials=37, seed=4)
-        assert len(jacobi_calls) == 37
+        ss.certify_forward(t, ss.StateSet(dim=set0.dim, states=set0.states[:1]),
+                           ss.StateSet(dim=set1.dim, states=set1.states[:1]), trials=50, seed=4)
+        assert len(jacobi_calls) == 1
+
+    @pytest.mark.parametrize("seed", [11, 22, 314])
+    def test_report_independent_of_block_size(self, monkeypatch, seed):
+        set0, set1 = random_instance(seed)
+        t = ss.solve_saddle(set0, set1, FAST).measurement
+        width = max(len(set0) + len(set1), set0.dim ** 2)
+        reports = []
+        for block in (saddle._CERTIFY_BLOCK, 1, 7 * width):
+            monkeypatch.setattr(saddle, "_CERTIFY_BLOCK", block)
+            reports.append(ss.certify_forward(t, set0, set1, trials=200, seed=seed))
+        for other in reports[1:]:
+            assert_same_report(other, reports[0])
+
+    @pytest.mark.parametrize("seed", [5, 12, 99])
+    def test_matches_per_trial_reference(self, seed):
+        set0, set1 = random_instance(seed)
+        t = ss.solve_saddle(set0, set1, FAST).measurement
+        report = ss.certify_forward(t, set0, set1, trials=300, seed=seed)
+        assert_same_report(report, reference_certify(t, set0, set1, 300, seed))
+
+    def test_ties_match_per_trial_reference(self):
+        # Orthogonal supports, turned by a common unitary: every mixture pair
+        # is at distance 1 up to rounding, so the screen cannot order the
+        # trials and the exact values must decide, in trial order.
+        zero = np.zeros((2, 2))
+        q, _ = np.linalg.qr(np.random.RandomState(5).normal(size=(4, 4, 2)) @ [1.0, 1j])
+
+        def turned(block, upper):
+            m = np.block([[block, zero], [zero, zero]] if upper else [[zero, zero], [zero, block]])
+            m = q @ m @ q.conj().T
+            return (m + m.conj().T) / 2.0
+
+        set0 = state_set(*[turned(ss.random_density(2, 2, 3 + k).matrix, True) for k in range(3)])
+        set1 = state_set(*[turned(ss.random_density(2, 2, 13 + k).matrix, False) for k in range(3)])
+        t = ss.PovmElement(np.eye(4) / 2.0)
+        report = ss.certify_forward(t, set0, set1, trials=64, seed=8)
+        assert report.min_distance == pytest.approx(1.0, abs=1e-12)
+        assert_same_report(report, reference_certify(t, set0, set1, 64, 8))
+
+    def test_no_warnings(self):
+        set0, set1 = random_instance(314, dims=(3,), max_states=3)
+        t = ss.PovmElement(np.eye(3) / 2.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ss.certify_forward(t, set0, set1, trials=100, seed=1)
 
     def test_trials_validated(self, degenerate_instance):
         set0, set1 = degenerate_instance
