@@ -16,12 +16,17 @@ eigendecompositions is impractical with either.
 
 _eigvals_stack computes only eigenvalues, of an (n, d, d) stack, and
 applies each rotation to all n matrices at once with numpy; certify_forward
-screens its sampled mixture pairs with it.  Every rotation pays numpy's
-per-call overhead, so the stack kernel loses on small stacks and wins on
-large ones.  Against a loop of hermitian_eig at d = 2-16 it ran at
-0.14-0.35x that speed for n = 1, broke even at n = 4-8 and was 7-24x
-faster at n = 100 (2-core machine, Python 3.11.7, numpy 2.4.6).  Set
-loading validates its states one by one, on hermitian_eig.
+screens its sampled mixture pairs with it, and states.screen_densities the
+states of a set being loaded.  Every rotation pays numpy's per-call
+overhead, so the stack kernel loses on small stacks and wins on large
+ones.  Against a loop of hermitian_eig at d = 2-16 it ran at 0.14-0.35x
+that speed for n = 1, broke even at n = 4-8 and was 7-24x faster at
+n = 100 (2-core machine, Python 3.11.7, numpy 2.4.6).  Sets of fewer than
+states.SCREEN_MIN_STATES states are validated one by one, on hermitian_eig.
+
+Both kernels scale a matrix with an entry above 2^500 down by an exact
+power of two before iterating, and its eigenvalues back up, so that the
+squares in the Frobenius norm cannot overflow.
 """
 
 from __future__ import annotations
@@ -41,6 +46,13 @@ POSITIVE_CUTOFF = 1e-10
 # Sweep convergence: off-diagonal Frobenius norm relative to ||M||_F.
 _OFFDIAG_REL_TOL = 1e-13
 _MAX_SWEEPS = 100
+# A matrix with an entry above this modulus is iterated on scaled by 2^-e,
+# e the binary exponent of its largest entry modulus, so that every entry
+# is below 1, and its eigenvalues are scaled back by 2^e: the Frobenius
+# norm squares the entries, which overflows above about 2^512.  Scaling by
+# a power of two is exact for every entry that stays normal, and the
+# Jacobi iteration commutes with it.
+_SCALE_ABOVE = 2.0 ** 500
 
 
 @dataclass(frozen=True)
@@ -166,12 +178,18 @@ def hermitian_eig(m) -> EigenDecomposition:
     """Eigendecomposition of a Hermitian matrix by cyclic Jacobi sweeps.
 
     The input is checked against HERMITICITY_TOL and symmetrized to
-    (M + M^dag)/2 before iterating.  Sweeps stop once the off-diagonal
-    Frobenius norm falls to 1e-13 * ||M||_F; more than 100 sweeps raises
-    NoConvergenceError.  Output is deterministic for identical input bits:
-    eigenvalues ascending, ties kept in Jacobi output order.
+    (M + M^dag)/2 before iterating; a matrix with an entry above 2^500 is
+    first scaled down by an exact power of two, and its eigenvalues back
+    up.  Sweeps stop once the off-diagonal Frobenius norm falls to
+    1e-13 * ||M||_F; more than 100 sweeps raises NoConvergenceError.
+    Output is deterministic for identical input bits: eigenvalues
+    ascending, ties kept in Jacobi output order.
     """
     a = check_hermitian(m)
+    big = float(np.abs(a).max())
+    exponent = math.frexp(big)[1] if big > _SCALE_ABOVE else 0
+    if exponent:
+        a = a * math.ldexp(1.0, -exponent)
     h = (a + a.conj().T) / 2.0
     n = h.shape[0]
     threshold = _OFFDIAG_REL_TOL * float(np.linalg.norm(h))
@@ -179,6 +197,8 @@ def hermitian_eig(m) -> EigenDecomposition:
     # n(n-1) of them remain, the off-diagonal norm stays under threshold.
     skip = threshold / max(n, 2)
     eigenvalues, v = _jacobi(h, threshold, skip)
+    if exponent:
+        eigenvalues = np.ldexp(eigenvalues, exponent)
     order = np.argsort(eigenvalues, kind="stable")
     return EigenDecomposition(
         eigenvalues=np.ascontiguousarray(eigenvalues[order]),
@@ -190,15 +210,15 @@ def _eigvals_stack(stack) -> np.ndarray:
     """Eigenvalues of every matrix of an (n, d, d) Hermitian stack, shape (n, d).
 
     The batched, eigenvalue-only twin of hermitian_eig: each matrix passes
-    the same Hermiticity gate and symmetrization and gets its own threshold
-    and skip level; the sweeps visit (p, q) in the same cyclic order, with
-    each rotation applied to the whole stack at once, and more than 100
-    sweeps raises NoConvergenceError.  A matrix that is converged, or whose
-    (p, q) entry is at or below its skip level, gets the identity rotation
-    (c = 1, s = 0, phase = 1), which leaves every entry as it was up to the
-    sign of a zero, so row k of the result does not depend on the rest of
-    the stack.  Each row is sorted ascending.  Its rounding differs from
-    hermitian_eig's (about 1e-15 apart), so no caller may mix the two
+    the same Hermiticity gate, scaling and symmetrization and gets its own
+    threshold and skip level; the sweeps visit (p, q) in the same cyclic
+    order, with each rotation applied to the whole stack at once, and more
+    than 100 sweeps raises NoConvergenceError.  A matrix that is converged,
+    or whose (p, q) entry is at or below its skip level, gets the identity
+    rotation (c = 1, s = 0, phase = 1), which leaves every entry as it was
+    up to the sign of a zero, so row k of the result does not depend on the
+    rest of the stack.  Each row is sorted ascending.  Its rounding differs
+    from hermitian_eig's (about 1e-15 apart), so no caller may mix the two
     kernels' outputs in one result.
     """
     a = np.asarray(stack, dtype=np.complex128)
@@ -213,6 +233,14 @@ def _eigvals_stack(stack) -> np.ndarray:
             f"matrix {k}: max entry asymmetry {asym[k]:.3e} exceeds tolerance "
             f"{HERMITICITY_TOL:.1e}"
         )
+    exponent = np.zeros((a.shape[0], 1), dtype=np.int32)
+    # Per-matrix maxima cost more than one over the stack; few stacks need them.
+    if np.abs(a).max() > _SCALE_ABOVE:
+        big = np.abs(a).max(axis=(1, 2))[:, None]
+        exponent = np.where(big > _SCALE_ABOVE, np.frexp(big)[1], 0)
+        scale = np.ldexp(1.0, -exponent)[:, :, None]
+        a = a * scale
+        adjoint = adjoint * scale
     h = (a + adjoint) / 2.0
     n = h.shape[1]
     threshold = _OFFDIAG_REL_TOL * np.sqrt((h.real ** 2 + h.imag ** 2).sum(axis=(1, 2)))
@@ -270,7 +298,7 @@ def _eigvals_stack(stack) -> np.ndarray:
             raise NoConvergenceError(
                 f"off-diagonal norm above its threshold after {_MAX_SWEEPS} sweeps"
             )
-    return np.sort(h.diagonal(axis1=1, axis2=2).real, axis=1)
+    return np.ldexp(np.sort(h.diagonal(axis1=1, axis2=2).real, axis=1), exponent)
 
 
 def positive_part_projector(h) -> np.ndarray:

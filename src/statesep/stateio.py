@@ -21,7 +21,14 @@ from typing import Any
 import numpy as np
 
 from .errors import MultiStateFileError, ParseError, StatesepError
-from .states import DensityMatrix, PovmElement, StateSet, validate_density, validate_povm_element
+from .states import (
+    DensityMatrix,
+    PovmElement,
+    StateSet,
+    screen_densities,
+    validate_density,
+    validate_povm_element,
+)
 
 
 # --- writing ---
@@ -207,10 +214,20 @@ def load_raw_states(path: str) -> tuple[int, list[tuple[str | None, np.ndarray]]
 
 
 def load_state_set(path: str) -> StateSet:
-    """Parse and fully validate a state-set file."""
+    """Parse and fully validate a state-set file.
+
+    The states that screen_densities passes are wrapped as parsed; every
+    other one goes through validate_density, in file order, and the first
+    error is raised with the path and state index prefixed.  Set and error
+    are those of validating each state in turn.
+    """
     dim, raw = load_raw_states(path)
+    matrices = [matrix for _, matrix in raw]
     states = []
-    for k, (_, matrix) in enumerate(raw):
+    for k, (matrix, ok) in enumerate(zip(matrices, screen_densities(matrices))):
+        if ok:
+            states.append(DensityMatrix(matrix))
+            continue
         try:
             states.append(validate_density(matrix))
         except StatesepError as exc:

@@ -22,14 +22,17 @@ from .errors import (
     LengthMismatchError,
     NotPositiveError,
     SpectrumOutOfRangeError,
+    StatesepError,
 )
-from .hermitian import check_hermitian, hermitian_eig, trace
+from .hermitian import HERMITICITY_TOL, _eigvals_stack, check_hermitian, hermitian_eig, trace
 
 EIG_FLOOR = -1e-9
 TRACE_TOL = 1e-9
 TRACE_IMAG_TOL = 1e-12
 POVM_CEILING = 1.0 + 1e-9
 WEIGHT_SUM_TOL = 1e-9
+# Fewest matrices screen_densities hands to the stack kernel (see there).
+SCREEN_MIN_STATES = 10
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -107,8 +110,17 @@ class StateSet:
 
     @classmethod
     def from_matrices(cls, matrices, labels=None) -> "StateSet":
-        """Validate raw matrices and assemble a set (all must share one dim)."""
-        states = tuple(validate_density(m) for m in matrices)
+        """Validate raw matrices and assemble a set (all must share one dim).
+
+        The matrices that screen_densities passes are wrapped as they are;
+        every other one goes through validate_density, in order, so the
+        set, or the first error, is the one a loop of validate_density
+        gives.
+        """
+        matrices = list(matrices)
+        passed = screen_densities(matrices)
+        states = tuple(DensityMatrix(m) if ok else validate_density(m)
+                       for m, ok in zip(matrices, passed))
         if not states:
             raise EmptySetError("state set must contain at least one state")
         return cls(dim=states[0].dim, states=states,
@@ -142,6 +154,67 @@ def validate_density(m) -> DensityMatrix:
             f"(re tol {TRACE_TOL:.1e}, im tol {TRACE_IMAG_TOL:.1e})"
         )
     return DensityMatrix(a)
+
+
+def screen_densities(matrices) -> np.ndarray:
+    """Mask of the matrices, an (n, d, d) stack, that certainly pass validate_density.
+
+    validate_density's three checks run on the whole stack at once, the
+    spectra in one call of the stack kernel _eigvals_stack.  A matrix is
+    passed only when each check clears its threshold by a rounding slack:
+    asymmetry up to HERMITICITY_TOL * (1 - 2^-50); minimum eigenvalue at
+    least EIG_FLOOR + 1e-13 * max(1, ||M||_F), the bound within which the
+    stack kernel and hermitian_eig agree; and the trace's real and
+    imaginary deviations inside TRACE_TOL and TRACE_IMAG_TOL by
+    d * 2^-51 * sum_i |M_ii|, more than two orders of summing the
+    diagonal can differ by.  Every other matrix is left to validate_density,
+    which alone words an error: a non-finite or non-Hermitian matrix is
+    zeroed before the kernel call and not passed, and if the kernel raises,
+    or the input is not a stack of square matrices, nothing is passed.
+
+    Below SCREEN_MIN_STATES matrices nothing is passed either, because a
+    loop of validate_density is faster there.  Its time over the screen's
+    (screen plus wrapping, all states valid, median of 15-400 calls; 2-core
+    machine, Python 3.11.7, numpy 2.4.6), so above 1 the screen wins:
+
+        n        1     4     8    10    12    16    64
+        d = 2  0.28  1.08  2.00  2.52  2.85  3.78  8.27
+        d = 4  0.15  0.46  0.87  1.00  1.25  1.61  4.41
+        d = 8  0.25  0.42  0.74  1.13  1.23  1.67  4.13
+        d = 16 0.42  0.99  1.61  1.97  2.34
+
+    At d = 4 one state takes 0.23 ms in the loop and 1.60 ms in the screen.
+    """
+    passed = np.zeros(len(matrices), dtype=bool)
+    if len(matrices) < SCREEN_MIN_STATES:
+        return passed
+    try:
+        a = np.asarray(matrices, dtype=np.complex128)
+    except (TypeError, ValueError, OverflowError):
+        return passed
+    if a.ndim != 3 or a.shape[1] != a.shape[2] or a.shape[1] < 1:
+        return passed
+    finite = np.isfinite(a).all(axis=(1, 2))
+    a = np.where(finite[:, None, None], a, 0.0)
+    asym = np.abs(a - a.conj().transpose(0, 2, 1)).max(axis=(1, 2))
+    hermitian = finite & (asym <= HERMITICITY_TOL * (1.0 - 2.0 ** -50))
+    a = np.where(hermitian[:, None, None], a, 0.0)
+    try:
+        lowest = _eigvals_stack(a)[:, 0]
+    except StatesepError:
+        return passed
+    # A norm or trace that overflows is infinite, and its matrix not passed.
+    with np.errstate(over="ignore"):
+        norm = np.sqrt((a.real ** 2 + a.imag ** 2).sum(axis=(1, 2)))
+        diag = a.diagonal(axis1=1, axis2=2)
+        tr = diag.sum(axis=1)
+        tr_slack = a.shape[1] * 2.0 ** -51 * np.abs(diag).sum(axis=1)
+        return (
+            hermitian
+            & (lowest >= EIG_FLOOR + 1e-13 * np.maximum(1.0, norm))
+            & (np.abs(tr.real - 1.0) <= TRACE_TOL - tr_slack)
+            & (np.abs(tr.imag) <= TRACE_IMAG_TOL - tr_slack)
+        )
 
 
 def validate_povm_element(m) -> PovmElement:

@@ -46,6 +46,28 @@ class TestValidate:
         out = capsys.readouterr().out
         assert "state 1" in out and "BadTrace" in out
 
+    def test_screened_file_reports_every_state(self, files, capsys, tmp_path):
+        # Large enough for the stack screen; the verdicts are validate_density's.
+        matrices = [ss.random_density(2, 1 + k % 2, k).matrix for k in range(12)]
+        matrices[3] = matrices[3] * 1.5
+        matrices[8] = np.diag([1.0 + 2e-9, -2e-9])
+        big = tmp_path / "big.json"
+        stateio.save_state_set(str(big), ss.StateSet(
+            dim=2, states=tuple(ss.DensityMatrix(m) for m in matrices)))
+        assert run_cli("validate", str(big), files["orth1"], "--json") == 1
+        verdicts = json.loads(capsys.readouterr().out)["result"]["sets"][0]["states"]
+        for k, (verdict, m) in enumerate(zip(verdicts, matrices)):
+            try:
+                ss.validate_density(m)
+                error = None
+            except ss.StatesepError as exc:
+                error = f"{type(exc).__name__}: {exc}"
+            assert verdict == {"index": k, "label": None, "ok": error is None, "error": error}
+        assert [v["ok"] for v in verdicts].count(False) == 2
+        assert run_cli("validate", str(big), files["orth1"]) == 1
+        out = capsys.readouterr().out
+        assert "state 3: BadTraceError" in out and "state 8: NotPositiveError" in out
+
     def test_dim_mismatch(self, files, capsys, tmp_path):
         three = tmp_path / "three.json"
         stateio.save_state_set(

@@ -180,6 +180,40 @@ class TestEigvalsStack:
                 ))
 
 
+class TestHugeEntries:
+    """Entries above 2^500 are scaled down by a power of two, not squared into overflow."""
+
+    SWAP = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_both_kernels_return_the_huge_spectrum(self, sign):
+        m = sign * 1e160 * self.SWAP
+        expected = np.array([-1e160, 1e160])
+        for lam in (hm.hermitian_eig(m).eigenvalues, hm._eigvals_stack(m[None])[0]):
+            assert np.abs(lam - expected).max() <= 1e-13 * 1e160
+
+    def test_scaling_commutes_bit_for_bit(self):
+        h = random_hermitian(np.random.RandomState(5), 5)
+        stack = np.array([h, 2.0 ** 600 * h, 2.0 ** 900 * h])
+        dec = hm.hermitian_eig(h)
+        lam = hm._eigvals_stack(stack)
+        for k, power in enumerate((0, 600, 900)):
+            big = hm.hermitian_eig(2.0 ** power * h)
+            assert big.eigenvalues.tobytes() == (2.0 ** power * dec.eigenvalues).tobytes()
+            assert big.eigenvectors.tobytes() == dec.eigenvectors.tobytes()
+            assert lam[k].tobytes() == (2.0 ** power * lam[0]).tobytes()
+
+    def test_ordinary_matrices_keep_their_bits(self, monkeypatch):
+        h = random_hermitian(np.random.RandomState(6), 6) * 2.0 ** 499
+        stack = mixed_stack()
+        dec, lam = hm.hermitian_eig(h), hm._eigvals_stack(stack)
+        monkeypatch.setattr(hm, "_SCALE_ABOVE", np.inf)
+        unscaled = hm.hermitian_eig(h)
+        assert dec.eigenvalues.tobytes() == unscaled.eigenvalues.tobytes()
+        assert dec.eigenvectors.tobytes() == unscaled.eigenvectors.tobytes()
+        assert lam.tobytes() == hm._eigvals_stack(stack).tobytes()
+
+
 class TestTrace:
     def test_identity(self):
         assert hm.trace(np.eye(4)) == 4 + 0j

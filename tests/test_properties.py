@@ -9,8 +9,9 @@ in the conftest's random_instance convention.
 
 The later properties cover the layers under the solver: the batched
 eigenvalue kernel against hermitian_eig and eigvalsh, certify_forward
-against a trial-by-trial reference loop, and the CLI's typed exit on
-every kind of malformed input file.
+against a trial-by-trial reference loop, screened set loading against
+validating each state in turn, and the CLI's typed exit on every kind of
+malformed input file.
 """
 
 import contextlib
@@ -220,6 +221,93 @@ def test_certify_matches_trial_by_trial_reference(seed, trials, certify_seed):
     t = solve(set0, set1).measurement
     report = ss.certify_forward(t, set0, set1, trials=trials, seed=certify_seed)
     assert_same_report(report, reference_certify(t, set0, set1, trials, certify_seed))
+
+
+# --- screened set loading: the per-state validate_density loop's result ---
+# Sets of SCREEN_MIN_STATES or more go through the stack screen, smaller
+# ones do not; edge matrices sit within 1e-15 of a validation threshold.
+
+NEAR = st.floats(-1e-15, 1e-15)
+EDGES = ("floor", "trace", "imaginary trace", "non-Hermitian", "NaN")
+
+
+@st.composite
+def edge_matrix(draw, dim, kind):
+    if kind == "floor":
+        rest = draw(hnp.arrays(np.float64, dim - 1, elements=st.floats(0.01, 1.0)))
+        low = ss.states.EIG_FLOOR + draw(NEAR)
+        lam = np.concatenate([[low], rest / rest.sum() * (1.0 - low)])
+        u = haar_unitary(dim, draw(seeds) % 2**31) if draw(st.booleans()) else np.eye(dim)
+        return u @ np.diag(lam) @ u.conj().T
+    m = ss.random_density(dim, draw(st.integers(1, dim)), draw(seeds)).matrix.copy()
+    sign = draw(st.sampled_from([1.0, -1.0]))
+    if kind == "trace":
+        return m * (1.0 + sign * ss.states.TRACE_TOL + draw(NEAR))
+    if kind == "imaginary trace":
+        m[0, 0] += 1j * (sign * ss.states.TRACE_IMAG_TOL + draw(NEAR))
+        return m
+    i, j = draw(st.permutations(range(dim)))[:2]
+    if kind == "non-Hermitian":
+        # Asymmetry within 1e-15 of HERMITICITY_TOL, or far beyond it.
+        m[i, j] += draw(st.sampled_from([1e-9, 0.1])) + draw(NEAR)
+    else:
+        m[i, j] = np.nan
+    return m
+
+
+@st.composite
+def matrix_lists(draw):
+    """Valid states with up to two edge matrices, on either side of the size constant."""
+    dim = draw(st.integers(min_value=2, max_value=4))
+    size = ss.states.SCREEN_MIN_STATES
+    count = draw(st.one_of(st.integers(1, size - 1), st.integers(size, 2 * size)))
+    matrices = [ss.random_density(dim, draw(st.integers(1, dim)), draw(seeds)).matrix
+                for _ in range(count)]
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        kind = draw(st.sampled_from(EDGES))
+        matrices[draw(st.integers(0, count - 1))] = draw(edge_matrix(dim, kind))
+    return matrices
+
+
+def validated_one_by_one(matrices):
+    """(stack, None) or (None, (index, error)) as a loop of validate_density gives."""
+    states = []
+    for k, m in enumerate(matrices):
+        try:
+            states.append(ss.validate_density(m))
+        except ss.StatesepError as exc:
+            return None, (k, exc)
+    return np.stack([rho.matrix for rho in states]), None
+
+
+def assert_same_outcome(load, stack, failure, wording):
+    try:
+        got = load()
+    except ss.StatesepError as exc:
+        assert failure is not None, f"rejected a valid set: {exc}"
+        k, expected = failure
+        assert type(exc) is type(expected)
+        assert str(exc) == wording(k, expected)
+    else:
+        assert failure is None, f"accepted a set whose state {failure[0]} is invalid"
+        assert got.stack().tobytes() == stack.tobytes()
+
+
+@settings(max_examples=100)
+@given(matrix_lists())
+def test_screened_loading_matches_validating_each_state(matrices):
+    stack, failure = validated_one_by_one(matrices)
+    assert_same_outcome(lambda: ss.StateSet.from_matrices(matrices), stack, failure,
+                        lambda k, exc: str(exc))
+    if any(np.isnan(m).any() for m in matrices):
+        return  # a file cannot carry a NaN
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "s.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(stateio.dumps({"dim": matrices[0].shape[0], "states": [
+                {"matrix": stateio.matrix_to_jsonable(m)} for m in matrices]}))
+        assert_same_outcome(lambda: stateio.load_state_set(path), stack, failure,
+                            lambda k, exc: f"{path}: state {k}: {exc}")
 
 
 # --- malformed files: every corruption is a typed error, exit code 1 ---

@@ -103,17 +103,38 @@ class TestParsing:
             stateio.load_state_set(str(p))
 
     def test_foreign_error_passes_through_unwrapped(self, tmp_path, monkeypatch):
+        # A set large enough to be screened, where only the state sitting
+        # on the eigenvalue floor, which the screen leaves alone, reaches
+        # validate_density.
+        matrices = [ss.random_density(2, 2, seed).matrix for seed in range(11)]
+        matrices[4] = np.diag([1.0 - ss.states.EIG_FLOOR, ss.states.EIG_FLOOR])
         p = tmp_path / "s.json"
-        write(p, GOOD)
+        stateio.save_state_set(str(p), ss.StateSet.from_matrices(matrices))
         boom = RuntimeError("boom")
+        seen = []
 
         def fail(matrix):
+            seen.append(matrix)
             raise boom
 
         monkeypatch.setattr(stateio, "validate_density", fail)
         with pytest.raises(RuntimeError) as info:
             stateio.load_state_set(str(p))
         assert info.value is boom
+        assert len(seen) == 1 and seen[0].tobytes() == matrices[4].astype(complex).tobytes()
+
+    @pytest.mark.parametrize("count,runs", [(256, 0), (3, 3)])
+    def test_eigendecompositions_spent(self, tmp_path, jacobi_calls, count, runs):
+        # Sets of SCREEN_MIN_STATES or more are screened in one stack-kernel
+        # call, which runs no _jacobi; smaller ones take one per state.
+        sset = ss.StateSet(dim=4, states=tuple(
+            ss.random_density(4, 1 + seed % 4, seed) for seed in range(count)))
+        p = tmp_path / "s.json"
+        stateio.save_state_set(str(p), sset)
+        jacobi_calls.clear()
+        back = stateio.load_state_set(str(p))
+        assert len(jacobi_calls) == runs
+        assert back.stack().tobytes() == sset.stack().tobytes()
 
     def test_single_state_file(self, tmp_path):
         p = tmp_path / "s.json"

@@ -10,6 +10,7 @@ from statesep.errors import (
     DimensionMismatchError,
     EmptySetError,
     LengthMismatchError,
+    NoConvergenceError,
     NotHermitianError,
     NotPositiveError,
     SpectrumOutOfRangeError,
@@ -44,6 +45,59 @@ class TestValidateDensity:
         m[1, 1] -= 0.4e-10j  # keeps Hermiticity violation small on diagonal
         with pytest.raises((BadTraceError, NotHermitianError)):
             ss.validate_density(m)
+
+
+    def test_huge_off_diagonal_is_not_positive(self):
+        # Eigenvalues 0.5 +/- 1e160: squaring 1e160 for a norm would overflow.
+        with pytest.raises(NotPositiveError, match="-1.000e[+]160"):
+            ss.validate_density(np.array([[0.5, 1e160], [1e160, 0.5]]))
+
+
+def valid_matrices(count, dim=3):
+    return [ss.random_density(dim, 1 + k % dim, 90 + k).matrix for k in range(count)]
+
+
+class TestScreenDensities:
+    def test_below_the_size_constant_nothing_is_passed(self):
+        mats = valid_matrices(ss.states.SCREEN_MIN_STATES - 1)
+        assert not ss.states.screen_densities(mats).any()
+        assert ss.states.screen_densities(valid_matrices(ss.states.SCREEN_MIN_STATES)).all()
+
+    def test_only_certain_states_pass(self):
+        mats = valid_matrices(12)
+        mats[1] = np.array(mats[1])
+        mats[1][0, 0] = np.nan
+        mats[3] = mats[3] + np.diag([0.0, 0.0, 2e-9])  # trace off by 2e-9
+        mats[5] = mats[5].copy()
+        mats[5][0, 1] += 0.1  # not Hermitian
+        mats[7] = np.diag([1.0 + 1e-9, -1e-9, 0.0])  # eigenvalue at the floor exactly
+        mats[9] = np.array([[0.5, 1e160, 0], [1e160, 0.5, 0], [0, 0, 0]])
+        passed = ss.states.screen_densities(mats)
+        assert passed.tolist() == [k not in (1, 3, 5, 7, 9) for k in range(12)]
+        # The state at the floor is valid, but only validate_density says so.
+        ss.validate_density(mats[7])
+        with pytest.raises(NotPositiveError):
+            ss.StateSet.from_matrices(mats[6:7] + mats[9:] + mats[:6])
+
+    @pytest.mark.parametrize("mats", [
+        [np.eye(2) / 2] * 11 + [np.eye(3) / 3],  # ragged
+        [np.ones((2, 3))] * 12,  # not square
+        [[["a"]]] * 12,
+        [[[10 ** 400]]] * 12,
+        [{}] * 12,
+    ])
+    def test_no_stack_of_square_matrices_passes_nothing(self, mats):
+        assert not ss.states.screen_densities(mats).any()
+
+    def test_kernel_failure_passes_nothing(self, monkeypatch):
+        def fail(stack):
+            raise NoConvergenceError("stuck")
+
+        monkeypatch.setattr(ss.states, "_eigvals_stack", fail)
+        mats = valid_matrices(12)
+        assert not ss.states.screen_densities(mats).any()
+        sset = ss.StateSet.from_matrices(mats)
+        assert sset.stack().tobytes() == np.array(mats).tobytes()
 
 
 class TestValidatePovmElement:
