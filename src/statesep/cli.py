@@ -155,7 +155,8 @@ def _cmd_certify(args) -> tuple[int, dict, list[str]]:
     try:
         t = stateio.load_measurement(args.measurement)
     except StatesepError as exc:
-        raise InvalidMeasurementError(f"{args.measurement}: {exc}") from exc
+        # stateio's errors already name the file.
+        raise InvalidMeasurementError(str(exc)) from exc
     if t.dim != set0.dim:
         raise DimensionMismatchError(
             f"measurement dim {t.dim} != state dim {set0.dim}"

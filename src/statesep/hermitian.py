@@ -16,13 +16,18 @@ eigendecompositions is impractical with either.
 
 _eigvals_stack computes only eigenvalues, of an (n, d, d) stack, and
 applies each rotation to all n matrices at once with numpy; certify_forward
-screens its sampled mixture pairs with it, and states.screen_densities the
-states of a set being loaded.  Every rotation pays numpy's per-call
-overhead, so the stack kernel loses on small stacks and wins on large
-ones.  Against a loop of hermitian_eig at d = 2-16 it ran at 0.14-0.35x
-that speed for n = 1, broke even at n = 4-8 and was 7-24x faster at
-n = 100 (2-core machine, Python 3.11.7, numpy 2.4.6).  Sets of fewer than
-states.SCREEN_MIN_STATES states are validated one by one, on hermitian_eig.
+screens its sampled mixture pairs with it, its only caller.  Every
+rotation pays numpy's per-call overhead, so the stack kernel loses on
+small stacks and wins on large ones.  Against a loop of hermitian_eig at
+d = 2-16 it ran at 0.14-0.35x that speed for n = 1, broke even at
+n = 4-8 and was 7-24x faster at n = 100 (2-core machine, Python 3.11.7,
+numpy 2.4.6).
+
+Validating a loaded state or measurement needs no spectrum, only a proof
+that no eigenvalue lies below a floor.  states._lowest_above gives one by
+a shifted Cholesky factorization, and screen_densities and
+screen_povm_element use it; hermitian_eig decomposes only the matrices
+the proof cannot clear, in validate_density and validate_povm_element.
 
 Both kernels scale a matrix with an entry above 2^500 down by an exact
 power of two before iterating, and its eigenvalues back up, so that the

@@ -47,13 +47,36 @@ from .states import WEIGHT_SUM_TOL, PovmElement, StateSet, mixture_state
 # certify_forward draws and screens its trials in blocks of this many
 # weights, or matrix entries where a trial's matrix has more of them.
 _CERTIFY_BLOCK = 1 << 14
-# Screened distances within _SCREEN_SLACK * d of the smallest are
-# recomputed exactly.  Each kernel keeps every eigenvalue within
-# 1e-13 * max(1, ||H||_F) of eigvalsh's (pinned by a property test), and a
-# mixture difference has ||H||_F <= 2, so each kernel's distance lies
-# within d * 1e-13 of the reference one; the trial with the least exact
-# distance then screens within 4d * 1e-13 of the least screened distance.
+# Screened distances within _screen_slack(d, l0 + l1) of the smallest are
+# recomputed exactly; this is the two kernels' share of it per unit of d.
 _SCREEN_SLACK = 4e-13
+
+
+def _screen_slack(d: int, states: int) -> float:
+    """How far a screened distance may lie above the least exact one.
+
+    Two errors separate a trial's screened distance from the one
+    trace_distance gives it; let u = 2^-53.
+    - The kernels.  Each keeps every eigenvalue within 1e-13 * max(1,
+      ||H||_F) of the exact ones of the matrix it is given (pinned against
+      eigvalsh by a property test), and a mixture difference has
+      ||H||_F <= 2, so each distance is within d * 1e-13 of that matrix's
+      exact one.
+    - The matrices.  The screen sums a block's mixtures by real matmuls on
+      the stacks' float64 view, mixture_state by an einsum.  Each real
+      component of a mixture sums `states` products of weights (summing
+      to 1) and entries of modulus at most 1, in some order, so it is
+      within gamma_states (Higham 2002, eq. 3.5) of exact, and each entry
+      of a difference within (states + 1) u.  The two differences then
+      differ by at most 2 sqrt(2) (states + 1) u per entry, d times that
+      in Frobenius norm, and their exact distances by at most sqrt(d) / 2
+      times the Frobenius norm of that: sqrt(2) d^1.5 (states + 1) u.
+    With e = 2d * 1e-13 + sqrt(2) d^1.5 (states + 1) u, the trial with the
+    least exact distance screens within 2e of the least screened
+    distance.  The slack is 2e, with 3 in place of 2 sqrt(2) to spare for
+    weights and entries that exceed 1 by validation's 1e-9 tolerances.
+    """
+    return d * (_SCREEN_SLACK + 3.0 * math.sqrt(d) * (states + 1) * 2.0 ** -53)
 
 
 @dataclass(frozen=True)
@@ -261,14 +284,15 @@ def certify_forward(
 
     The trials are screened, then the closest pair is computed exactly.
     Each block of trials takes one array draw, and its mixture differences
-    (built by one einsum, with the bits of the per-trial mixture_state)
-    go through one batched eigenvalue-only Jacobi call.  Every trial whose
-    screened distance lies within a rounding slack of the smallest is then
-    recomputed with trace_distance, in trial order, and the first strict
+    (two real matmuls on the stacks' float64 view) go through one batched
+    eigenvalue-only Jacobi call.  Every trial whose screened distance lies
+    within a rounding slack of the smallest is then recomputed with
+    mixture_state and trace_distance, in trial order, and the first strict
     minimum of those values is reported, so no reported number comes from
-    the batched kernel.  The slack covers the two kernels' disagreement,
-    so the report is the one a trial-by-trial loop with trace_distance
-    gives; normally a single trial is recomputed.
+    the batched kernel.  The slack covers the two kernels' disagreement
+    and the two ways of summing a mixture (_screen_slack), so the report
+    is the one a trial-by-trial loop with trace_distance gives; normally a
+    single trial is recomputed.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -278,10 +302,11 @@ def certify_forward(
     margin = separation_gap(t, set0, set1).min_gap
     rng = SplitMix64(seed)
     l0, l1, d = len(set0), len(set1), set0.dim
-    stack0 = set0.stack()
-    stack1 = set1.stack()
+    # Real views: a block's mixtures are two float64 matmuls.
+    real0 = set0.stack().view(np.float64).reshape(l0, 2 * d * d)
+    real1 = set1.stack().view(np.float64).reshape(l1, 2 * d * d)
     per_block = max(1, _CERTIFY_BLOCK // max(l0 + l1, d * d))
-    slack = _SCREEN_SLACK * d
+    slack = _screen_slack(d, l0 + l1)
 
     best = np.inf
     # (screened distance, mu0, mu1) of every trial within slack of best, in
@@ -292,7 +317,7 @@ def certify_forward(
         w0, w1 = rng.simplex_pairs(min(per_block, trials - start), l0, l1)
         _check_weight_rows(w0, start)
         _check_weight_rows(w1, start)
-        diff = np.einsum("ti,iab->tab", w0, stack0) - np.einsum("ti,iab->tab", w1, stack1)
+        diff = (w0 @ real0 - w1 @ real1).view(np.complex128).reshape(-1, d, d)
         lam = _eigvals_stack((diff + diff.conj().transpose(0, 2, 1)) / 2.0)
         screened = 0.5 * np.abs(lam).sum(axis=1)
         best = min(best, float(screened.min()))

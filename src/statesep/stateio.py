@@ -26,6 +26,7 @@ from .states import (
     PovmElement,
     StateSet,
     screen_densities,
+    screen_povm_element,
     validate_density,
     validate_povm_element,
 )
@@ -213,16 +214,14 @@ def load_raw_states(path: str) -> tuple[int, list[tuple[str | None, np.ndarray]]
     return dim, out
 
 
-def load_state_set(path: str) -> StateSet:
-    """Parse and fully validate a state-set file.
+def _densities(path: str, matrices: list[np.ndarray]) -> list[DensityMatrix]:
+    """The parsed matrices as states, or the first invalid one's error.
 
     The states that screen_densities passes are wrapped as parsed; every
     other one goes through validate_density, in file order, and the first
-    error is raised with the path and state index prefixed.  Set and error
-    are those of validating each state in turn.
+    error is raised with the path and state index prefixed.  States and
+    error are those of validating each state in turn.
     """
-    dim, raw = load_raw_states(path)
-    matrices = [matrix for _, matrix in raw]
     states = []
     for k, (matrix, ok) in enumerate(zip(matrices, screen_densities(matrices))):
         if ok:
@@ -232,6 +231,19 @@ def load_state_set(path: str) -> StateSet:
             states.append(validate_density(matrix))
         except StatesepError as exc:
             raise type(exc)(f"{path}: state {k}: {exc}") from exc
+    return states
+
+
+def load_state_set(path: str) -> StateSet:
+    """Parse and fully validate a state-set file.
+
+    Every state is proved valid in one screen_densities call over the whole
+    set (a shifted Cholesky certificate, no eigendecomposition), or else
+    checked by validate_density, whose error names the path and the state
+    index; the set, or the error, is that of validating each state in turn.
+    """
+    dim, raw = load_raw_states(path)
+    states = _densities(path, [matrix for _, matrix in raw])
     labels = [label for label, _ in raw]
     have_labels = any(label is not None for label in labels)
     return StateSet(
@@ -242,16 +254,32 @@ def load_state_set(path: str) -> StateSet:
 
 
 def load_single_state(path: str) -> DensityMatrix:
-    """Load a state-set file that must contain exactly one state."""
+    """Load a state-set file that must contain exactly one state.
+
+    Validated as load_state_set validates a set; an error names the path
+    and state 0.
+    """
     dim, raw = load_raw_states(path)
     if len(raw) != 1:
         raise MultiStateFileError(f"{path}: expected exactly one state, found {len(raw)}")
-    return validate_density(raw[0][1])
+    return _densities(path, [raw[0][1]])[0]
 
 
 def load_measurement(path: str) -> PovmElement:
-    """Parse and validate a measurement file ({"dim": d, "matrix": [[...]]})."""
+    """Parse and validate a measurement file ({"dim": d, "matrix": [[...]]}).
+
+    A matrix that screen_povm_element proves to lie within [0, I] by a
+    rounding margin (two shifted Cholesky certificates, no
+    eigendecomposition) is wrapped as parsed; any other goes through
+    validate_povm_element, whose error is raised with the path prefixed.
+    Every error names the path once.
+    """
     doc = _load_json(path)
     dim = _parse_dim(doc, path)
     matrix = parse_matrix(doc.get("matrix"), dim, f"{path}: matrix")
-    return validate_povm_element(matrix)
+    if screen_povm_element(matrix):
+        return PovmElement(matrix)
+    try:
+        return validate_povm_element(matrix)
+    except StatesepError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc

@@ -22,17 +22,14 @@ from .errors import (
     LengthMismatchError,
     NotPositiveError,
     SpectrumOutOfRangeError,
-    StatesepError,
 )
-from .hermitian import HERMITICITY_TOL, _eigvals_stack, check_hermitian, hermitian_eig, trace
+from .hermitian import _SCALE_ABOVE, HERMITICITY_TOL, check_hermitian, hermitian_eig, trace
 
 EIG_FLOOR = -1e-9
 TRACE_TOL = 1e-9
 TRACE_IMAG_TOL = 1e-12
 POVM_CEILING = 1.0 + 1e-9
 WEIGHT_SUM_TOL = 1e-9
-# Fewest matrices screen_densities hands to the stack kernel (see there).
-SCREEN_MIN_STATES = 10
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -156,65 +153,147 @@ def validate_density(m) -> DensityMatrix:
     return DensityMatrix(a)
 
 
+def _lowest_above(h, floor) -> np.ndarray:
+    """Mask of the matrices of an (n, d, d) stack proved to have no eigenvalue below floor.
+
+    floor is one number or one per matrix.  A matrix passes only if it is
+    exactly Hermitian (as a symmetrized (M + M^dag)/2 is), every entry is
+    at most 2^500 in modulus, and a Cholesky factorization of
+    h - (floor + delta) I, run column by column over the whole stack,
+    completes with every pivot positive.  The matrices never mix, and a
+    NaN or infinity arising in one's factorization (the root of a negative
+    pivot, say) reaches one of its later pivots, which then fails.
+
+    Why that is a proof (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., 2002, Thm 10.3; Rump, BIT 46, 2006).  Let
+    u = 2^-53, gamma_k = k u / (1 - k u), and B = sum_i |h_ii - floor| as
+    computed, so that delta = 8 (d + 2) u B.
+    - The diagonal is shifted in two roundings, by floor then by delta, so
+      the matrix factored is A = h - (floor + delta) I + E, with E
+      diagonal and |E_ii| <= 2.01 u B + u delta.
+    - Each entry of the factor is an inner product of at most d - 1 complex
+      products, subtracted in turn, then divided by a real or rooted.  A
+      complex product errs by at most sqrt(2) gamma_2 < (1 + u)^3 - 1
+      relative, |z|^2 by gamma_2, numpy's division by a real (a reciprocal,
+      then a product) by gamma_2, a complex sum or a root by u (Higham
+      Lemma 3.5).  So no term carries more than d + 1 roundings, and Thm
+      10.3's argument gives R^dag R = A + dA with
+      |dA| <= gamma_{d+1} |R^dag| |R| entrywise.
+    - Then ||dA||_2 <= gamma_{d+1} ||R||_F^2 and ||R||_F^2 = tr(A + dA),
+      so ||dA||_2 <= g tr A <= g (1 + u)(B + d delta), with
+      g = gamma_{d+1} / (1 - gamma_{d+1}).
+    - R^dag R is positive semidefinite, so lambda_min(h) >= floor + delta
+      - ||E||_2 - ||dA||_2, which is at least floor when
+      delta (1 - u - (1 + u) d g) >= (2.01 u + (1 + u) g) B, about
+      (d + 3) u B.  8 (d + 2) u B is more than 5 times that for d < 10^6,
+      rounding of B and delta included.
+    """
+    h = np.asarray(h, dtype=np.complex128)
+    n, d = h.shape[0], h.shape[1]
+    ok = ((np.abs(h) <= _SCALE_ABOVE) & (h == h.conj().transpose(0, 2, 1))).all(axis=(1, 2))
+    a = h.reshape(n, d * d).copy()
+    diag = a[:, ::d + 1]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        diag -= np.reshape(floor, (-1, 1))
+        diag -= (8.0 * (d + 2) * 2.0 ** -53) * np.abs(diag.real).sum(axis=1, keepdims=True)
+        a = a.reshape(n, d, d)
+        for j in range(d - 1):
+            col = a[:, j + 1:, j] / np.sqrt(a[:, j, j].real)[:, None]
+            a[:, j + 1:, j + 1:] -= col[:, :, None] * col[:, None, :].conj()
+        # Each pivot is left on the diagonal.
+        return ok & (diag.real > 0.0).all(axis=1)
+
+
+def _screen_parts(matrices):
+    """(a, h, hermitian, margin) for the screens, or None if a is no (n, d, d) stack.
+
+    a is the input as a complex stack, and h = (M + M^dag) / 2 the matrix
+    hermitian_eig decomposes.  hermitian marks the matrices within
+    HERMITICITY_TOL * (1 - 2^-50) of Hermitian, all of them finite (a
+    non-finite entry makes the asymmetry NaN or infinite).  margin is
+    1e-13 * max(1, ||M||_F), the pinned bound on how far hermitian_eig's
+    eigenvalues lie from h's.  Ragged, non-square, non-numeric and
+    huge-integer input (TypeError, ValueError, OverflowError from
+    np.asarray) is no stack.
+    """
+    try:
+        a = np.asarray(matrices, dtype=np.complex128, order="C")
+    except (TypeError, ValueError, OverflowError):
+        return None
+    if a.ndim != 3 or a.shape[1] != a.shape[2] or a.shape[1] < 1:
+        return None
+    adjoint = a.conj().transpose(0, 2, 1)
+    parts = a.view(np.float64).reshape(a.shape[0], -1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        hermitian = np.abs(a - adjoint).max(axis=(1, 2)) <= HERMITICITY_TOL * (1.0 - 2.0 ** -50)
+        margin = 1e-13 * np.maximum(1.0, np.sqrt((parts * parts).sum(axis=1)))
+        return a, (a + adjoint) / 2.0, hermitian, margin
+
+
 def screen_densities(matrices) -> np.ndarray:
     """Mask of the matrices, an (n, d, d) stack, that certainly pass validate_density.
 
-    validate_density's three checks run on the whole stack at once, the
-    spectra in one call of the stack kernel _eigvals_stack.  A matrix is
-    passed only when each check clears its threshold by a rounding slack:
-    asymmetry up to HERMITICITY_TOL * (1 - 2^-50); minimum eigenvalue at
-    least EIG_FLOOR + 1e-13 * max(1, ||M||_F), the bound within which the
-    stack kernel and hermitian_eig agree; and the trace's real and
-    imaginary deviations inside TRACE_TOL and TRACE_IMAG_TOL by
-    d * 2^-51 * sum_i |M_ii|, more than two orders of summing the
-    diagonal can differ by.  Every other matrix is left to validate_density,
-    which alone words an error: a non-finite or non-Hermitian matrix is
-    zeroed before the kernel call and not passed, and if the kernel raises,
-    or the input is not a stack of square matrices, nothing is passed.
+    validate_density's three checks run on the whole stack at once.  A
+    matrix is passed only when each clears its threshold by a rounding
+    slack: asymmetry up to HERMITICITY_TOL * (1 - 2^-50); no eigenvalue
+    below EIG_FLOOR + 1e-13 * max(1, ||M||_F), proved by one shifted
+    Cholesky factorization of the stack (_lowest_above), with no spectrum
+    computed; and the trace's real and imaginary deviations inside
+    TRACE_TOL and TRACE_IMAG_TOL by d * 2^-51 * sum_i |M_ii|, more than two
+    orders of summing the diagonal can differ by.  Every other matrix is
+    left to validate_density, which alone words an error; nothing is
+    passed if the input is not a stack of square matrices.
 
-    Below SCREEN_MIN_STATES matrices nothing is passed either, because a
-    loop of validate_density is faster there.  Its time over the screen's
-    (screen plus wrapping, all states valid, median of 15-400 calls; 2-core
-    machine, Python 3.11.7, numpy 2.4.6), so above 1 the screen wins:
+    Every set size takes the screen, a single state included.  Its time
+    per call in ms, with the certificate's share, against a loop of
+    hermitian_eig over the states and one _eigvals_stack call on the
+    stack, which it replaced (all states valid, median of 5 runs of
+    1-200 calls; 2-core machine, Python 3.11.7, numpy 2.4.6):
 
-        n        1     4     8    10    12    16    64
-        d = 2  0.28  1.08  2.00  2.52  2.85  3.78  8.27
-        d = 4  0.15  0.46  0.87  1.00  1.25  1.61  4.41
-        d = 8  0.25  0.42  0.74  1.13  1.23  1.67  4.13
-        d = 16 0.42  0.99  1.61  1.97  2.34
+                        screen  certificate  hermitian_eig  _eigvals_stack
+        n = 1,   d = 2   0.07      0.04          0.04            0.13
+        n = 1,   d = 4   0.11      0.06          0.17            1.6
+        n = 1,   d = 9   0.17      0.12          2.3            12
+        n = 1,   d = 16  0.28      0.21         14              50
+        n = 512, d = 2   0.33      0.10         19               0.28
+        n = 512, d = 4   0.75      0.25         96               6.5
 
-    At d = 4 one state takes 0.23 ms in the loop and 1.60 ms in the screen.
+    A single 2 x 2 state costs about what validate_density costs on it
+    (0.07 ms); every larger case is faster screened.
     """
-    passed = np.zeros(len(matrices), dtype=bool)
-    if len(matrices) < SCREEN_MIN_STATES:
-        return passed
-    try:
-        a = np.asarray(matrices, dtype=np.complex128)
-    except (TypeError, ValueError, OverflowError):
-        return passed
-    if a.ndim != 3 or a.shape[1] != a.shape[2] or a.shape[1] < 1:
-        return passed
-    finite = np.isfinite(a).all(axis=(1, 2))
-    a = np.where(finite[:, None, None], a, 0.0)
-    asym = np.abs(a - a.conj().transpose(0, 2, 1)).max(axis=(1, 2))
-    hermitian = finite & (asym <= HERMITICITY_TOL * (1.0 - 2.0 ** -50))
-    a = np.where(hermitian[:, None, None], a, 0.0)
-    try:
-        lowest = _eigvals_stack(a)[:, 0]
-    except StatesepError:
-        return passed
-    # A norm or trace that overflows is infinite, and its matrix not passed.
-    with np.errstate(over="ignore"):
-        norm = np.sqrt((a.real ** 2 + a.imag ** 2).sum(axis=(1, 2)))
+    parts = _screen_parts(matrices)
+    if parts is None:
+        return np.zeros(len(matrices), dtype=bool)
+    a, h, hermitian, margin = parts
+    # A trace that overflows is infinite, and its matrix not passed.
+    with np.errstate(over="ignore", invalid="ignore"):
         diag = a.diagonal(axis1=1, axis2=2)
         tr = diag.sum(axis=1)
         tr_slack = a.shape[1] * 2.0 ** -51 * np.abs(diag).sum(axis=1)
         return (
             hermitian
-            & (lowest >= EIG_FLOOR + 1e-13 * np.maximum(1.0, norm))
             & (np.abs(tr.real - 1.0) <= TRACE_TOL - tr_slack)
             & (np.abs(tr.imag) <= TRACE_IMAG_TOL - tr_slack)
+            & _lowest_above(h, EIG_FLOOR + margin)
         )
+
+
+def screen_povm_element(m) -> bool:
+    """Whether the matrix m certainly passes validate_povm_element.
+
+    It must be Hermitian within HERMITICITY_TOL * (1 - 2^-50), and one
+    _lowest_above call on the pair (h, -h) must prove h >= (EIG_FLOOR +
+    margin) I and h <= (POVM_CEILING - margin) I, with h = (M + M^dag) / 2
+    and margin = 1e-13 * max(1, ||M||_F).  Negating h is exact, so the
+    upper side costs no rounding.  False leaves m to validate_povm_element,
+    which alone words an error.
+    """
+    parts = _screen_parts([m])
+    if parts is None:
+        return False
+    _, h, hermitian, margin = parts
+    floors = np.concatenate([EIG_FLOOR + margin, margin - POVM_CEILING])
+    return bool(hermitian[0] and _lowest_above(np.concatenate([h, -h]), floors).all())
 
 
 def validate_povm_element(m) -> PovmElement:
@@ -275,9 +354,11 @@ def random_density(dim: int, rank: int, seed: int) -> DensityMatrix:
     from the SplitMix64 + Box-Muller stream documented in ``_rng``; equal
     seeds give bit-identical output.  G G^dag / Tr is a state by
     construction, so the result is not validated.  With rank == dim it is
-    full rank with overwhelming probability; a near-singular draw is
-    flagged with a warning rather than rejected, at the cost of one
-    eigendecomposition, the only one this function spends.
+    full rank with overwhelming probability; a near-singular draw, minimum
+    eigenvalue at most 1e-12, is flagged with a warning rather than
+    rejected.  A shifted Cholesky certificate (_lowest_above) rules the
+    warning out for almost every draw; only a draw it cannot clear costs
+    an eigendecomposition, the only one this function spends.
     """
     if dim < 1:
         raise BadRankError(f"dimension must be >= 1, got {dim}")
@@ -291,7 +372,10 @@ def random_density(dim: int, rank: int, seed: int) -> DensityMatrix:
             g[i, j] = complex(re, im)
     gram = g @ g.conj().T
     rho = gram / gram.diagonal().real.sum()
-    if rank == dim:
+    # hermitian_eig's eigenvalues lie within 1e-13 * max(1, ||rho||_F) of the
+    # symmetrized rho's, and ||rho||_F <= 1 up to rounding: a draw proved to
+    # have none below 1.2e-12 cannot warn.
+    if rank == dim and not _lowest_above(((rho + rho.conj().T) / 2.0)[None], 1.2e-12)[0]:
         lo = float(hermitian_eig(rho).eigenvalues[0])
         if lo <= 1e-12:
             warnings.warn(

@@ -47,7 +47,7 @@ class TestValidate:
         assert "state 1" in out and "BadTrace" in out
 
     def test_screened_file_reports_every_state(self, files, capsys, tmp_path):
-        # Large enough for the stack screen; the verdicts are validate_density's.
+        # The screen passes the valid states; the verdicts are validate_density's.
         matrices = [ss.random_density(2, 1 + k % 2, k).matrix for k in range(12)]
         matrices[3] = matrices[3] * 1.5
         matrices[8] = np.diag([1.0 + 2e-9, -2e-9])
@@ -197,6 +197,14 @@ class TestHelstrom:
         assert run_cli("helstrom", files["basis"], files["orth1"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_invalid_state_names_file_and_state(self, files, capsys, tmp_path):
+        bad = str(tmp_path / "bad.json")
+        stateio.save_state_set(bad, ss.StateSet(
+            dim=2, states=(ss.DensityMatrix(np.diag([1.5, -0.5])),)))
+        assert run_cli("helstrom", bad, files["orth1"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {bad}: state 0: minimum eigenvalue -5.000e-01 below -1.0e-09\n")
+
 
 class TestCertify:
     def test_half_identity_certifies(self, files, capsys, tmp_path):
@@ -225,7 +233,14 @@ class TestCertify:
                                     [{"re": 0.0, "im": 0.0}, {"re": 0.0, "im": 0.0}]]}
         t_path.write_text(stateio.dumps(doc), encoding="utf-8")
         assert run_cli("certify", files["basis"], files["mixed"], str(t_path)) == 1
-        assert "error:" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"error: {t_path}: eigenvalue 1.2 outside [-1.0e-09, 1.000000001]\n")
+
+    def test_malformed_measurement_names_file_once(self, files, capsys):
+        # A state-set file has no "matrix"; the parse error names the file.
+        assert run_cli("certify", files["basis"], files["mixed"], files["mixed"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {files['mixed']}: matrix: matrix must be a list of rows\n")
 
 
 class TestRandom:

@@ -10,7 +10,9 @@ in the conftest's random_instance convention.
 The later properties cover the layers under the solver: the batched
 eigenvalue kernel against hermitian_eig and eigvalsh, certify_forward
 against a trial-by-trial reference loop, screened set loading against
-validating each state in turn, and the CLI's typed exit on every kind of
+validating each state in turn, the shifted Cholesky certificate against
+eigvalsh, screened measurement loading against validate_povm_element, and
+the CLI's typed exit, naming the bad file once, on every kind of
 malformed input file.
 """
 
@@ -19,6 +21,7 @@ import io
 import json
 import os
 import tempfile
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -224,8 +227,8 @@ def test_certify_matches_trial_by_trial_reference(seed, trials, certify_seed):
 
 
 # --- screened set loading: the per-state validate_density loop's result ---
-# Sets of SCREEN_MIN_STATES or more go through the stack screen, smaller
-# ones do not; edge matrices sit within 1e-15 of a validation threshold.
+# Sets of every size go through the screen; edge matrices sit within 1e-15
+# of a validation threshold.
 
 NEAR = st.floats(-1e-15, 1e-15)
 EDGES = ("floor", "trace", "imaginary trace", "non-Hermitian", "NaN")
@@ -257,10 +260,9 @@ def edge_matrix(draw, dim, kind):
 
 @st.composite
 def matrix_lists(draw):
-    """Valid states with up to two edge matrices, on either side of the size constant."""
+    """1-20 valid states, up to two of them replaced by edge matrices."""
     dim = draw(st.integers(min_value=2, max_value=4))
-    size = ss.states.SCREEN_MIN_STATES
-    count = draw(st.one_of(st.integers(1, size - 1), st.integers(size, 2 * size)))
+    count = draw(st.integers(1, 20))
     matrices = [ss.random_density(dim, draw(st.integers(1, dim)), draw(seeds)).matrix
                 for _ in range(count)]
     for _ in range(draw(st.integers(min_value=0, max_value=2))):
@@ -308,6 +310,138 @@ def test_screened_loading_matches_validating_each_state(matrices):
                 {"matrix": stateio.matrix_to_jsonable(m)} for m in matrices]}))
         assert_same_outcome(lambda: stateio.load_state_set(path), stack, failure,
                             lambda k, exc: f"{path}: state {k}: {exc}")
+
+
+# --- the shifted Cholesky certificate: a pass is a proof ---
+
+@st.composite
+def near_floor_stacks(draw, max_dim=16):
+    """(stack, floors): Hermitian matrices, d = 1-max_dim, lowest eigenvalue just off the floor.
+
+    Each matrix has scale 1e-3 to 1e3 and its lowest eigenvalue 1e-16 to
+    1e-12 above or below its own floor, and is rotated by a Haar unitary.
+    The values come from a drawn numpy seed, which spreads them better
+    than shrinking-friendly draws do.
+    """
+    dim = draw(st.integers(min_value=1, max_value=max_dim))
+    rng = np.random.default_rng(draw(seeds))
+    mats, floors = [], []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        scale = 10.0 ** rng.uniform(-3.0, 3.0)
+        floor = rng.choice([0.0, ss.states.EIG_FLOOR, -ss.states.POVM_CEILING,
+                            rng.uniform(-1.0, 1.0) * scale])
+        low = floor + rng.choice([1.0, -1.0]) * 10.0 ** rng.uniform(-16.0, -12.0)
+        u = haar_unitary(dim, int(rng.integers(2**31)))
+        h = u @ np.diag(np.concatenate([[low], low + scale * rng.uniform(0.0, 1.0, dim - 1)]))
+        h = h @ u.conj().T
+        mats.append((h + h.conj().T) / 2.0)
+        floors.append(floor)
+    return np.array(mats), np.array(floors)
+
+
+@settings(max_examples=300)
+@given(near_floor_stacks())
+def test_certificate_passes_no_matrix_below_its_floor(case):
+    stack, floors = case
+    for h, floor, ok in zip(stack, floors, ss.states._lowest_above(stack, floors)):
+        if ok:
+            bound = 1e-15 * max(1.0, np.linalg.norm(h))
+            assert np.linalg.eigvalsh(h)[0] >= floor - bound
+
+
+def exactly_positive_definite(h, floor):
+    """Whether h - floor I is positive definite, by elimination in rationals.
+
+    The real symmetric embedding [[Re h, -Im h], [Im h, Re h]] has h's
+    spectrum, each eigenvalue twice, and every float is a rational.
+    """
+    d = h.shape[0]
+    big = np.block([[h.real, -h.imag], [h.imag, h.real]])
+    m = [[Fraction(x) for x in row] for row in big.tolist()]
+    for i in range(2 * d):
+        m[i][i] -= Fraction(floor)
+    for k in range(2 * d):
+        if m[k][k] <= 0:
+            return False
+        for i in range(k + 1, 2 * d):
+            ratio = m[i][k] / m[k][k]
+            for j in range(k + 1, 2 * d):
+                m[i][j] -= ratio * m[k][j]
+    return True
+
+
+@settings(max_examples=200)
+@given(near_floor_stacks(max_dim=6))
+def test_certificate_passes_only_exactly_positive_definite_shifts(case):
+    # No eigensolver's rounding to allow for: a pass must be a proof.
+    stack, floors = case
+    for h, floor, ok in zip(stack, floors, ss.states._lowest_above(stack, floors)):
+        if ok:
+            assert exactly_positive_definite(h, floor)
+
+
+@settings(max_examples=100)
+@given(st.integers(min_value=1, max_value=16),
+       st.sampled_from(["NaN", "infinity", "above 2^500", "non-Hermitian"]), st.data())
+def test_certificate_passes_no_non_finite_huge_or_non_hermitian_matrix(dim, kind, data):
+    rho = ss.random_density(dim, dim, data.draw(seeds)).matrix
+    good = (rho + rho.conj().T) / 2.0
+    bad = good.copy()
+    i = data.draw(st.integers(0, dim - 1))
+    j = data.draw(st.integers(0, dim - 1))
+    if kind in ("NaN", "infinity"):
+        value = np.nan if kind == "NaN" else data.draw(st.sampled_from([np.inf, -np.inf]))
+        bad[i, j] = complex(value, bad[i, j].imag) if data.draw(st.booleans()) else \
+            complex(bad[i, j].real, value)
+    elif kind == "above 2^500":
+        # Positive definite still, but an entry too large to factor safely.
+        bad[i, i] = data.draw(st.floats(min_value=np.nextafter(2.0 ** 500, np.inf),
+                                        max_value=1e308))
+    else:
+        tiny = data.draw(st.floats(min_value=5e-324, max_value=1e-3))
+        bad[i, j] += tiny if i != j else 1j * tiny
+    passed = ss.states._lowest_above(np.array([good, bad, good]), -0.5)
+    assert passed.tolist() == [True, False, True]
+
+
+@st.composite
+def edge_measurements(draw):
+    """A measurement well inside [0, I], or within 1e-15 of a threshold."""
+    dim = draw(st.integers(min_value=1, max_value=4))
+    kind = draw(st.sampled_from(["inside", "floor", "ceiling", "non-Hermitian"]))
+    lam = draw(hnp.arrays(np.float64, dim, elements=st.floats(0.01, 0.99)))
+    if kind == "floor":
+        lam[0] = ss.states.EIG_FLOOR + draw(NEAR)
+    elif kind == "ceiling":
+        lam[-1] = ss.states.POVM_CEILING + draw(NEAR)
+    u = haar_unitary(dim, draw(seeds) % 2**31) if draw(st.booleans()) else np.eye(dim)
+    m = u @ np.diag(lam) @ u.conj().T
+    m = ((m + m.conj().T) / 2.0).astype(np.complex128)
+    if kind == "non-Hermitian":
+        i, j = draw(st.integers(0, dim - 1)), draw(st.integers(0, dim - 1))
+        step = draw(st.sampled_from([ss.states.HERMITICITY_TOL, 0.1])) + draw(NEAR)
+        m[i, j] += step if i != j else 1j * step
+    return kind, m
+
+
+@settings(max_examples=100)
+@given(edge_measurements())
+def test_screened_measurement_loading_matches_validating_it(case):
+    kind, m = case
+    if kind == "inside":
+        assert ss.states.screen_povm_element(m)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "t.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(stateio.dumps({"dim": m.shape[0], "matrix": stateio.matrix_to_jsonable(m)}))
+        try:
+            expected = ss.validate_povm_element(m)
+        except ss.StatesepError as exc:
+            with pytest.raises(type(exc)) as info:
+                stateio.load_measurement(path)
+            assert str(info.value) == f"{path}: {exc}"
+        else:
+            assert stateio.load_measurement(path).matrix.tobytes() == expected.matrix.tobytes()
 
 
 # --- malformed files: every corruption is a typed error, exit code 1 ---
@@ -417,7 +551,8 @@ def test_malformed_files_exit_1_with_a_typed_error(measurement, kind, data, as_s
             runs = [["certify", good, good, bad]]
         else:
             pair = [good, bad] if as_set1 else [bad, good]
-            runs = [["validate", *pair], ["solve", *pair], ["certify", *pair, witness]]
+            runs = [["validate", *pair], ["solve", *pair], ["certify", *pair, witness],
+                    ["helstrom", *pair]]
         for argv in runs:
             code, out, err = run_quietly(argv)
             assert code == 1, (kind, argv[0], out, err)
@@ -427,3 +562,4 @@ def test_malformed_files_exit_1_with_a_typed_error(measurement, kind, data, as_s
                 assert "Error: " in out and err == ""
             else:
                 assert err.startswith("error: "), (kind, argv[0], err)
+                assert err.count(bad) == 1, (kind, argv[0], err)

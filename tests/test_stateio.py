@@ -123,12 +123,19 @@ class TestParsing:
         assert info.value is boom
         assert len(seen) == 1 and seen[0].tobytes() == matrices[4].astype(complex).tobytes()
 
-    @pytest.mark.parametrize("count,runs", [(256, 0), (3, 3)])
+    @pytest.mark.parametrize("count,runs", [(256, 0), (3, 0)])
     def test_eigendecompositions_spent(self, tmp_path, jacobi_calls, count, runs):
-        # Sets of SCREEN_MIN_STATES or more are screened in one stack-kernel
-        # call, which runs no _jacobi; smaller ones take one per state.
-        sset = ss.StateSet(dim=4, states=tuple(
-            ss.random_density(4, 1 + seed % 4, seed) for seed in range(count)))
+        # A set of any size is screened by one Cholesky certificate, which
+        # runs no _jacobi.
+        self.assert_loads_with(tmp_path, jacobi_calls, 4, count, runs)
+
+    def test_deep_set_spends_no_eigendecomposition(self, tmp_path, jacobi_calls):
+        self.assert_loads_with(tmp_path, jacobi_calls, 16, 3, 0)
+
+    @staticmethod
+    def assert_loads_with(tmp_path, jacobi_calls, dim, count, runs):
+        sset = ss.StateSet(dim=dim, states=tuple(
+            ss.random_density(dim, 1 + seed % dim, seed) for seed in range(count)))
         p = tmp_path / "s.json"
         stateio.save_state_set(str(p), sset)
         jacobi_calls.clear()
@@ -148,10 +155,28 @@ class TestParsing:
         t = stateio.load_measurement(str(p))
         np.testing.assert_array_equal(t.matrix, KET0)
 
+    @pytest.mark.parametrize("dim", [2, 16])
+    def test_measurement_screened(self, tmp_path, jacobi_calls, dim):
+        # A valid T is proved inside [0, I] by the certificate: no spectrum.
+        rho = ss.random_density(dim, dim, 3).matrix
+        t = ss.PovmElement(rho / np.abs(rho).max() / dim)
+        p = tmp_path / "t.json"
+        stateio.save_measurement(str(p), t)
+        jacobi_calls.clear()
+        assert stateio.load_measurement(str(p)).matrix.tobytes() == t.matrix.tobytes()
+        assert len(jacobi_calls) == 0
+
+    def test_single_state_error_names_path_and_state(self, tmp_path):
+        p = tmp_path / "s.json"
+        write(p, {"dim": 1, "states": [{"matrix": [[entry(2.0)]]}]})
+        with pytest.raises(ss.StatesepError) as info:
+            stateio.load_single_state(str(p))
+        assert str(info.value).startswith(f"{p}: state 0: trace 2+0.000e+00j deviates")
+
     def test_measurement_validated(self, tmp_path):
         p = tmp_path / "t.json"
         write(p, {"dim": 2, "matrix": [[entry(1.2), entry(0.0)], [entry(0.0), entry(0.0)]]})
-        with pytest.raises(SpectrumOutOfRangeError):
+        with pytest.raises(SpectrumOutOfRangeError, match=f"^{p}: eigenvalue 1.2 outside"):
             stateio.load_measurement(str(p))
 
 

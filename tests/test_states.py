@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -10,7 +12,6 @@ from statesep.errors import (
     DimensionMismatchError,
     EmptySetError,
     LengthMismatchError,
-    NoConvergenceError,
     NotHermitianError,
     NotPositiveError,
     SpectrumOutOfRangeError,
@@ -58,10 +59,12 @@ def valid_matrices(count, dim=3):
 
 
 class TestScreenDensities:
-    def test_below_the_size_constant_nothing_is_passed(self):
-        mats = valid_matrices(ss.states.SCREEN_MIN_STATES - 1)
-        assert not ss.states.screen_densities(mats).any()
-        assert ss.states.screen_densities(valid_matrices(ss.states.SCREEN_MIN_STATES)).all()
+    def test_a_single_valid_matrix_is_passed(self):
+        # No size constant: a set of any size, one state included, is screened.
+        for count in (1, 2, 9, 10, 12):
+            assert ss.states.screen_densities(valid_matrices(count)).all()
+        for dim in (1, 2, 16):
+            assert ss.states.screen_densities([ss.random_density(dim, dim, 4).matrix]).all()
 
     def test_only_certain_states_pass(self):
         mats = valid_matrices(12)
@@ -89,15 +92,58 @@ class TestScreenDensities:
     def test_no_stack_of_square_matrices_passes_nothing(self, mats):
         assert not ss.states.screen_densities(mats).any()
 
-    def test_kernel_failure_passes_nothing(self, monkeypatch):
-        def fail(stack):
-            raise NoConvergenceError("stuck")
+    def test_certificate_failure_passes_nothing(self, monkeypatch, jacobi_calls):
+        def fail(h, floor):
+            return np.zeros(len(h), dtype=bool)
 
-        monkeypatch.setattr(ss.states, "_eigvals_stack", fail)
+        monkeypatch.setattr(ss.states, "_lowest_above", fail)
         mats = valid_matrices(12)
         assert not ss.states.screen_densities(mats).any()
+        jacobi_calls.clear()
         sset = ss.StateSet.from_matrices(mats)
+        # Every state went through validate_density, one spectrum each.
+        assert len(jacobi_calls) == 12
         assert sset.stack().tobytes() == np.array(mats).tobytes()
+
+
+class TestLowestAbove:
+    def test_floor_is_per_matrix(self):
+        h = np.array([np.diag([0.25, 1.0]), np.diag([0.25, 1.0]), np.diag([-0.25, 1.0])])
+        assert ss.states._lowest_above(h, 0.2).tolist() == [True, True, False]
+        assert ss.states._lowest_above(h, [0.2, 0.3, -0.3]).tolist() == [True, False, True]
+
+    def test_eigenvalue_on_the_floor_is_not_passed(self):
+        # Proof needs the floor cleared by the rounding shift.
+        for dim in (1, 2, 16):
+            h = np.diag(np.linspace(0.1, 1.0, dim))
+            assert ss.states._lowest_above(h[None], 0.1 - 1e-12)[0]
+            assert not ss.states._lowest_above(h[None], 0.1)[0]
+
+    def test_rotated_states_pass_and_rows_are_independent(self):
+        stack = np.array([ss.random_density(6, 6, seed).matrix for seed in range(40)])
+        stack = (stack + stack.conj().transpose(0, 2, 1)) / 2.0
+        lowest = np.linalg.eigvalsh(stack)[:, 0]
+        floors = lowest - 1e-12 * np.where(np.arange(40) % 2, 1.0, -1.0)
+        passed = ss.states._lowest_above(stack, floors)
+        assert passed.tolist() == [k % 2 == 1 for k in range(40)]
+        for k in range(40):
+            assert ss.states._lowest_above(stack[k:k + 1], floors[k])[0] == passed[k]
+
+
+class TestScreenPovmElement:
+    @pytest.mark.parametrize("m,ok", [
+        (np.eye(3) / 2.0, True),
+        (np.eye(3), True),
+        (np.zeros((3, 3)), True),
+        (np.diag([1.0 + 1e-9, 0.5]), False),  # on the ceiling: validate decides
+        (np.diag([-1e-9, 0.5]), False),  # on the floor
+        (np.diag([1.2, 0.0]), False),
+        (np.array([[0.5, 0.1], [0.0, 0.5]]), False),  # not Hermitian
+        (np.array([[0.5, np.nan], [np.nan, 0.5]]), False),
+        (np.ones((2, 3)), False),
+    ])
+    def test_only_certain_elements_pass(self, m, ok):
+        assert ss.states.screen_povm_element(m) is ok
 
 
 class TestValidatePovmElement:
@@ -207,9 +253,16 @@ class TestRandomDensity:
             assert lam[-1] == pytest.approx(1.0, abs=1e-9)
             assert np.all(lam[:-1] <= 1e-9)
 
-    def test_eigendecompositions_spent(self, jacobi_calls):
-        # Only the full-rank near-singularity warning needs a spectrum.
-        ss.random_density(4, 4, seed=5)
+    def test_eigendecompositions_spent(self, jacobi_calls, monkeypatch):
+        # A well-conditioned full-rank draw is cleared by the certificate,
+        # and only full-rank draws are checked at all.
+        expected = [ss.random_density(4, rank, seed=5).matrix.tobytes() for rank in (1, 2, 3, 4)]
+        assert len(jacobi_calls) == 0
+        # A draw the certificate cannot clear costs one spectrum, same bits.
+        monkeypatch.setattr(ss.states, "_lowest_above", lambda h, floor: np.zeros(len(h), bool))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert ss.random_density(4, 4, seed=5).matrix.tobytes() == expected[3]
         assert len(jacobi_calls) == 1
         for rank in (1, 2, 3):
             ss.random_density(4, rank, seed=5)
