@@ -9,13 +9,23 @@ State-set schema (UTF-8 JSON, matrices row-major, dim rows of dim entries):
 
 A measurement file carries a single "matrix" instead of "states".  Floats
 are written as decimal with 17 significant digits, so every file written
-here re-parses to bit-identical matrices.
+here re-parses to bit-identical matrices.  The writers format each matrix
+row with one %-template, giving the bytes the generic `dumps` gives.
+
+Reading parses every matrix of a file in one array pass: check each
+matrix's shape, gather every entry's re and im into one list, check their
+types on the whole list, convert it with one np.array call and check
+finiteness once, then view the result as an (n, d, d) complex stack.  If
+any check fails, the whole file is parsed again by the per-entry loop
+(parse_matrix), the only code that words a parse error, so the first
+error, its state index and its message are those of that loop alone.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import re
 from typing import Any
 
 import numpy as np
@@ -120,14 +130,55 @@ def measurement_to_jsonable(t: PovmElement) -> dict:
     return {"dim": t.dim, "matrix": matrix_to_jsonable(t.matrix)}
 
 
+# One entry of a matrix row; a row of d entries is d of these, formatted at
+# once.  %.17g writes what format_float writes, less the ".0" that
+# _INTEGRAL's pass adds to a value written with no "." and no exponent.
+_ENTRY = '{"re": %.17g, "im": %.17g}'
+_INTEGRAL = re.compile(r"(: -?[0-9]+)(?=[,}])")
+
+
+def _row_lines(stack: np.ndarray, indent: int) -> list[str]:
+    """Every row of an (n, d, d) stack, in order, as dumps writes it at `indent`.
+
+    One %-template formats each row and one regex pass over all the rows
+    adds the integral values' ".0", so each line is what dumps gives for
+    matrix_to_jsonable's row.  A non-finite entry raises the ValueError
+    dumps raises.
+    """
+    n, d = stack.shape[0], stack.shape[1]
+    parts = stack.view(np.float64).reshape(n * d, 2 * d)
+    finite = np.isfinite(parts)
+    if not finite.all():
+        format_float(float(parts[~finite][0]))  # raises, naming the first in file order
+    template = " " * indent + "[" + ", ".join([_ENTRY] * d) + "]"
+    text = "\n".join([template % tuple(row) for row in parts.tolist()])
+    return _INTEGRAL.sub(r"\1.0", text).split("\n")
+
+
 def save_state_set(path: str, sset: StateSet) -> None:
+    """Write the bytes dumps(state_set_to_jsonable(sset)) gives, one template per row.
+
+    A non-finite entry raises dumps' ValueError before the file is opened.
+    """
+    d = sset.dim
+    rows = _row_lines(sset.stack(), 8)
+    states = []
+    for k in range(len(sset)):
+        label = "" if sset.labels is None else f'      "label": {json.dumps(sset.labels[k])},\n'
+        matrix = ",\n".join(rows[k * d:(k + 1) * d])
+        states.append(f'    {{\n{label}      "matrix": [\n{matrix}\n      ]\n    }}')
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(state_set_to_jsonable(sset)) + "\n")
+        fh.write(f'{{\n  "dim": {d},\n  "states": [\n' + ",\n".join(states) + "\n  ]\n}\n")
 
 
 def save_measurement(path: str, t: PovmElement) -> None:
+    """Write the bytes dumps(measurement_to_jsonable(t)) gives, one template per row.
+
+    A non-finite entry raises dumps' ValueError before the file is opened.
+    """
+    rows = _row_lines(t.matrix[None], 4)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(measurement_to_jsonable(t)) + "\n")
+        fh.write(f'{{\n  "dim": {t.dim},\n  "matrix": [\n' + ",\n".join(rows) + "\n  ]\n}\n")
 
 
 # --- reading ---
@@ -192,30 +243,83 @@ def _parse_dim(doc, path: str) -> int:
     return dim
 
 
-def load_raw_states(path: str) -> tuple[int, list[tuple[str | None, np.ndarray]]]:
-    """Schema-level parse of a state-set file; no physics validation.
+def _stack_matrices(matrices: list, dim: int) -> np.ndarray | None:
+    """The matrices as one (n, dim, dim) complex128 stack, in one array pass.
 
-    Returns (dim, [(label, matrix), ...]).  Shape problems raise ParseError;
-    whether each matrix is a valid state is left to the caller.
+    None whenever a check fails: a matrix that is not dim lists of dim
+    entries, an entry that is not an object with "re" and "im", a field
+    that is not an int or a float (bool, str and None are neither), an
+    integer too large for a float, or a NaN or infinity.  Each value is
+    converted as float() converts it, so the stack is bit for bit the one
+    parse_matrix builds.  None leaves the matrices to parse_matrix, which
+    alone words an error.
+    """
+    for m in matrices:
+        if type(m) is not list or len(m) != dim:
+            return None
+        for row in m:
+            if type(row) is not list or len(row) != dim:
+                return None
+    try:
+        vals = [e[key] for m in matrices for row in m for e in row for key in ("re", "im")]
+    except (TypeError, KeyError):
+        return None
+    if not set(map(type, vals)) <= {float, int}:
+        return None
+    try:
+        parts = np.array(vals, dtype=np.float64)
+    except OverflowError:
+        return None
+    if not np.isfinite(parts).all():
+        return None
+    return parts.view(np.complex128).reshape(len(matrices), dim, dim)
+
+
+def _read_states(path: str) -> tuple[int, list[str | None], np.ndarray]:
+    """(dim, labels, (n, dim, dim) stack) of a state-set file; no physics validation.
+
+    Every matrix is parsed in one _stack_matrices pass.  If any check of
+    that pass, or of a state's object and label, fails, the whole file goes
+    through the per-state, per-entry loop instead, whose first error is
+    raised: the same error, state index and message as that loop alone.
     """
     doc = _load_json(path)
     dim = _parse_dim(doc, path)
     states = doc.get("states")
     if not isinstance(states, list) or not states:
         raise ParseError(f"{path}: 'states' must be a non-empty list")
-    out = []
+    if all(type(entry) is dict for entry in states):
+        labels = [entry.get("label") for entry in states]
+        stack = _stack_matrices([entry.get("matrix") for entry in states], dim)
+        if stack is not None and all(label is None or type(label) is str for label in labels):
+            return dim, labels, stack
+    labels, matrices = [], []
     for k, entry in enumerate(states):
         if not isinstance(entry, dict):
             raise ParseError(f"{path}: state {k} must be an object")
         label = entry.get("label")
         if label is not None and not isinstance(label, str):
             raise ParseError(f"{path}: state {k} label must be a string")
-        out.append((label, parse_matrix(entry.get("matrix"), dim, f"{path}: state {k}")))
-    return dim, out
+        labels.append(label)
+        matrices.append(parse_matrix(entry.get("matrix"), dim, f"{path}: state {k}"))
+    return dim, labels, np.stack(matrices)
 
 
-def _densities(path: str, matrices: list[np.ndarray]) -> list[DensityMatrix]:
-    """The parsed matrices as states, or the first invalid one's error.
+def load_raw_states(path: str) -> tuple[int, list[tuple[str | None, np.ndarray]]]:
+    """Schema-level parse of a state-set file; no physics validation.
+
+    Returns (dim, [(label, matrix), ...]), each matrix a view of one stack
+    parsed in a single array pass.  Shape problems raise ParseError, worded
+    by the per-entry parse (parse_matrix) exactly as if every state had
+    gone through it; whether each matrix is a valid state is left to the
+    caller.
+    """
+    dim, labels, stack = _read_states(path)
+    return dim, list(zip(labels, stack))
+
+
+def _densities(path: str, stack: np.ndarray) -> list[DensityMatrix]:
+    """The parsed (n, d, d) stack as states, or the first invalid one's error.
 
     The states that screen_densities passes are wrapped as parsed; every
     other one goes through validate_density, in file order, and the first
@@ -223,7 +327,7 @@ def _densities(path: str, matrices: list[np.ndarray]) -> list[DensityMatrix]:
     error are those of validating each state in turn.
     """
     states = []
-    for k, (matrix, ok) in enumerate(zip(matrices, screen_densities(matrices))):
+    for k, (matrix, ok) in enumerate(zip(stack, screen_densities(stack))):
         if ok:
             states.append(DensityMatrix(matrix))
             continue
@@ -237,14 +341,17 @@ def _densities(path: str, matrices: list[np.ndarray]) -> list[DensityMatrix]:
 def load_state_set(path: str) -> StateSet:
     """Parse and fully validate a state-set file.
 
-    Every state is proved valid in one screen_densities call over the whole
-    set (a shifted Cholesky certificate, no eigendecomposition), or else
-    checked by validate_density, whose error names the path and the state
-    index; the set, or the error, is that of validating each state in turn.
+    Every matrix is parsed in one array pass into one (n, d, d) stack; a
+    file that fails any check of that pass is parsed again entry by entry,
+    which words the first error exactly as it always has.  Every state of
+    the stack is then proved valid in one screen_densities call over the
+    whole set (a shifted Cholesky certificate, no eigendecomposition), or
+    else checked by validate_density, whose error names the path and the
+    state index; the set, or the error, is that of validating each state
+    in turn.
     """
-    dim, raw = load_raw_states(path)
-    states = _densities(path, [matrix for _, matrix in raw])
-    labels = [label for label, _ in raw]
+    dim, labels, stack = _read_states(path)
+    states = _densities(path, stack)
     have_labels = any(label is not None for label in labels)
     return StateSet(
         dim=dim,
@@ -259,16 +366,18 @@ def load_single_state(path: str) -> DensityMatrix:
     Validated as load_state_set validates a set; an error names the path
     and state 0.
     """
-    dim, raw = load_raw_states(path)
-    if len(raw) != 1:
-        raise MultiStateFileError(f"{path}: expected exactly one state, found {len(raw)}")
-    return _densities(path, [raw[0][1]])[0]
+    _, _, stack = _read_states(path)
+    if len(stack) != 1:
+        raise MultiStateFileError(f"{path}: expected exactly one state, found {len(stack)}")
+    return _densities(path, stack)[0]
 
 
 def load_measurement(path: str) -> PovmElement:
     """Parse and validate a measurement file ({"dim": d, "matrix": [[...]]}).
 
-    A matrix that screen_povm_element proves to lie within [0, I] by a
+    The matrix is parsed in the array pass that state sets take, or, if a
+    check of that pass fails, by parse_matrix, which words the error.  A
+    matrix that screen_povm_element proves to lie within [0, I] by a
     rounding margin (two shifted Cholesky certificates, no
     eigendecomposition) is wrapped as parsed; any other goes through
     validate_povm_element, whose error is raised with the path prefixed.
@@ -276,7 +385,9 @@ def load_measurement(path: str) -> PovmElement:
     """
     doc = _load_json(path)
     dim = _parse_dim(doc, path)
-    matrix = parse_matrix(doc.get("matrix"), dim, f"{path}: matrix")
+    raw = doc.get("matrix")
+    stack = _stack_matrices([raw], dim)
+    matrix = parse_matrix(raw, dim, f"{path}: matrix") if stack is None else stack[0]
     if screen_povm_element(matrix):
         return PovmElement(matrix)
     try:

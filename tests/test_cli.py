@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -317,3 +319,26 @@ def test_parser_reused_across_runs_matches_fresh_processes(files, capsys, tmp_pa
         proc = subprocess.run([sys.executable, "-m", "statesep.cli", *argv],
                               capture_output=True, text=True)
         assert (proc.returncode, proc.stdout) == (code, out)
+
+
+@pytest.mark.parametrize("bad_value,message", [
+    (True, "entry field 're' is not a number"),
+    (float("nan"), "entry field 're' is not a finite number"),
+])
+@pytest.mark.parametrize("command", ["validate", "solve"])
+def test_malformed_file_error_survives_python_optimize(files, command, bad_value, message):
+    # The array pass that parses a file must reject it by checks that
+    # raise, not by assert statements that -O strips out.
+    doc = json.loads((files["tmp"] / "basis.json").read_text(encoding="utf-8"))
+    doc["states"][1]["matrix"][1][0]["re"] = bad_value
+    bad = files["tmp"] / "bad.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    src = str(Path(ss.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    argv = [command, str(bad), files["mixed"]]
+    expected = f"error: {bad}: state 1[1][0]: {message}\n"
+    for flags in ([], ["-O"]):
+        proc = subprocess.run([sys.executable, *flags, "-m", "statesep.cli", *argv],
+                              capture_output=True, text=True, env=env)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", expected), flags

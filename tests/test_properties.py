@@ -30,6 +30,7 @@ from hypothesis.extra import numpy as hnp
 
 import statesep as ss
 from statesep import cli, hermitian, stateio
+from statesep.errors import ParseError
 
 from conftest import assert_same_report, random_instance, reference_certify
 
@@ -563,3 +564,124 @@ def test_malformed_files_exit_1_with_a_typed_error(measurement, kind, data, as_s
             else:
                 assert err.startswith("error: "), (kind, argv[0], err)
                 assert err.count(bad) == 1, (kind, argv[0], err)
+
+
+def per_entry_load(path, measurement):
+    """load_measurement or load_state_set with one parse_matrix call per matrix.
+
+    The loaders as they were before the array pass: each matrix parsed
+    entry by entry, each state validated in turn.  The reference for the
+    error, and its wording, that the loaders must raise.
+    """
+    doc = stateio._load_json(path)
+    dim = stateio._parse_dim(doc, path)
+    if measurement:
+        matrix = stateio.parse_matrix(doc.get("matrix"), dim, f"{path}: matrix")
+        try:
+            return ss.validate_povm_element(matrix)
+        except ss.StatesepError as exc:
+            raise type(exc)(f"{path}: {exc}") from exc
+    states = doc.get("states")
+    if not isinstance(states, list) or not states:
+        raise ParseError(f"{path}: 'states' must be a non-empty list")
+    matrices = []
+    for k, entry in enumerate(states):
+        if not isinstance(entry, dict):
+            raise ParseError(f"{path}: state {k} must be an object")
+        label = entry.get("label")
+        if label is not None and not isinstance(label, str):
+            raise ParseError(f"{path}: state {k} label must be a string")
+        matrices.append(stateio.parse_matrix(entry.get("matrix"), dim, f"{path}: state {k}"))
+    for k, matrix in enumerate(matrices):
+        try:
+            ss.validate_density(matrix)
+        except ss.StatesepError as exc:
+            raise type(exc)(f"{path}: state {k}: {exc}") from exc
+
+
+@pytest.mark.parametrize(
+    "measurement,kind",
+    [(False, kind) for kind in SET_CORRUPTIONS]
+    + [(True, kind) for kind in MEASUREMENT_CORRUPTIONS],
+)
+@settings(max_examples=10)
+@given(data=st.data())
+def test_malformed_files_keep_their_exact_first_error(measurement, kind, data):
+    text = data.draw(corrupted_files(measurement, kind))
+    load = stateio.load_measurement if measurement else stateio.load_state_set
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "bad.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        with pytest.raises(ss.StatesepError) as expected:
+            per_entry_load(path, measurement)
+        with pytest.raises(ss.StatesepError) as info:
+            load(path)
+    assert type(info.value) is type(expected.value)
+    assert str(info.value) == str(expected.value)
+
+
+# --- the array pass parses every matrix as parse_matrix does, bit for bit ---
+
+# Integers beyond 2^53 round, beyond 2^64 leave every fixed-width type, and
+# -0.0 and 5e-324 keep bits a careless conversion loses.
+EDGE_NUMBERS = (0, 1, 2**53 + 1, 2**63, 2**64 + 1, 10**308, -0.0, 5e-324, 1e16)
+json_numbers = st.one_of(
+    st.sampled_from(EDGE_NUMBERS),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(min_value=-2**70, max_value=2**70),
+)
+
+
+@settings(max_examples=100)
+@given(st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=4), st.data())
+def test_array_pass_agrees_with_parse_matrix_bit_for_bit(dim, count, data):
+    entry = st.fixed_dictionaries({"re": json_numbers, "im": json_numbers})
+    matrix = st.lists(st.lists(entry, min_size=dim, max_size=dim), min_size=dim, max_size=dim)
+    text = json.dumps({"dim": dim, "states": [{"matrix": data.draw(matrix)}
+                                              for _ in range(count)]})
+    matrices = [state["matrix"] for state in json.loads(text)["states"]]
+    stack = stateio._stack_matrices(matrices, dim)
+    assert stack is not None
+    for got, m in zip(stack, matrices):
+        assert got.tobytes() == stateio.parse_matrix(m, dim, "m").tobytes()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "s.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        _, raw = stateio.load_raw_states(path)
+    assert np.array([m for _, m in raw]).tobytes() == stack.tobytes()
+
+
+# --- the writers write the bytes the generic dumps writes ---
+
+written_numbers = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, 1e16, 1e17, 5e-324, 123456.789]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+labels = st.one_of(st.text(), st.text(alphabet=st.sampled_from('a"\\é€\n\U0001f600 ')))
+
+
+@settings(max_examples=100)
+@given(st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=4), st.data())
+def test_writers_write_the_bytes_dumps_writes(dim, count, data):
+    parts = data.draw(hnp.arrays(np.float64, (count, dim, dim, 2), elements=written_numbers))
+    stack = parts.view(np.complex128)[..., 0]
+    names = data.draw(st.none() | st.lists(labels, min_size=count, max_size=count))
+    sset = ss.StateSet(dim=dim, states=tuple(ss.DensityMatrix(m) for m in stack), labels=names)
+    t = ss.PovmElement(stack[0])
+    with tempfile.TemporaryDirectory() as tmp:
+        set_path, t_path = os.path.join(tmp, "s.json"), os.path.join(tmp, "t.json")
+        stateio.save_state_set(set_path, sset)
+        stateio.save_measurement(t_path, t)
+        with open(set_path, "rb") as fh:
+            set_bytes = fh.read()
+        with open(t_path, "rb") as fh:
+            t_bytes = fh.read()
+        _, raw = stateio.load_raw_states(set_path)
+    assert set_bytes == (stateio.dumps(stateio.state_set_to_jsonable(sset)) + "\n").encode()
+    assert t_bytes == (stateio.dumps(stateio.measurement_to_jsonable(t)) + "\n").encode()
+    assert [label for label, _ in raw] == (list(names) if names is not None else [None] * count)
+    assert np.array([m for _, m in raw]).tobytes() == sset.stack().tobytes()
+    back = stateio.parse_matrix(json.loads(t_bytes)["matrix"], dim, "T")
+    assert back.tobytes() == t.matrix.tobytes()

@@ -64,6 +64,63 @@ class TestParsing:
         with pytest.raises(ParseError, match="number"):
             stateio.load_state_set(str(p))
 
+    @pytest.mark.parametrize("bad,message", [
+        (True, "matrix entry must be an object with re/im"),
+        ({"re": True, "im": 0.0}, "entry field 're' is not a number"),
+        ({"re": 0.0, "im": 10**400}, "entry field 'im' is not a finite number"),
+    ])
+    def test_bad_entry_in_last_of_256_states_keeps_its_message(self, tmp_path, bad, message):
+        # The array pass rejects the whole file; the per-entry parse then
+        # words the error, naming the state and the entry.
+        sset = ss.StateSet(dim=4, states=tuple(ss.random_density(4, 4, s) for s in range(256)))
+        p = tmp_path / "s.json"
+        stateio.save_state_set(str(p), sset)
+        doc = json.loads(p.read_text(encoding="utf-8"))
+        doc["states"][255]["matrix"][2][3] = bad
+        write(p, doc)
+        with pytest.raises(ParseError) as info:
+            stateio.load_state_set(str(p))
+        assert str(info.value) == f"{p}: state 255[2][3]: {message}"
+
+    def test_first_error_in_file_order_wins(self, tmp_path):
+        matrix = [[entry(1.0), entry(0.0)], [entry(0.0), entry(0.0)]]
+        states = [{"matrix": matrix} for _ in range(4)]
+        states[1] = {"matrix": [[entry(1.0), entry(0.0)], [entry(0.0), entry(float("nan"))]]}
+        states[3] = {"label": 7, "matrix": matrix}
+        p = tmp_path / "s.json"
+        write(p, {"dim": 2, "states": states})
+        with pytest.raises(ParseError) as info:
+            stateio.load_state_set(str(p))
+        assert str(info.value) == f"{p}: state 1[1][1]: entry field 're' is not a finite number"
+
+    @pytest.mark.parametrize("bad,message", [
+        ({"label": 7, "matrix": [[entry(1.0), entry(0.0)], [entry(0.0), entry(0.0)]]},
+         "label must be a string"),
+        ([[entry(1.0), entry(0.0)], [entry(0.0), entry(0.0)]], "must be an object"),
+    ])
+    def test_bad_state_object_with_valid_matrices_rejected(self, tmp_path, bad, message):
+        # Every matrix passes the array pass; the state itself is wrong.
+        states = [{"matrix": [[entry(1.0), entry(0.0)], [entry(0.0), entry(0.0)]]}] * 12
+        states[5] = bad
+        p = tmp_path / "s.json"
+        write(p, {"dim": 2, "states": states})
+        with pytest.raises(ParseError) as info:
+            stateio.load_state_set(str(p))
+        assert str(info.value) == f"{p}: state 5 {message}"
+
+    @pytest.mark.parametrize("bad,message", [
+        (True, "matrix entry must be an object with re/im"),
+        ({"re": 10**400, "im": 0.0}, "entry field 're' is not a finite number"),
+    ])
+    def test_bad_measurement_entry_keeps_its_message(self, tmp_path, bad, message):
+        matrix = [[entry(0.5), entry(0.0)], [entry(0.0), entry(0.5)]]
+        matrix[0][1] = bad
+        p = tmp_path / "t.json"
+        write(p, {"dim": 2, "matrix": matrix})
+        with pytest.raises(ParseError) as info:
+            stateio.load_measurement(str(p))
+        assert str(info.value) == f"{p}: matrix[0][1]: {message}"
+
     def test_bad_json_reports_position(self, tmp_path):
         p = tmp_path / "s.json"
         p.write_text('{"dim": 2,', encoding="utf-8")
@@ -213,6 +270,22 @@ class TestRoundTrip:
         parsed = json.loads(stateio.dumps(doc))
         assert parsed["b"]["re"] == 1 / 3
         assert parsed["c"] is True and parsed["d"] is None
+
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    def test_writers_reject_non_finite_as_dumps_does(self, tmp_path, value):
+        m = np.eye(2, dtype=complex) / 2.0
+        m[1, 0] = complex(0.5, value)
+        sset = ss.StateSet(dim=2, states=(ss.DensityMatrix(m),))
+        for save, obj, jsonable in (
+            (stateio.save_state_set, sset, stateio.state_set_to_jsonable),
+            (stateio.save_measurement, ss.PovmElement(m), stateio.measurement_to_jsonable),
+        ):
+            with pytest.raises(ValueError) as expected:
+                stateio.dumps(jsonable(obj))
+            with pytest.raises(ValueError) as info:
+                save(str(tmp_path / "out.json"), obj)
+            assert str(info.value) == str(expected.value)
+            assert not (tmp_path / "out.json").exists()
 
     @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan"), np.inf])
     def test_dumps_rejects_non_finite(self, value):
