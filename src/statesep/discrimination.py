@@ -15,7 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, GapOutOfBandError, ImaginaryResidueError
+from .errors import (
+    BadConfigError,
+    DimensionMismatchError,
+    GapOutOfBandError,
+    ImaginaryResidueError,
+)
 from .hermitian import hermitian_eig, positive_part_projector
 from .states import DensityMatrix, PovmElement, StateSet
 
@@ -130,7 +135,10 @@ def min_separation_gap(t: PovmElement, set0: StateSet, set1: StateSet) -> float:
 
 
 def is_separating(t: PovmElement, set0: StateSet, set1: StateSet, eps: float) -> bool:
-    """Whether T attains margin eps: min pair gap >= eps - 1e-12."""
+    """Whether T attains margin eps: min pair gap >= eps - 1e-12.
+
+    eps must be positive; anything else, NaN included, raises BadConfigError.
+    """
     if not eps > 0.0:
-        raise ValueError(f"eps must be positive, got {eps}")
+        raise BadConfigError(f"eps must be positive, got {eps}")
     return min_separation_gap(t, set0, set1) >= eps - 1e-12

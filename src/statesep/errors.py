@@ -76,7 +76,7 @@ class SetTooLargeError(StatesepError):
 # --- solver ---
 
 class BadConfigError(StatesepError, ValueError):
-    """A solver limit out of range: a round cap below 1, or a target gap not finite and > 0."""
+    """A limit out of range: rounds or trials < 1, eps not > 0, target gap not finite and > 0."""
 
 
 # --- files / CLI ---

@@ -36,19 +36,23 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.linalg import eigvalsh
 
 from ._master import Master
 from ._rng import SplitMix64
+# separation_gap is not called here; it stays bound because the benchmark's
+# tracer (perfbench/tracing.py) wraps statesep.saddle.separation_gap.
 from .discrimination import min_separation_gap, separation_gap, trace_distance
 from .errors import BadConfigError, BadWeightsError, DimensionMismatchError, EmptySetError
-from .hermitian import POSITIVE_CUTOFF, _eigvals_stack, hermitian_eig
+from .hermitian import POSITIVE_CUTOFF, hermitian_eig
 from .states import WEIGHT_SUM_TOL, PovmElement, StateSet, mixture_state
 
 # certify_forward draws and screens its trials in blocks of this many
 # weights, or matrix entries where a trial's matrix has more of them.
 _CERTIFY_BLOCK = 1 << 14
 # Screened distances within _screen_slack(d, l0 + l1) of the smallest are
-# recomputed exactly; this is the two kernels' share of it per unit of d.
+# recomputed exactly; this is the share of eigvalsh and hermitian_eig in
+# it per unit of d.
 _SCREEN_SLACK = 4e-13
 
 
@@ -58,8 +62,12 @@ def _screen_slack(d: int, states: int) -> float:
     Two errors separate a trial's screened distance from the one
     trace_distance gives it; let u = 2^-53.
     - The kernels.  Each keeps every eigenvalue within 1e-13 * max(1,
-      ||H||_F) of the exact ones of the matrix it is given (pinned against
-      eigvalsh by a property test), and a mixture difference has
+      ||H||_F) of the exact ones of the matrix it is given: hermitian_eig
+      by its stopping rule (off-diagonal norm at most 1e-13 * ||H||_F)
+      up to its rotations' rounding, eigvalsh by LAPACK's backward-error
+      bound p(d) u ||H||_2, p a modestly growing function of d (LAPACK
+      Users' Guide, 3rd ed., 1999, section 4.7); a property test pins the
+      two within that of each other.  A mixture difference has
       ||H||_F <= 2, so each distance is within d * 1e-13 of that matrix's
       exact one.
     - The matrices.  The screen sums a block's mixtures by real matmuls on
@@ -285,21 +293,22 @@ def certify_forward(
     The trials are screened, then the closest pair is computed exactly.
     Each block of trials takes one array draw, and its mixture differences
     (two real matmuls on the stacks' float64 view) go through one batched
-    eigenvalue-only Jacobi call.  Every trial whose screened distance lies
-    within a rounding slack of the smallest is then recomputed with
-    mixture_state and trace_distance, in trial order, and the first strict
-    minimum of those values is reported, so no reported number comes from
-    the batched kernel.  The slack covers the two kernels' disagreement
-    and the two ways of summing a mixture (_screen_slack), so the report
-    is the one a trial-by-trial loop with trace_distance gives; normally a
-    single trial is recomputed.
+    LAPACK eigvalsh call.  Every trial whose screened distance lies within
+    a rounding slack of the smallest is then recomputed with mixture_state
+    and trace_distance, in trial order, and the first strict minimum of
+    those values is reported, so no reported number comes from eigvalsh.
+    The slack covers eigvalsh's backward error (LAPACK Users' Guide,
+    section 4.7) and hermitian_eig's stopping rule, and the two ways of
+    summing a mixture (_screen_slack), so the report is the one a
+    trial-by-trial loop with trace_distance gives; normally a single trial
+    is recomputed.  trials below 1 raises BadConfigError.
     """
     if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+        raise BadConfigError(f"trials must be >= 1, got {trials}")
     _check_instance(set0, set1)
     if t.dim != set0.dim:
         raise DimensionMismatchError(f"measurement dim {t.dim} != set dim {set0.dim}")
-    margin = separation_gap(t, set0, set1).min_gap
+    margin = min_separation_gap(t, set0, set1)
     rng = SplitMix64(seed)
     l0, l1, d = len(set0), len(set1), set0.dim
     # Real views: a block's mixtures are two float64 matmuls.
@@ -318,7 +327,7 @@ def certify_forward(
         _check_weight_rows(w0, start)
         _check_weight_rows(w1, start)
         diff = (w0 @ real0 - w1 @ real1).view(np.complex128).reshape(-1, d, d)
-        lam = _eigvals_stack((diff + diff.conj().transpose(0, 2, 1)) / 2.0)
+        lam = eigvalsh((diff + diff.conj().transpose(0, 2, 1)) / 2.0)
         screened = 0.5 * np.abs(lam).sum(axis=1)
         best = min(best, float(screened.min()))
         pool = {key: entry for key, entry in pool.items() if entry[0] <= best + slack}

@@ -246,17 +246,16 @@ def screen_densities(matrices) -> np.ndarray:
 
     Every set size takes the screen, a single state included.  Its time
     per call in ms, with the certificate's share, against a loop of
-    hermitian_eig over the states and one _eigvals_stack call on the
-    stack, which it replaced (all states valid, median of 5 runs of
+    hermitian_eig over the states (all states valid, median of 5 runs of
     1-200 calls; 2-core machine, Python 3.11.7, numpy 2.4.6):
 
-                        screen  certificate  hermitian_eig  _eigvals_stack
-        n = 1,   d = 2   0.07      0.04          0.04            0.13
-        n = 1,   d = 4   0.11      0.06          0.17            1.6
-        n = 1,   d = 9   0.17      0.12          2.3            12
-        n = 1,   d = 16  0.28      0.21         14              50
-        n = 512, d = 2   0.33      0.10         19               0.28
-        n = 512, d = 4   0.75      0.25         96               6.5
+                        screen  certificate  hermitian_eig
+        n = 1,   d = 2   0.07      0.04          0.04
+        n = 1,   d = 4   0.11      0.06          0.17
+        n = 1,   d = 9   0.17      0.12          2.3
+        n = 1,   d = 16  0.28      0.21         14
+        n = 512, d = 2   0.33      0.10         19
+        n = 512, d = 4   0.75      0.25         96
 
     A single 2 x 2 state costs about what validate_density costs on it
     (0.07 ms); every larger case is faster screened.

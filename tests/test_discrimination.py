@@ -8,7 +8,12 @@ import numpy as np
 import pytest
 
 import statesep as ss
-from statesep.errors import DimensionMismatchError, GapOutOfBandError, ImaginaryResidueError
+from statesep.errors import (
+    BadConfigError,
+    DimensionMismatchError,
+    GapOutOfBandError,
+    ImaginaryResidueError,
+)
 
 from conftest import (
     DIST_KET0_PLUS,
@@ -269,10 +274,12 @@ class TestTypedChecks:
         assert proc.stdout.split() == 3 * ["ImaginaryResidueError", "GapOutOfBandError"]
 
     def test_no_assert_statement_in_package(self):
-        package = Path(ss.__file__).resolve().parent
+        # python -O strips assert statements, so no check may be one.
+        paths = sorted(Path(ss.__file__).resolve().parent.glob("*.py"))
+        assert {"hermitian.py", "saddle.py", "stateio.py"} <= {path.name for path in paths}
         found = [
             f"{path.name}:{node.lineno}"
-            for path in sorted(package.glob("*.py"))
+            for path in paths
             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
             if isinstance(node, ast.Assert)
         ]
@@ -295,6 +302,9 @@ class TestIsSeparating:
         t = ss.PovmElement(np.eye(2) / 2.0)
         with pytest.raises(ValueError):
             ss.is_separating(t, state_set(KET0), state_set(KET1), 0.0)
+        for eps in (0.0, -0.5, float("nan"), float("-inf")):
+            with pytest.raises(BadConfigError, match="eps must be positive"):
+                ss.is_separating(t, state_set(KET0), state_set(KET1), eps)
 
 
 class TestLinearityBridge:

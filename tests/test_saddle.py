@@ -262,18 +262,18 @@ class TestCertifyForward:
         assert a.worst_mu0.tobytes() == b.worst_mu0.tobytes()
 
     def test_one_scalar_eigendecomposition_per_certify(self, jacobi_calls, monkeypatch):
-        # Trials are screened by the batched kernel, one call per block; only
+        # Trials are screened by one batched eigvalsh call per block; only
         # the closest trial runs hermitian_eig, through trace_distance.
         set0, set1 = random_instance(11)
         t = ss.PovmElement(np.eye(set0.dim) / 2.0)
         batched = []
-        original = saddle._eigvals_stack
+        original = saddle.eigvalsh
 
         def counted(stack):
             batched.append(len(stack))
             return original(stack)
 
-        monkeypatch.setattr(saddle, "_eigvals_stack", counted)
+        monkeypatch.setattr(saddle, "eigvalsh", counted)
         width = max(len(set0) + len(set1), set0.dim ** 2)
         for trials, block in ((1, 16384), (37, 16384), (1000, 16384), (1000, 7 * width)):
             monkeypatch.setattr(saddle, "_CERTIFY_BLOCK", block)
@@ -308,6 +308,21 @@ class TestCertifyForward:
         report = ss.certify_forward(t, set0, set1, trials=300, seed=seed)
         assert_same_report(report, reference_certify(t, set0, set1, 300, seed))
 
+    @pytest.mark.parametrize(
+        "dim, trials, seed", [(9, 60, 1), (9, 60, 2), (12, 40, 3), (16, 30, 4)]
+    )
+    def test_matches_per_trial_reference_at_deep_dims(self, monkeypatch, dim, trials, seed):
+        # The benchmark's deep dimensions, full-rank states: the screen slack
+        # grows with d, and so does the kernels' disagreement.
+        states = tuple(ss.random_density(dim, dim, 100 * seed + k) for k in range(5))
+        set0 = ss.StateSet(dim=dim, states=states[:2])
+        set1 = ss.StateSet(dim=dim, states=states[2:])
+        t = ss.solve_saddle(set0, set1, ss.SolverConfig(target_gap=1e-2)).measurement
+        reference = reference_certify(t, set0, set1, trials, seed)
+        for block in (saddle._CERTIFY_BLOCK, 1):
+            monkeypatch.setattr(saddle, "_CERTIFY_BLOCK", block)
+            assert_same_report(ss.certify_forward(t, set0, set1, trials, seed), reference)
+
     def test_ties_match_per_trial_reference(self):
         # Orthogonal supports, turned by a common unitary: every mixture pair
         # is at distance 1 up to rounding, so the screen cannot order the
@@ -338,3 +353,7 @@ class TestCertifyForward:
         set0, set1 = degenerate_instance
         with pytest.raises(ValueError):
             ss.certify_forward(ss.PovmElement(np.eye(2) / 2.0), set0, set1, trials=0, seed=0)
+        for trials in (0, -3):
+            with pytest.raises(BadConfigError, match="trials must be >= 1"):
+                ss.certify_forward(ss.PovmElement(np.eye(2) / 2.0), set0, set1,
+                                   trials=trials, seed=0)
