@@ -5,6 +5,9 @@ Exit codes: 0 success / converged / certified, 2 solver hit the iteration cap
 without converging, 1 any error.  Stdout carries a human summary; --json
 replaces it with a single deterministic JSON document (no timing fields),
 so repeated runs on identical inputs emit identical bytes.
+
+The commands check nothing themselves: validate prints the verdicts of
+stateio.load_state_verdicts, which validates as the loaders do.
 """
 
 from __future__ import annotations
@@ -19,13 +22,9 @@ import numpy as np
 from . import stateio
 from ._rng import SplitMix64
 from .discrimination import helstrom_measurement, pair_gap, trace_distance
-from .errors import (
-    DimensionMismatchError,
-    InvalidMeasurementError,
-    StatesepError,
-)
+from .errors import InvalidMeasurementError, StatesepError
 from .saddle import SolverConfig, certify_forward, solve_saddle
-from .states import StateSet, mixture_state, random_density, screen_densities, validate_density
+from .states import StateSet, mixture_state, random_density
 
 CERT_TOL = 1e-9
 
@@ -50,34 +49,21 @@ def _parse_weight_flag(text: str) -> list[float]:
 def _cmd_validate(args) -> tuple[int, dict, list[str]]:
     lines: list[str] = []
     sets = []
-    dims: list[int] = []
-    any_bad = False
     for path in (args.set0, args.set1):
-        dim, raw = stateio.load_raw_states(path)
-        dims.append(dim)
+        dim, judged = stateio.load_state_verdicts(path)
         verdicts = []
-        passed = screen_densities([matrix for _, matrix in raw])
-        for k, (label, matrix) in enumerate(raw):
+        for k, (label, exc) in enumerate(judged):
             name = f"state {k}" + (f" ({label})" if label else "")
-            try:
-                if not passed[k]:
-                    validate_density(matrix)
-                verdicts.append({"index": k, "label": label, "ok": True, "error": None})
-                lines.append(f"{path}: {name}: ok")
-            except StatesepError as exc:
-                any_bad = True
-                verdicts.append(
-                    {"index": k, "label": label, "ok": False,
-                     "error": f"{type(exc).__name__}: {exc}"}
-                )
-                lines.append(f"{path}: {name}: {type(exc).__name__}: {exc}")
+            error = None if exc is None else f"{type(exc).__name__}: {exc}"
+            verdicts.append({"index": k, "label": label, "ok": exc is None, "error": error})
+            lines.append(f"{path}: {name}: {error or 'ok'}")
         sets.append({"path": path, "dim": dim, "states": verdicts})
-    dims_match = dims[0] == dims[1]
-    if not dims_match:
-        any_bad = True
-        lines.append(f"dimension mismatch: {dims[0]} vs {dims[1]}")
-    payload = {"sets": sets, "dims_match": dims_match, "ok": not any_bad}
-    return (1 if any_bad else 0), payload, lines
+    dim0, dim1 = sets[0]["dim"], sets[1]["dim"]
+    if dim0 != dim1:
+        lines.append(f"dimension mismatch: {dim0} vs {dim1}")
+    ok = dim0 == dim1 and all(v["ok"] for s in sets for v in s["states"])
+    payload = {"sets": sets, "dims_match": dim0 == dim1, "ok": ok}
+    return (0 if ok else 1), payload, lines
 
 
 def _cmd_solve(args) -> tuple[int, dict, list[str]]:
@@ -157,10 +143,6 @@ def _cmd_certify(args) -> tuple[int, dict, list[str]]:
     except StatesepError as exc:
         # stateio's errors already name the file.
         raise InvalidMeasurementError(str(exc)) from exc
-    if t.dim != set0.dim:
-        raise DimensionMismatchError(
-            f"measurement dim {t.dim} != state dim {set0.dim}"
-        )
     report = certify_forward(t, set0, set1, trials=args.trials, seed=args.seed)
     certified = report.max_violation <= CERT_TOL
     payload = {
@@ -233,8 +215,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="compute the optimal separation margin")
     p.add_argument("set0")
     p.add_argument("set1")
-    p.add_argument("--rounds", type=int, default=20000, help="iteration cap")
-    p.add_argument("--gap", type=float, default=1e-4, help="target duality gap")
+    p.add_argument("--rounds", type=int, default=SolverConfig.max_rounds, help="iteration cap")
+    p.add_argument("--gap", type=float, default=SolverConfig.target_gap, help="target duality gap")
     p.add_argument("--out", default=None, help="write the witness measurement here")
 
     p = sub.add_parser("distance", parents=[common],

@@ -76,13 +76,13 @@ def as_matrix(m) -> np.ndarray:
     return a
 
 
-def check_hermitian(m, tol: float = HERMITICITY_TOL) -> np.ndarray:
-    """Return the input as a matrix, raising NotHermitianError beyond `tol`."""
+def check_hermitian(m) -> np.ndarray:
+    """Return the input as a matrix, raising NotHermitianError beyond HERMITICITY_TOL."""
     a = as_matrix(m)
     asym = float(np.abs(a - a.conj().T).max())
-    if not asym <= tol:
+    if not asym <= HERMITICITY_TOL:
         raise NotHermitianError(
-            f"max entry asymmetry {asym:.3e} exceeds tolerance {tol:.1e}"
+            f"max entry asymmetry {asym:.3e} exceeds tolerance {HERMITICITY_TOL:.1e}"
         )
     return a
 

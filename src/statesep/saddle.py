@@ -301,13 +301,16 @@ def certify_forward(
     section 4.7) and hermitian_eig's stopping rule, and the two ways of
     summing a mixture (_screen_slack), so the report is the one a
     trial-by-trial loop with trace_distance gives; normally a single trial
-    is recomputed.  trials below 1 raises BadConfigError.
+    is recomputed.  The arguments are checked in order: a measurement of
+    another dimension than set0's raises DimensionMismatchError, trials
+    below 1 BadConfigError, and sets of different dimensions
+    DimensionMismatchError.
     """
+    if t.dim != set0.dim:
+        raise DimensionMismatchError(f"measurement dim {t.dim} != state dim {set0.dim}")
     if trials < 1:
         raise BadConfigError(f"trials must be >= 1, got {trials}")
     _check_instance(set0, set1)
-    if t.dim != set0.dim:
-        raise DimensionMismatchError(f"measurement dim {t.dim} != set dim {set0.dim}")
     margin = min_separation_gap(t, set0, set1)
     rng = SplitMix64(seed)
     l0, l1, d = len(set0), len(set1), set0.dim

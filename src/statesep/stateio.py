@@ -19,6 +19,10 @@ finiteness once, then view the result as an (n, d, d) complex stack.  If
 any check fails, the whole file is parsed again by the per-entry loop
 (parse_matrix), the only code that words a parse error, so the first
 error, its state index and its message are those of that loop alone.
+
+The parsed states are validated in one pass (_screened), from which
+load_state_set and load_single_state raise the first invalid state's
+error and load_state_verdicts (`statesep validate`) returns every state's.
 """
 
 from __future__ import annotations
@@ -305,50 +309,54 @@ def _read_states(path: str) -> tuple[int, list[str | None], np.ndarray]:
     return dim, labels, np.stack(matrices)
 
 
-def load_raw_states(path: str) -> tuple[int, list[tuple[str | None, np.ndarray]]]:
-    """Schema-level parse of a state-set file; no physics validation.
+def _screened(stack: np.ndarray):
+    """Each state of an (n, d, d) stack, in order, as a DensityMatrix or its StatesepError.
 
-    Returns (dim, [(label, matrix), ...]), each matrix a view of one stack
-    parsed in a single array pass.  Shape problems raise ParseError, worded
-    by the per-entry parse (parse_matrix) exactly as if every state had
-    gone through it; whether each matrix is a valid state is left to the
-    caller.
+    One screen_densities call covers the stack; the states it passes are
+    wrapped as parsed, and each other one goes through validate_density
+    when the caller asks for it, so stopping at the first error validates
+    no later state.  Each item is what validate_density gives on its state.
     """
-    dim, labels, stack = _read_states(path)
-    return dim, list(zip(labels, stack))
+    for matrix, ok in zip(stack, screen_densities(stack)):
+        if ok:
+            yield DensityMatrix(matrix)
+            continue
+        try:
+            yield validate_density(matrix)
+        except StatesepError as exc:
+            yield exc
 
 
 def _densities(path: str, stack: np.ndarray) -> list[DensityMatrix]:
-    """The parsed (n, d, d) stack as states, or the first invalid one's error.
-
-    The states that screen_densities passes are wrapped as parsed; every
-    other one goes through validate_density, in file order, and the first
-    error is raised with the path and state index prefixed.  States and
-    error are those of validating each state in turn.
-    """
+    """The stack's states, or the first invalid one's error with the path and state index prefixed."""
     states = []
-    for k, (matrix, ok) in enumerate(zip(stack, screen_densities(stack))):
-        if ok:
-            states.append(DensityMatrix(matrix))
-            continue
-        try:
-            states.append(validate_density(matrix))
-        except StatesepError as exc:
-            raise type(exc)(f"{path}: state {k}: {exc}") from exc
+    for k, state in enumerate(_screened(stack)):
+        if isinstance(state, StatesepError):
+            raise type(state)(f"{path}: state {k}: {state}") from state
+        states.append(state)
     return states
+
+
+def load_state_verdicts(path: str) -> tuple[int, list[tuple[str | None, StatesepError | None]]]:
+    """Parse a state-set file and judge every state: (dim, [(label, error), ...]).
+
+    The file is parsed as load_state_set parses it, and a parse error is
+    raised.  Each state's error is the one validate_density raises on it
+    alone, unprefixed, or None for a valid state; every state is judged,
+    not only up to the first invalid one.
+    """
+    dim, labels, stack = _read_states(path)
+    verdicts = [state if isinstance(state, StatesepError) else None for state in _screened(stack)]
+    return dim, list(zip(labels, verdicts))
 
 
 def load_state_set(path: str) -> StateSet:
     """Parse and fully validate a state-set file.
 
-    Every matrix is parsed in one array pass into one (n, d, d) stack; a
-    file that fails any check of that pass is parsed again entry by entry,
-    which words the first error exactly as it always has.  Every state of
-    the stack is then proved valid in one screen_densities call over the
-    whole set (a shifted Cholesky certificate, no eigendecomposition), or
-    else checked by validate_density, whose error names the path and the
-    state index; the set, or the error, is that of validating each state
-    in turn.
+    The states are parsed in one array pass and validated by _screened;
+    the first invalid state's error is raised with the path and state
+    index prefixed, so the set, or the error, is that of validating each
+    state in turn.
     """
     dim, labels, stack = _read_states(path)
     states = _densities(path, stack)

@@ -39,7 +39,20 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class DensityMatrix:
+class _Operator:
+    """A frozen (d, d) complex128 matrix; the dataclass checks nothing else."""
+
+    matrix: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "matrix", _freeze(self.matrix))
+
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[0]
+
+
+class DensityMatrix(_Operator):
     """Hermitian, positive semidefinite, unit-trace operator.
 
     Construct through validate_density, which checks a matrix from outside
@@ -50,28 +63,9 @@ class DensityMatrix:
     unchecked.  The dataclass itself only freezes the underlying array.
     """
 
-    matrix: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", _freeze(self.matrix))
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-
-@dataclass(frozen=True)
-class PovmElement:
+class PovmElement(_Operator):
     """Hermitian operator with spectrum in [0, 1] (a single measurement effect)."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", _freeze(self.matrix))
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
 
 
 @dataclass(frozen=True)
@@ -100,7 +94,10 @@ class StateSet:
                 raise LengthMismatchError(
                     f"{len(labels)} labels for {len(states)} states"
                 )
-        object.__setattr__(self, "_stack", _freeze(np.stack([r.matrix for r in states])))
+        # Every state's matrix is complex128, so the fresh stack needs no copy.
+        stack = np.stack([r.matrix for r in states])
+        stack.setflags(write=False)
+        object.__setattr__(self, "_stack", stack)
 
     def __len__(self) -> int:
         return len(self.states)
@@ -363,12 +360,7 @@ def random_density(dim: int, rank: int, seed: int) -> DensityMatrix:
         raise BadRankError(f"dimension must be >= 1, got {dim}")
     if not 1 <= rank <= dim:
         raise BadRankError(f"rank {rank} outside 1..{dim}")
-    rng = SplitMix64(seed)
-    g = np.empty((dim, rank), dtype=np.complex128)
-    for i in range(dim):
-        for j in range(rank):
-            re, im = rng.normal_pair()
-            g[i, j] = complex(re, im)
+    g = np.array(SplitMix64(seed).normals(2 * dim * rank)).view(np.complex128).reshape(dim, rank)
     gram = g @ g.conj().T
     rho = gram / gram.diagonal().real.sum()
     # hermitian_eig's eigenvalues lie within 1e-13 * max(1, ||rho||_F) of the

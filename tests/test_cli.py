@@ -174,6 +174,11 @@ class TestDistance:
         assert run_cli("distance", files["basis"], files["mixed"], "--mu0", "1") == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_unparsable_weights_exit_1(self, files, capsys):
+        assert run_cli("distance", files["basis"], files["mixed"], "--mu0", "a,b") == 1
+        assert capsys.readouterr().err == (
+            "error: cannot parse weights 'a,b': could not convert string to float: 'a'\n")
+
     @pytest.mark.parametrize("flag, index", [("nan,1", 0), ("1,inf", 1), ("-inf,1", 0)])
     def test_non_finite_weight_named(self, files, capsys, flag, index):
         assert run_cli("distance", files["basis"], files["mixed"], f"--mu0={flag}") == 1
@@ -237,6 +242,15 @@ class TestCertify:
         assert run_cli("certify", files["basis"], files["mixed"], str(t_path)) == 1
         assert capsys.readouterr().err == (
             f"error: {t_path}: eigenvalue 1.2 outside [-1.0e-09, 1.000000001]\n")
+
+    @pytest.mark.parametrize("trials", ["1000", "0"])
+    def test_measurement_of_wrong_dimension_exit_1(self, files, capsys, tmp_path, trials):
+        # Checked before the trial count and the sets' dimensions.
+        t_path = tmp_path / "T.json"
+        stateio.save_measurement(str(t_path), ss.PovmElement(np.eye(3) / 2.0))
+        code = run_cli("certify", files["basis"], files["mixed"], str(t_path), "--trials", trials)
+        assert code == 1
+        assert capsys.readouterr() == ("", "error: measurement dim 3 != state dim 2\n")
 
     def test_malformed_measurement_names_file_once(self, files, capsys):
         # A state-set file has no "matrix"; the parse error names the file.

@@ -93,6 +93,18 @@ class TestAgainstHighs:
         check_against_highs(np.full((3, 4), 0.5), np.full((2, 4), 0.5), False)
 
 
+class TestBlandFromFirstPivot(TestAgainstHighs):
+    """The same LPs with Bland's rule pricing from the first pivot.
+
+    The fallback otherwise prices only after _DEGENERATE_RUN degenerate
+    pivots in a row, which none of these LPs reaches.
+    """
+
+    @pytest.fixture(autouse=True)
+    def _bland_at_once(self, monkeypatch):
+        monkeypatch.setattr(_master, "_DEGENERATE_RUN", 0)
+
+
 def test_pivot_cap_raises(monkeypatch):
     monkeypatch.setattr(_master, "_MAX_PIVOTS", 0)
     with pytest.raises(NoConvergenceError, match="0 pivots"):

@@ -650,8 +650,8 @@ def test_array_pass_agrees_with_parse_matrix_bit_for_bit(dim, count, data):
         path = os.path.join(tmp, "s.json")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
-        _, raw = stateio.load_raw_states(path)
-    assert np.array([m for _, m in raw]).tobytes() == stack.tobytes()
+        _, _, loaded = stateio._read_states(path)
+    assert loaded.tobytes() == stack.tobytes()
 
 
 # --- the writers write the bytes the generic dumps writes ---
@@ -679,10 +679,10 @@ def test_writers_write_the_bytes_dumps_writes(dim, count, data):
             set_bytes = fh.read()
         with open(t_path, "rb") as fh:
             t_bytes = fh.read()
-        _, raw = stateio.load_raw_states(set_path)
+        _, loaded_labels, loaded = stateio._read_states(set_path)
     assert set_bytes == (stateio.dumps(stateio.state_set_to_jsonable(sset)) + "\n").encode()
     assert t_bytes == (stateio.dumps(stateio.measurement_to_jsonable(t)) + "\n").encode()
-    assert [label for label, _ in raw] == (list(names) if names is not None else [None] * count)
-    assert np.array([m for _, m in raw]).tobytes() == sset.stack().tobytes()
+    assert loaded_labels == (list(names) if names is not None else [None] * count)
+    assert loaded.tobytes() == sset.stack().tobytes()
     back = stateio.parse_matrix(json.loads(t_bytes)["matrix"], dim, "T")
     assert back.tobytes() == t.matrix.tobytes()

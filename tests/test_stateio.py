@@ -146,6 +146,14 @@ class TestParsing:
         with pytest.raises(ParseError, match="dim"):
             stateio.load_state_set(str(p))
 
+    @pytest.mark.parametrize("load", [stateio.load_state_set, stateio.load_measurement])
+    def test_top_level_array_rejected(self, tmp_path, load):
+        p = tmp_path / "s.json"
+        p.write_text("[1, 2]", encoding="utf-8")
+        with pytest.raises(ParseError) as info:
+            load(str(p))
+        assert str(info.value) == f"{p}: top level must be an object"
+
     def test_invalid_state_names_index(self, tmp_path):
         doc = {
             "dim": 2,

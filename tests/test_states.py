@@ -171,6 +171,8 @@ class TestStateSet:
     def test_non_empty(self):
         with pytest.raises(EmptySetError):
             ss.StateSet(dim=2, states=())
+        with pytest.raises(EmptySetError, match="^state set must contain at least one state$"):
+            ss.StateSet.from_matrices([])
 
     def test_label_count(self):
         with pytest.raises(LengthMismatchError):
