@@ -7,10 +7,13 @@ _jacobi.  Every eigenvalue behind a number that the solver, certify or
 the CLI reports comes from it, so none rests on the numpy eigensolvers
 used as oracles in the tests.  LAPACK serves only where its output is
 not reported: certify_forward ranks its sampled trials with numpy's
-eigvalsh and recomputes the closest ones here, and the LP master
-(_master.py) inverts its basis with np.linalg.inv to choose weights that
-the solver then evaluates exactly.  The grid oracles (oracles.py) use
-eigvalsh on purpose, as a reference independent of this module.
+eigvalsh and recomputes the closest ones here; solve_saddle chooses each
+cut from numpy's eigh of its query and recomputes here the distance of
+every query that could lower the upper bound, so every reported upper
+bound is a value of this kernel; and the LP master (_master.py) inverts
+its basis with np.linalg.inv to choose weights that the solver then
+evaluates exactly.  The grid oracles (oracles.py) use eigvalsh on
+purpose, as a reference independent of this module.
 
 hermitian_eig serves every matrix at every dimension.  Its kernel rotates
 rows and columns kept as Python lists of native complex numbers.  Up to

@@ -12,9 +12,13 @@ solve_saddle minimizes f(mu0, mu1) = trace distance of the two mixtures,
 f(mu) = max_{0 <= T <= I} Tr(T Delta(mu)), by Kelley's cutting-plane
 method (Kelley 1960), which for this game is the double oracle of
 McMahan, Gordon & Blum (2003).  Each iteration queries one mixture pair:
-one Hermitian eigendecomposition of Delta(mu) gives f(mu) exactly, a
-certified upper bound on eps*, and the positive-part projector T_k that
-attains it, the new cut.  Every cut is a linear minorant of f, so the
+LAPACK's eigendecomposition of Delta(mu) (numpy's eigh) gives the
+positive-part projector T_k, the new cut, and a screened value of f(mu).
+Where that value leaves room to beat the best upper bound so far,
+hermitian_eig recomputes f(mu) exactly, and only such a value becomes the
+certified upper bound on eps*; the screen's slack (_screen_slack's kernel
+term) covers both eigensolvers' error, so no query that could lower the
+bound is skipped.  Every cut is a linear minorant of f, so the
 master problem, min over mu of max_k Tr(T_k Delta(mu)), is a linear
 program; its optimal mixtures are the next query.  The solver works on
 the LP's dual, max over weights w on the cuts of the worst pair gap of
@@ -26,8 +30,10 @@ LP duality makes the master's value the worst pair gap of the measurement
 sum_k w_k T_k.  That measurement is a convex combination of projectors,
 so it is a valid POVM element analytically, and its worst pair gap,
 evaluated exactly, is the certified lower bound.  Neither bound rests on
-the LP being solved exactly: a poor master solution only slows the
-convergence of the duality gap, the convergence certificate.
+the LP being solved exactly, nor on LAPACK's cuts being exact: like the
+master's weights, a cut only chooses the next measurement, and a poor
+one only slows the convergence of the duality gap, the convergence
+certificate.
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.linalg import eigvalsh
+from numpy.linalg import eigh, eigvalsh
 
 from ._master import Master
 from ._rng import SplitMix64
@@ -52,7 +58,9 @@ from .states import WEIGHT_SUM_TOL, PovmElement, StateSet, mixture_state
 _CERTIFY_BLOCK = 1 << 14
 # Screened distances within _screen_slack(d, l0 + l1) of the smallest are
 # recomputed exactly; this is the share of eigvalsh and hermitian_eig in
-# it per unit of d.
+# it per unit of d.  solve_saddle screens each query's distance with the
+# kernel term alone, d * _SCREEN_SLACK: its screen and hermitian_eig see
+# the same matrix.
 _SCREEN_SLACK = 4e-13
 
 
@@ -83,6 +91,10 @@ def _screen_slack(d: int, states: int) -> float:
     least exact distance screens within 2e of the least screened
     distance.  The slack is 2e, with 3 in place of 2 sqrt(2) to spare for
     weights and entries that exceed 1 by validation's 1e-9 tolerances.
+
+    solve_saddle uses the kernel term alone, d * _SCREEN_SLACK: it gives
+    eigh and hermitian_eig the same matrix, so only the kernels' errors
+    separate a query's screened distance from its hermitian_eig one.
     """
     return d * (_SCREEN_SLACK + 3.0 * math.sqrt(d) * (states + 1) * 2.0 ** -53)
 
@@ -91,9 +103,11 @@ def _screen_slack(d: int, states: int) -> float:
 class SolverConfig:
     """Limits for solve_saddle.
 
-    max_rounds caps the cutting-plane iterations (one eigendecomposition
-    and one master re-solve each); target_gap, finite and positive, is the
-    duality gap at which the solve stops.  The solver is deterministic.
+    max_rounds caps the cutting-plane iterations: one LAPACK
+    eigendecomposition and one master re-solve each, and a hermitian_eig
+    one wherever the query can lower the upper bound.  target_gap, finite
+    and positive, is the duality gap at which the solve stops.  The solver
+    is deterministic.
     """
 
     max_rounds: int = 20000
@@ -217,16 +231,20 @@ def solve_saddle(
 
     for t in range(1, cfg.max_rounds + 1):
         rounds_used = t
-        # One eigendecomposition yields the query's trace distance (an
-        # upper bound) and the projector attaining it (the new cut).
+        # LAPACK's eigendecomposition of the query's mixture difference
+        # chooses the new cut, its positive-part projector.  Its trace
+        # distance, an upper bound, is recomputed with hermitian_eig only
+        # where the screened one leaves room to beat the best so far.
         diff = (mu0 @ flat0 - mu1 @ flat1).reshape(d, d)
-        dec = hermitian_eig((diff + diff.conj().T) / 2.0)
-        value = float(0.5 * np.abs(dec.eigenvalues).sum())
-        if value < best_upper:
-            best_upper = value
-            best_mu0 = mu0
-            best_mu1 = mu1
-        cols = dec.eigenvectors[:, dec.eigenvalues > POSITIVE_CUTOFF]
+        h = (diff + diff.conj().T) / 2.0
+        lam, vecs = eigh(h)
+        if 0.5 * np.abs(lam).sum() <= best_upper + d * _SCREEN_SLACK:
+            value = float(0.5 * np.abs(hermitian_eig(h).eigenvalues).sum())
+            if value < best_upper:
+                best_upper = value
+                best_mu0 = mu0
+                best_mu1 = mu1
+        cols = vecs[:, lam > POSITIVE_CUTOFF]
         add_cut(cols @ cols.conj().T)
 
         weights, next_mu0, next_mu1 = master.solve()

@@ -27,6 +27,7 @@ error and load_state_verdicts (`statesep validate`) returns every state's.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import re
@@ -55,12 +56,7 @@ def format_float(x: float) -> str:
     (plain "-0" would come back as integer zero and lose the sign bit).
     JSON has no infinities or NaN, so those raise ValueError.
     """
-    if not math.isfinite(x):
-        raise ValueError(f"{x!r} is not finite and has no JSON form")
-    s = format(float(x), ".17g")
-    if not any(ch in s for ch in ".eE"):
-        s += ".0"
-    return s
+    return _float_texts([x])[0]
 
 
 def _is_leaf_dict(obj) -> bool:
@@ -80,24 +76,37 @@ def dumps(obj: Any, indent: int = 0) -> str:
     """Serialize to JSON with deterministic float formatting.
 
     Dicts keep insertion order; dicts of scalars render on one line so a
-    matrix row stays on one line.
+    matrix row stays on one line.  Floats are written as format_float
+    writes them, all at once: the document is laid out as one %-template
+    with a slot for each float, and _float_texts fills the slots.
     """
+    floats: list = []
+    template = _layout(obj, indent, floats)
+    return template % tuple(_float_texts(floats))
+
+
+def _layout(obj: Any, indent: int, floats: list) -> str:
+    """dumps' text with "%s" for each float, appended to `floats` in order."""
+    if isinstance(obj, (float, np.floating)):
+        floats.append(obj)
+        return "%s"
     pad = " " * indent
     inner = " " * (indent + 2)
     if isinstance(obj, dict):
         if not obj:
             return "{}"
         if _is_leaf_dict(obj):
-            parts = [f"{json.dumps(k)}: {dumps(v)}" for k, v in obj.items()]
+            parts = [f"{_key(k)}: {_layout(v, 0, floats)}" for k, v in obj.items()]
             return "{" + ", ".join(parts) + "}"
-        lines = [f"{inner}{json.dumps(k)}: {dumps(v, indent + 2)}" for k, v in obj.items()]
+        lines = [f"{inner}{_key(k)}: {_layout(v, indent + 2, floats)}"
+                 for k, v in obj.items()]
         return "{\n" + ",\n".join(lines) + f"\n{pad}}}"
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
         if _is_inline_list(obj):
-            return "[" + ", ".join(dumps(v) for v in obj) + "]"
-        lines = [f"{inner}{dumps(v, indent + 2)}" for v in obj]
+            return "[" + ", ".join([_layout(v, 0, floats) for v in obj]) + "]"
+        lines = [f"{inner}{_layout(v, indent + 2, floats)}" for v in obj]
         return "[\n" + ",\n".join(lines) + f"\n{pad}]"
     if isinstance(obj, bool):
         return "true" if obj else "false"
@@ -105,11 +114,34 @@ def dumps(obj: Any, indent: int = 0) -> str:
         return "null"
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return format_float(float(obj))
     if isinstance(obj, str):
-        return json.dumps(obj)
+        return _string(obj)
     raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def _string(obj) -> str:
+    # A key or string as JSON, its "%" doubled for the template.
+    return json.dumps(obj).replace("%", "%%")
+
+
+# The payloads' keys are few and repeat in every row.
+_key = functools.lru_cache(maxsize=256, typed=True)(_string)
+
+
+def _float_texts(values: list) -> list[str]:
+    """format_float of each value, by one %-template and one pass over its lines.
+
+    "%.17g" writes 17 significant digits; the pass adds ".0" to a line with
+    no "." and no exponent.  The first non-finite value raises ValueError.
+    """
+    xs = [float(v) for v in values]
+    if not all(map(math.isfinite, xs)):
+        x = next(x for x in xs if not math.isfinite(x))
+        raise ValueError(f"{x!r} is not finite and has no JSON form")
+    if not xs:
+        return []
+    lines = ("\n".join(["%.17g"] * len(xs)) % tuple(xs)).split("\n")
+    return [s if "." in s or "e" in s else s + ".0" for s in lines]
 
 
 def matrix_to_jsonable(matrix: np.ndarray) -> list:

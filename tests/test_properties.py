@@ -22,6 +22,7 @@ import json
 import os
 import tempfile
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import statesep as ss
-from statesep import cli, hermitian, stateio
+from statesep import cli, hermitian, saddle, stateio
 from statesep.errors import ParseError
 
 from conftest import assert_same_report, random_instance, reference_certify
@@ -84,6 +85,38 @@ def test_weak_duality_at_every_checkpoint(seed):
     rho = ss.mixture_state(res.best_mu0, set0)
     sigma = ss.mixture_state(res.best_mu1, set1)
     assert abs(ss.trace_distance(rho, sigma) - res.upper_bound) <= 1e-9
+
+
+def jacobi_distance(h):
+    return float(0.5 * np.abs(hermitian.hermitian_eig(h).eigenvalues).sum())
+
+
+@EXAMPLES
+@given(seeds)
+def test_upper_bound_is_the_least_jacobi_distance_of_all_queries(seed):
+    # LAPACK's eigh sees every query; the screen may skip hermitian_eig only
+    # where it cannot lower the bound, so every reported upper bound is the
+    # least hermitian_eig distance of the queries up to its round.  The
+    # tight target runs on to queries that improve the bound by little.
+    set0, set1 = small_instance(seed)
+    queries = []
+    original = saddle.eigh
+
+    def recorded(h):
+        queries.append(h.copy())
+        return original(h)
+
+    with mock.patch.object(saddle, "eigh", recorded):
+        res = ss.solve_saddle(set0, set1, ss.SolverConfig(max_rounds=500, target_gap=1e-7))
+    values = [jacobi_distance(h) for h in queries]
+    assert len(values) == res.rounds_used == len(res.trace)
+    assert res.upper_bound == min(values)
+    for point in res.trace:
+        assert point.upper_bound == min(values[:point.round])
+    d = set0.dim
+    diff = (res.best_mu0 @ set0.stack().reshape(len(set0), d * d)
+            - res.best_mu1 @ set1.stack().reshape(len(set1), d * d)).reshape(d, d)
+    assert jacobi_distance((diff + diff.conj().T) / 2.0) == res.upper_bound
 
 
 @EXAMPLES
@@ -660,12 +693,87 @@ written_numbers = st.one_of(
     st.sampled_from([0.0, -0.0, 1.0, 1e16, 1e17, 5e-324, 123456.789]),
     st.floats(allow_nan=False, allow_infinity=False),
 )
-labels = st.one_of(st.text(), st.text(alphabet=st.sampled_from('a"\\é€\n\U0001f600 ')))
+labels = st.one_of(st.text(), st.text(alphabet=st.sampled_from('a"\\é€\n\U0001f600 %')))
+
+
+def reference_float(x):
+    # 17 significant digits, and ".0" where they read as an integer.
+    s = format(float(x), ".17g")
+    return s if any(ch in s for ch in ".eE") else s + ".0"
+
+
+def recursive_dumps(obj, indent=0):
+    """dumps as one recursive call per value, each float by reference_float."""
+    pad = " " * indent
+    inner = " " * (indent + 2)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        if stateio._is_leaf_dict(obj):
+            return "{" + ", ".join(f"{json.dumps(k)}: {recursive_dumps(v)}"
+                                   for k, v in obj.items()) + "}"
+        lines = [f"{inner}{json.dumps(k)}: {recursive_dumps(v, indent + 2)}"
+                 for k, v in obj.items()]
+        return "{\n" + ",\n".join(lines) + f"\n{pad}}}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        if stateio._is_inline_list(obj):
+            return "[" + ", ".join(recursive_dumps(v) for v in obj) + "]"
+        lines = [f"{inner}{recursive_dumps(v, indent + 2)}" for v in obj]
+        return "[\n" + ",\n".join(lines) + f"\n{pad}]"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if obj is None:
+        return "null"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return reference_float(obj)
+    return json.dumps(obj)
+
+
+def cli_payloads(dim):
+    """`solve --json` and `certify --json` documents, as cli.run builds them."""
+    numbers = st.lists(written_numbers, max_size=6)
+    paths = labels
+    solve_inputs = st.fixed_dictionaries({
+        "set0": paths, "set1": paths, "rounds": st.integers(1, 20000),
+        "gap": written_numbers, "out": st.none() | paths})
+    checkpoint = st.fixed_dictionaries({
+        "round": st.integers(1, 20000), "lower_bound": written_numbers,
+        "upper_bound": written_numbers, "gap": written_numbers})
+    matrix = hnp.arrays(np.complex128, (dim, dim), elements=st.complex_numbers(
+        allow_nan=False, allow_infinity=False)).map(stateio.matrix_to_jsonable)
+    solve_result = st.fixed_dictionaries({
+        "lower_bound": written_numbers, "upper_bound": written_numbers,
+        "gap": written_numbers, "converged": st.booleans(),
+        "rounds_used": st.integers(1, 20000), "mu0": numbers, "mu1": numbers,
+        "best_mu0": numbers, "best_mu1": numbers,
+        "trace": st.lists(checkpoint, max_size=4), "measurement": matrix,
+    }, optional={"out": paths})
+    certify_inputs = st.fixed_dictionaries({
+        "set0": paths, "set1": paths, "measurement": paths,
+        "trials": st.integers(1, 10**6), "seed": st.integers(0, 2**64 - 1)})
+    certify_result = st.fixed_dictionaries({
+        "margin": written_numbers, "max_violation": written_numbers,
+        "min_distance": written_numbers, "trials": st.integers(1, 10**6),
+        "worst_mu0": numbers, "worst_mu1": numbers, "certified": st.booleans()})
+    return st.one_of(
+        st.fixed_dictionaries({"command": st.just("solve"), "inputs": solve_inputs,
+                               "result": solve_result}),
+        st.fixed_dictionaries({"command": st.just("certify"), "inputs": certify_inputs,
+                               "result": certify_result}),
+    )
 
 
 @settings(max_examples=100)
 @given(st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=4), st.data())
 def test_writers_write_the_bytes_dumps_writes(dim, count, data):
+    # The writers and dumps write the bytes of the recursive reference, and
+    # so do the CLI's --json documents.
+    payload = data.draw(cli_payloads(dim))
+    assert stateio.dumps(payload) == recursive_dumps(payload)
     parts = data.draw(hnp.arrays(np.float64, (count, dim, dim, 2), elements=written_numbers))
     stack = parts.view(np.complex128)[..., 0]
     names = data.draw(st.none() | st.lists(labels, min_size=count, max_size=count))
@@ -680,6 +788,8 @@ def test_writers_write_the_bytes_dumps_writes(dim, count, data):
         with open(t_path, "rb") as fh:
             t_bytes = fh.read()
         _, loaded_labels, loaded = stateio._read_states(set_path)
+    assert set_bytes == (recursive_dumps(stateio.state_set_to_jsonable(sset)) + "\n").encode()
+    assert t_bytes == (recursive_dumps(stateio.measurement_to_jsonable(t)) + "\n").encode()
     assert set_bytes == (stateio.dumps(stateio.state_set_to_jsonable(sset)) + "\n").encode()
     assert t_bytes == (stateio.dumps(stateio.measurement_to_jsonable(t)) + "\n").encode()
     assert loaded_labels == (list(names) if names is not None else [None] * count)

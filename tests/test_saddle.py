@@ -6,6 +6,7 @@ import pytest
 
 import statesep as ss
 from statesep import saddle
+from statesep._rng import SplitMix64
 from statesep.errors import BadConfigError, DimensionMismatchError, EmptySetError
 
 from conftest import (
@@ -229,6 +230,32 @@ class TestMinMixtureDistance:
             ss.mixture_state(res.best_mu0, set0), ss.mixture_state(res.best_mu1, set1)
         )
         assert dist == pytest.approx(res.upper_bound, abs=1e-9)
+
+    def test_jacobi_runs_only_on_queries_that_can_lower_the_bound(self, monkeypatch):
+        # The deep benchmark's base instances (d = 9, 12, 16).  LAPACK's eigh
+        # chooses every cut; hermitian_eig runs only on the queries that can
+        # lower the upper bound, fewer than there are iterations.
+        calls = []
+        original = saddle.hermitian_eig
+
+        def counted(m):
+            calls.append(1)
+            return original(m)
+
+        monkeypatch.setattr(saddle, "hermitian_eig", counted)
+        cfg = ss.SolverConfig(max_rounds=1000, target_gap=1e-2)
+        total_calls = total_rounds = 0
+        for dim, l0, l1, base_seed in ((9, 2, 3, 9000), (12, 3, 2, 9002), (16, 2, 3, 9002)):
+            rng = SplitMix64(base_seed)
+            base = [ss.random_density(dim, dim, rng.next_uint64()) for _ in range(l0 + l1)]
+            calls.clear()
+            res = ss.solve_saddle(ss.StateSet(dim=dim, states=tuple(base[:l0])),
+                                  ss.StateSet(dim=dim, states=tuple(base[l0:])), cfg)
+            assert res.converged
+            assert len(calls) <= res.rounds_used
+            total_calls += len(calls)
+            total_rounds += res.rounds_used
+        assert total_calls < total_rounds
 
 
 class TestCertifyForward:
