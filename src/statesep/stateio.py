@@ -27,10 +27,8 @@ error and load_state_verdicts (`statesep validate`) returns every state's.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
-import re
 from typing import Any
 
 import numpy as np
@@ -76,37 +74,25 @@ def dumps(obj: Any, indent: int = 0) -> str:
     """Serialize to JSON with deterministic float formatting.
 
     Dicts keep insertion order; dicts of scalars render on one line so a
-    matrix row stays on one line.  Floats are written as format_float
-    writes them, all at once: the document is laid out as one %-template
-    with a slot for each float, and _float_texts fills the slots.
+    matrix row stays on one line.  The floats of each one-line list or
+    dict are formatted together by one _float_texts call.
     """
-    floats: list = []
-    template = _layout(obj, indent, floats)
-    return template % tuple(_float_texts(floats))
-
-
-def _layout(obj: Any, indent: int, floats: list) -> str:
-    """dumps' text with "%s" for each float, appended to `floats` in order."""
-    if isinstance(obj, (float, np.floating)):
-        floats.append(obj)
-        return "%s"
     pad = " " * indent
     inner = " " * (indent + 2)
     if isinstance(obj, dict):
         if not obj:
             return "{}"
         if _is_leaf_dict(obj):
-            parts = [f"{_key(k)}: {_layout(v, 0, floats)}" for k, v in obj.items()]
-            return "{" + ", ".join(parts) + "}"
-        lines = [f"{inner}{_key(k)}: {_layout(v, indent + 2, floats)}"
-                 for k, v in obj.items()]
+            texts = _scalar_texts(list(obj.values()))
+            return "{" + ", ".join([f"{json.dumps(k)}: {t}" for k, t in zip(obj, texts)]) + "}"
+        lines = [f"{inner}{json.dumps(k)}: {dumps(v, indent + 2)}" for k, v in obj.items()]
         return "{\n" + ",\n".join(lines) + f"\n{pad}}}"
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
         if _is_inline_list(obj):
-            return "[" + ", ".join([_layout(v, 0, floats) for v in obj]) + "]"
-        lines = [f"{inner}{_layout(v, indent + 2, floats)}" for v in obj]
+            return "[" + ", ".join(_scalar_texts(obj)) + "]"
+        lines = [f"{inner}{dumps(v, indent + 2)}" for v in obj]
         return "[\n" + ",\n".join(lines) + f"\n{pad}]"
     if isinstance(obj, bool):
         return "true" if obj else "false"
@@ -114,34 +100,29 @@ def _layout(obj: Any, indent: int, floats: list) -> str:
         return "null"
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return format_float(obj)
     if isinstance(obj, str):
-        return _string(obj)
+        return json.dumps(obj)
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _string(obj) -> str:
-    # A key or string as JSON, its "%" doubled for the template.
-    return json.dumps(obj).replace("%", "%%")
-
-
-# The payloads' keys are few and repeat in every row.
-_key = functools.lru_cache(maxsize=256, typed=True)(_string)
+def _scalar_texts(values) -> list[str]:
+    """dumps of each value, the floats among them by one _float_texts call."""
+    texts = iter(_float_texts([v for v in values if isinstance(v, (float, np.floating))]))
+    return [next(texts) if isinstance(v, (float, np.floating)) else dumps(v) for v in values]
 
 
 def _float_texts(values: list) -> list[str]:
-    """format_float of each value, by one %-template and one pass over its lines.
+    """format_float of each value: "%.17g", and ".0" where that shows no "." or exponent.
 
-    "%.17g" writes 17 significant digits; the pass adds ".0" to a line with
-    no "." and no exponent.  The first non-finite value raises ValueError.
+    The first non-finite value raises ValueError.
     """
-    xs = [float(v) for v in values]
-    if not all(map(math.isfinite, xs)):
-        x = next(x for x in xs if not math.isfinite(x))
+    if not all(map(math.isfinite, values)):
+        x = next(float(v) for v in values if not math.isfinite(v))
         raise ValueError(f"{x!r} is not finite and has no JSON form")
-    if not xs:
-        return []
-    lines = ("\n".join(["%.17g"] * len(xs)) % tuple(xs)).split("\n")
-    return [s if "." in s or "e" in s else s + ".0" for s in lines]
+    texts = ["%.17g" % v for v in values]
+    return [s if "." in s or "e" in s else s + ".0" for s in texts]
 
 
 def matrix_to_jsonable(matrix: np.ndarray) -> list:
@@ -166,29 +147,17 @@ def measurement_to_jsonable(t: PovmElement) -> dict:
     return {"dim": t.dim, "matrix": matrix_to_jsonable(t.matrix)}
 
 
-# One entry of a matrix row; a row of d entries is d of these, formatted at
-# once.  %.17g writes what format_float writes, less the ".0" that
-# _INTEGRAL's pass adds to a value written with no "." and no exponent.
-_ENTRY = '{"re": %.17g, "im": %.17g}'
-_INTEGRAL = re.compile(r"(: -?[0-9]+)(?=[,}])")
-
-
 def _row_lines(stack: np.ndarray, indent: int) -> list[str]:
     """Every row of an (n, d, d) stack, in order, as dumps writes it at `indent`.
 
-    One %-template formats each row and one regex pass over all the rows
-    adds the integral values' ".0", so each line is what dumps gives for
-    matrix_to_jsonable's row.  A non-finite entry raises the ValueError
-    dumps raises.
+    _float_texts formats all the entries at once, raising dumps' ValueError
+    at the first non-finite one, and one template per row fills them in, so
+    each line is what dumps gives for matrix_to_jsonable's row.
     """
     n, d = stack.shape[0], stack.shape[1]
-    parts = stack.view(np.float64).reshape(n * d, 2 * d)
-    finite = np.isfinite(parts)
-    if not finite.all():
-        format_float(float(parts[~finite][0]))  # raises, naming the first in file order
-    template = " " * indent + "[" + ", ".join([_ENTRY] * d) + "]"
-    text = "\n".join([template % tuple(row) for row in parts.tolist()])
-    return _INTEGRAL.sub(r"\1.0", text).split("\n")
+    texts = _float_texts(stack.view(np.float64).ravel().tolist())
+    template = " " * indent + "[" + ", ".join(['{"re": %s, "im": %s}'] * d) + "]"
+    return ("\n".join([template] * (n * d)) % tuple(texts)).split("\n")
 
 
 def save_state_set(path: str, sset: StateSet) -> None:

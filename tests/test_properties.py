@@ -245,11 +245,15 @@ def hermitian_stacks(draw):
 @given(hermitian_stacks())
 def test_batched_eigenvalues_agree_with_both_references(stack):
     # Within 1e-13 * max(1, ||H||_F): each kernel's share of the screen slack.
+    # certify screens with the batched eigvalsh, the solver with one eigh
+    # per query, whose eigenvector path is another LAPACK driver.
     lam = np.linalg.eigvalsh(stack)
     for h, row in zip(stack, lam):
         bound = 1e-13 * max(1.0, np.linalg.norm(h))
-        assert np.abs(row - hermitian.hermitian_eig(h).eigenvalues).max() <= bound
+        jacobi = hermitian.hermitian_eig(h).eigenvalues
+        assert np.abs(row - jacobi).max() <= bound
         assert np.abs(row - np.linalg.eigvalsh(h)).max() <= bound
+        assert np.abs(np.linalg.eigh(h)[0] - jacobi).max() <= bound
 
 
 @EXAMPLES
