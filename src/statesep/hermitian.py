@@ -22,11 +22,14 @@ at d = 4, 2.6x at d = 12, 2x at d = 16); beyond, it costs more, 1.4x the
 sliced rotations' time at d = 48 and about 2x at d = 64, where a solve
 needing thousands of eigendecompositions is impractical with either.
 
-Validating a loaded state or measurement needs no spectrum, only a proof
-that no eigenvalue lies below a floor.  states._lowest_above gives one by
-a shifted Cholesky factorization, and screen_densities and
-screen_povm_element use it; hermitian_eig decomposes only the matrices
-the proof cannot clear, in validate_density and validate_povm_element.
+Validating a state or measurement needs no spectrum, only a proof that
+no eigenvalue lies below a floor.  states._lowest_above gives one by a
+shifted Cholesky factorization, and screen_densities and
+screen_povm_element use it.  hermitian_eig decomposes a state in
+validate_density only at d <= 2, where one rotation is cheaper than the
+proof, or when the proof cannot clear it; loading a set, building one
+with StateSet.from_matrices and loading a measurement decompose only the
+matrices their screen rejects.
 
 hermitian_eig scales a matrix with an entry above 2^500 down by an exact
 power of two before iterating, and its eigenvalues back up, so that the

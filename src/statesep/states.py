@@ -135,8 +135,21 @@ def validate_density(m) -> DensityMatrix:
     Checks run in that order and the first failure is reported:
     NotHermitianError, then NotPositiveError (minimum eigenvalue quoted),
     then BadTraceError (deviation quoted).
+
+    From d = 3 up, a Hermitian matrix first goes through screen_densities,
+    and one it passes is returned with no spectrum computed.  Only a 1 x 1
+    or 2 x 2 matrix, or one the screen cannot clear, is decomposed by
+    hermitian_eig; the screen passes only matrices that clear all three
+    checks, so the result and every error are the same either way.
     """
     a = check_hermitian(m)
+    # Decompose at d <= 2, for two reasons: there one Jacobi rotation costs
+    # less than the screen (0.037 against 0.056 ms a call; from d = 3 the
+    # screen costs less, 0.061 against 0.076 ms, and 0.18 against 8.9 ms at
+    # d = 16), and perfbench/test_tracing.py counts exactly one hermitian_eig
+    # call in validate_density(np.eye(2) / 2).
+    if a.shape[0] >= 3 and screen_densities(a[None])[0]:
+        return DensityMatrix(a)
     dec = hermitian_eig(a)
     lo = float(dec.eigenvalues[0])
     if lo < EIG_FLOOR:
@@ -242,20 +255,28 @@ def screen_densities(matrices) -> np.ndarray:
     passed if the input is not a stack of square matrices.
 
     Every set size takes the screen, a single state included.  Its time
-    per call in ms, with the certificate's share, against a loop of
-    hermitian_eig over the states (all states valid, median of 5 runs of
-    1-200 calls; 2-core machine, Python 3.11.7, numpy 2.4.6):
+    per call in ms, with the certificate's share, against a loop over the
+    states of hermitian_eig and of validate_density, the latter with its
+    own screen off (decomposed) and on (screened) (all states valid and
+    full rank, median of 9 interleaved runs of 2-200 calls; 2-core
+    machine, Python 3.11.7, numpy 2.4.6):
 
-                        screen  certificate  hermitian_eig
-        n = 1,   d = 2   0.07      0.04          0.04
-        n = 1,   d = 4   0.11      0.06          0.17
-        n = 1,   d = 9   0.17      0.12          2.3
-        n = 1,   d = 16  0.28      0.21         14
-        n = 512, d = 2   0.33      0.10         19
-        n = 512, d = 4   0.75      0.25         96
+                                                  validate_density
+                        screen  certificate  hermitian_eig  decomposed  screened
+        n = 1,   d = 2   0.06      0.03          0.03          0.04        0.04
+        n = 1,   d = 3   0.06      0.03          0.06          0.08        0.07
+        n = 1,   d = 4   0.10      0.05          0.17          0.17        0.10
+        n = 1,   d = 9   0.09      0.07          1.4           1.5         0.10
+        n = 1,   d = 16  0.15      0.12          8.7           8.8         0.19
+        n = 512, d = 2   0.31      0.11         17            23          23
+        n = 512, d = 4   0.71      0.29         71            75          37
 
-    A single 2 x 2 state costs about what validate_density costs on it
-    (0.07 ms); every larger case is faster screened.
+    validate_density screens a lone matrix only from d = 3 up, for two
+    reasons.  At d = 2 its decomposition is a single Jacobi rotation and
+    costs less than the Hermiticity check and the screen (0.037 against
+    0.056 ms a call in interleaved runs; at d = 3 the screen costs less,
+    0.061 against 0.076 ms).  And perfbench/test_tracing.py counts exactly
+    one hermitian_eig call in validating a 2 x 2 state.
     """
     parts = _screen_parts(matrices)
     if parts is None:

@@ -10,10 +10,11 @@ in the conftest's random_instance convention.
 The later properties cover the layers under the solver: certify's
 batched eigvalsh screen against hermitian_eig and against eigvalsh of
 each matrix alone, certify_forward against a trial-by-trial reference
-loop, screened set loading against validating each state in turn, the
-shifted Cholesky certificate against eigvalsh, screened measurement
-loading against validate_povm_element, and the CLI's typed exit, naming
-the bad file once, on every kind of malformed input file.
+loop, screened set loading and validate_density's own screen against
+validating each state by its spectrum, the shifted Cholesky certificate
+against eigvalsh, screened measurement loading against
+validate_povm_element, and the CLI's typed exit, naming the bad file
+once, on every kind of malformed input file.
 """
 
 import contextlib
@@ -288,10 +289,12 @@ def edge_matrix(draw, dim, kind):
     if kind == "imaginary trace":
         m[0, 0] += 1j * (sign * ss.states.TRACE_IMAG_TOL + draw(NEAR))
         return m
-    i, j = draw(st.permutations(range(dim)))[:2]
+    i, j = draw(st.permutations(range(dim)))[:2] if dim > 1 else (0, 0)
     if kind == "non-Hermitian":
-        # Asymmetry within 1e-15 of HERMITICITY_TOL, or far beyond it.
-        m[i, j] += draw(st.sampled_from([1e-9, 0.1])) + draw(NEAR)
+        # Asymmetry within 1e-15 of HERMITICITY_TOL, or far beyond it; on
+        # the diagonal, an imaginary part of half that.
+        bump = draw(st.sampled_from([1e-9, 0.1])) + draw(NEAR)
+        m[i, j] += bump if i != j else 0.5j * bump
     else:
         m[i, j] = np.nan
     return m
@@ -300,7 +303,7 @@ def edge_matrix(draw, dim, kind):
 @st.composite
 def matrix_lists(draw):
     """1-20 valid states, up to two of them replaced by edge matrices."""
-    dim = draw(st.integers(min_value=2, max_value=4))
+    dim = draw(st.integers(min_value=1, max_value=6))
     count = draw(st.integers(1, 20))
     matrices = [ss.random_density(dim, draw(st.integers(1, dim)), draw(seeds)).matrix
                 for _ in range(count)]
@@ -310,12 +313,23 @@ def matrix_lists(draw):
     return matrices
 
 
+def decomposed(m):
+    """validate_density(m) with its screen off: every matrix gets a spectrum."""
+    with mock.patch.object(ss.states, "screen_densities",
+                           lambda ms: np.zeros(len(ms), dtype=bool)):
+        return ss.validate_density(m)
+
+
 def validated_one_by_one(matrices):
-    """(stack, None) or (None, (index, error)) as a loop of validate_density gives."""
+    """(stack, None) or (None, (index, error)) as a loop of validate_density gives.
+
+    The loop decomposes every matrix, so the screen under test is compared
+    against the spectrum and never against itself.
+    """
     states = []
     for k, m in enumerate(matrices):
         try:
-            states.append(ss.validate_density(m))
+            states.append(decomposed(m))
         except ss.StatesepError as exc:
             return None, (k, exc)
     return np.stack([rho.matrix for rho in states]), None
@@ -349,6 +363,40 @@ def test_screened_loading_matches_validating_each_state(matrices):
                 {"matrix": stateio.matrix_to_jsonable(m)} for m in matrices]}))
         assert_same_outcome(lambda: stateio.load_state_set(path), stack, failure,
                             lambda k, exc: f"{path}: state {k}: {exc}")
+
+
+# --- validate_density: the screen it runs from d = 3 changes no outcome ---
+
+@st.composite
+def validation_cases(draw):
+    """(kind, matrix), d = 1-6: a valid state of any rank, an edge matrix,
+    or a Hermitian matrix with an entry above 2^500."""
+    dim = draw(st.integers(min_value=1, max_value=6))
+    kind = draw(st.sampled_from(("valid", "above 2^500") + EDGES))
+    if kind in EDGES:
+        return kind, draw(edge_matrix(dim, kind))
+    m = ss.random_density(dim, draw(st.integers(1, dim)), draw(seeds)).matrix.copy()
+    if kind == "above 2^500":
+        i, j = draw(st.integers(0, dim - 1)), draw(st.integers(0, dim - 1))
+        m[i, j] = m[j, i] = draw(st.floats(min_value=np.nextafter(2.0 ** 500, np.inf),
+                                           max_value=1e308))
+    return kind, m
+
+
+def outcome(validate, m):
+    try:
+        return validate(m).matrix.tobytes()
+    except ss.StatesepError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300)
+@given(validation_cases())
+def test_screen_changes_no_validation_outcome(case):
+    kind, m = case
+    if kind == "above 2^500":
+        assert not ss.states.screen_densities(m[None]).any()
+    assert outcome(ss.validate_density, m) == outcome(decomposed, m)
 
 
 # --- the shifted Cholesky certificate: a pass is a proof ---

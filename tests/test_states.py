@@ -53,6 +53,25 @@ class TestValidateDensity:
         with pytest.raises(NotPositiveError, match="-1.000e[+]160"):
             ss.validate_density(np.array([[0.5, 1e160], [1e160, 0.5]]))
 
+    @pytest.mark.parametrize("dim", [3, 4, 9, 16])
+    def test_full_rank_state_spends_no_spectrum(self, dim, jacobi_calls):
+        m = ss.random_density(dim, dim, 21).matrix
+        jacobi_calls.clear()
+        assert ss.validate_density(m).matrix.tobytes() == m.tobytes()
+        assert len(jacobi_calls) == 0
+
+    def test_qubit_state_spends_one_spectrum(self, jacobi_calls):
+        # At d = 2 the single Jacobi rotation is cheaper than the screen.
+        ss.validate_density(ss.random_density(2, 2, 21).matrix)
+        assert len(jacobi_calls) == 1
+
+    def test_state_the_screen_refuses_is_decomposed(self, jacobi_calls):
+        f = np.exp(2j * np.pi * np.outer(range(4), range(4)) / 4) / 2.0  # unitary
+        m = f @ np.diag([-2e-9, 0.3, 0.3, 0.4 + 2e-9]) @ f.conj().T
+        with pytest.raises(NotPositiveError, match="minimum eigenvalue -2.000e-09 below"):
+            ss.validate_density(m)
+        assert len(jacobi_calls) == 1
+
 
 def valid_matrices(count, dim=3):
     return [ss.random_density(dim, 1 + k % dim, 90 + k).matrix for k in range(count)]
