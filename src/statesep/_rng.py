@@ -4,19 +4,25 @@ The generator is SplitMix64 (Steele, Lea, Flood 2014): a 64-bit counter
 advanced by the golden-ratio increment 0x9E3779B97F4A7C15, finalized with
 two xor-shift/multiply mixing steps.  Normal variates come from the
 Box-Muller transform, exponential variates from inversion.  Both consume
-uniforms built from the top 53 bits of one 64-bit output, offset by half
-an ulp so they lie strictly inside (0, 1).
+uniforms built from the top 53 bits k of one 64-bit output as
+(k + 0.5) * 2**-53, so they lie in (0, 1].  The half-ulp offset is exact
+below k = 2**52 and rounds to even above it; the top output, k = 2**53 - 1,
+gives exactly 1.0 and an exponential of 0.
 
 Simplex points (normalized exponentials) are drawn in blocks: the counter
-is affine in the call count, so simplex_pairs computes a whole block of
+is affine in the call count, so uniform_block computes a whole block of
 outputs in one uint64 array operation, with the same bits and in the
-same order as repeated next_uint64 calls.  The logarithms are math.log
-mapped over the block, not np.log: numpy's vectorized log is not
-correctly rounded (numpy 2.4.6 on an AVX-512 machine differed from
-math.log on 13,925 of 4,000,000 uniforms), and the stream must not
-depend on the CPU.  Each point is divided by its left-to-right sum, the
-order in which a plain Python loop adds (and sum() did, up to Python
-3.11).
+same order as repeated next_uint64 calls, and simplex_points turns rows
+of them into points.  Its logarithms are math.log mapped over the rows,
+not np.log: numpy's vectorized log is not correctly rounded (numpy 2.4.6
+on an AVX-512 machine differed from math.log on 14,013 of the 4,000,000
+uniforms of seed 0, by 1 ulp each), and the stream must not depend on
+the CPU.
+Each point is divided by its left-to-right sum, the order in which a
+plain Python loop adds (and sum() did, up to Python 3.11).
+saddle.certify_forward screens its trials with np.log of the same
+uniforms and LAPACK's eigvalsh, and calls simplex_points only on the
+rows it reports from, so its reported bytes depend on neither.
 
 The choice is frozen: identical seeds must reproduce identical byte
 streams across releases, which rules out delegating to numpy's Generator
@@ -49,7 +55,7 @@ class SplitMix64:
         return z ^ (z >> 31)
 
     def uniform(self) -> float:
-        """Uniform double in the open interval (0, 1): (k + 0.5) * 2**-53."""
+        """Uniform double in (0, 1]: (k + 0.5) * 2**-53, k the output's top 53 bits."""
         return ((self.next_uint64() >> 11) + 0.5) * 2.0 ** -53
 
     def normal_pair(self) -> tuple[float, float]:
@@ -69,31 +75,45 @@ class SplitMix64:
             out.append(z1)
         return out[:count]
 
+    def uniform_block(self, count: int) -> np.ndarray:
+        """The next `count` uniforms as a float64 array, from one uint64 array operation.
+
+        Entry i is the uniform the (i + 1)-th next_uint64 call would give,
+        and the state advances by exactly `count` outputs.
+        """
+        steps = np.arange(1, count + 1, dtype=np.uint64)
+        z = np.uint64(self._state) + steps * np.uint64(_GOLDEN)
+        self._state = (self._state + count * _GOLDEN) & _MASK64
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
+        z ^= z >> np.uint64(31)
+        return ((z >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
+
     def simplex_pairs(self, count: int, size0: int, size1: int):
         """`count` pairs of uniform points on the simplices of `size0` and `size1`.
 
         Returns two float64 arrays, (count, size0) and (count, size1).  Row
         k of each is the k-th pair's point: normalized standard exponentials
         -log(U), the first row's `size0` draws first, then its `size1`
-        draws, then the next pair's.  All count * (size0 + size1) outputs
-        come from one uint64 array operation, and the state advances by
-        exactly that many outputs, as that many next_uint64 calls would.
+        draws, then the next pair's.  All count * (size0 + size1) uniforms
+        come from one uniform_block call.
         """
-        width = size0 + size1
-        total = count * width
-        steps = np.arange(1, total + 1, dtype=np.uint64)
-        z = np.uint64(self._state) + steps * np.uint64(_GOLDEN)
-        self._state = (self._state + total * _GOLDEN) & _MASK64
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-        z ^= z >> np.uint64(31)
-        uniforms = ((z >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
-        # math.log, not np.log: see the module docstring.
-        draws = -np.fromiter(map(math.log, uniforms.tolist()), np.float64, total)
-        draws = draws.reshape(count, width)
-        return _normalized(draws[:, :size0]), _normalized(draws[:, size0:])
+        uniforms = self.uniform_block(count * (size0 + size1)).reshape(count, -1)
+        return simplex_points(uniforms[:, :size0]), simplex_points(uniforms[:, size0:])
 
 
-def _normalized(rows: np.ndarray) -> np.ndarray:
-    # np.add.accumulate adds left to right; its last column is the total.
-    return rows / np.add.accumulate(rows, axis=1)[:, -1:]
+def simplex_points(uniforms: np.ndarray) -> np.ndarray:
+    """The stream's simplex points from rows of uniforms: exponentials -log(U), normalized.
+
+    The logarithms are math.log's (see the module docstring), so a point
+    has the same bits on every CPU.
+    """
+    # math.log, not np.log: see the module docstring.
+    draws = -np.fromiter(map(math.log, uniforms.ravel().tolist()), np.float64, uniforms.size)
+    return normalized(draws.reshape(uniforms.shape))
+
+
+def normalized(rows: np.ndarray) -> np.ndarray:
+    """Each row (the last axis) divided by its left-to-right sum."""
+    # np.add.accumulate adds left to right; its last entry is the total.
+    return rows / np.add.accumulate(rows, axis=-1)[..., -1:]

@@ -5,9 +5,11 @@ eigensolver is a cyclic Jacobi iteration with complex plane rotations
 (Golub & Van Loan, Matrix Computations, 8.5), run by one kernel,
 _jacobi.  Every eigenvalue behind a number that the solver, certify or
 the CLI reports comes from it, so none rests on the numpy eigensolvers
-used as oracles in the tests.  LAPACK serves only where its output is
-not reported: certify_forward ranks its sampled trials with numpy's
-eigvalsh and recomputes the closest ones here; solve_saddle chooses each
+used as oracles in the tests.  numpy and LAPACK serve only where their
+output is not reported: certify_forward ranks its sampled trials with
+weights from numpy's log and distances from numpy's eigvalsh, and
+recomputes the closest ones here, from their stream weights (math.log),
+so its reported bytes depend on neither; solve_saddle chooses each
 cut from numpy's eigh of its query and recomputes here the distance of
 every query that could lower the upper bound, so every reported upper
 bound is a value of this kernel; and the LP master (_master.py) inverts

@@ -42,10 +42,13 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+# numpy's log screens certify's trials; their reported weights take
+# math.log's, through _rng.simplex_points.
+from numpy import log
 from numpy.linalg import eigh, eigvalsh
 
 from ._master import Master
-from ._rng import SplitMix64
+from ._rng import SplitMix64, normalized, simplex_points
 # separation_gap is not called here; it stays bound because the benchmark's
 # tracer (perfbench/tracing.py) wraps statesep.saddle.separation_gap.
 from .discrimination import min_separation_gap, separation_gap, trace_distance
@@ -62,12 +65,17 @@ _CERTIFY_BLOCK = 1 << 14
 # kernel term alone, d * _SCREEN_SLACK: its screen and hermitian_eig see
 # the same matrix.
 _SCREEN_SLACK = 4e-13
+# The relative error allowed to each of the screen's exponentials -log(U)
+# against math.log's.  numpy's log is not correctly rounded, but it was
+# seen within 1 ulp (relative 2^-52) of math.log, 256 times inside this;
+# tests/test_rng.py pins it on the stream's uniforms.
+_SCREEN_LOG_ETA = 2.0 ** -44
 
 
 def _screen_slack(d: int, states: int) -> float:
     """How far a screened distance may lie above the least exact one.
 
-    Two errors separate a trial's screened distance from the one
+    Three errors separate a trial's screened distance from the one
     trace_distance gives it; let u = 2^-53.
     - The kernels.  Each keeps every eigenvalue within 1e-13 * max(1,
       ||H||_F) of the exact ones of the matrix it is given: hermitian_eig
@@ -87,16 +95,29 @@ def _screen_slack(d: int, states: int) -> float:
       differ by at most 2 sqrt(2) (states + 1) u per entry, d times that
       in Frobenius norm, and their exact distances by at most sqrt(d) / 2
       times the Frobenius norm of that: sqrt(2) d^1.5 (states + 1) u.
-    With e = 2d * 1e-13 + sqrt(2) d^1.5 (states + 1) u, the trial with the
-    least exact distance screens within 2e of the least screened
-    distance.  The slack is 2e, with 3 in place of 2 sqrt(2) to spare for
-    weights and entries that exceed 1 by validation's 1e-9 tolerances.
+    - The weights.  The screen normalizes numpy's -log(U), the reported
+      weights math.log's (_rng.simplex_points), in the same way: a
+      left-to-right sum of at most `states` positive terms, within
+      relative gamma_states of exact, then one division, within u.  With
+      each screened exponential within relative eta = _SCREEN_LOG_ETA of
+      the stream's, so is their sum, and each screened weight is within
+      relative w = 2 eta + 2 states u (to first order) of the reported
+      one.  A mixture then moves by at most w max_i ||rho_i||_1 in trace
+      norm, the difference by twice that, and the distance, half the
+      trace norm, by w max_i ||rho_i||_1.
+    With e = 2d * 1e-13 + sqrt(2) d^1.5 (states + 1) u + w, the trial with
+    the least exact distance screens within 2e of the least screened
+    distance.  The slack is 2e, with 3 in place of 2 sqrt(2) and 5 in
+    place of 4 to spare for second-order terms, and for weights, entries
+    and trace norms that exceed 1 by validation's 1e-9 tolerances.
 
     solve_saddle uses the kernel term alone, d * _SCREEN_SLACK: it gives
     eigh and hermitian_eig the same matrix, so only the kernels' errors
     separate a query's screened distance from its hermitian_eig one.
     """
-    return d * (_SCREEN_SLACK + 3.0 * math.sqrt(d) * (states + 1) * 2.0 ** -53)
+    u = 2.0 ** -53
+    return (d * (_SCREEN_SLACK + 3.0 * math.sqrt(d) * (states + 1) * u)
+            + 5.0 * (_SCREEN_LOG_ETA + states * u))
 
 
 @dataclass(frozen=True)
@@ -309,20 +330,30 @@ def certify_forward(
     per trial) and reports the largest violation found, expected <= 1e-9.
 
     The trials are screened, then the closest pair is computed exactly.
-    Each block of trials takes one array draw, and its mixture differences
-    (two real matmuls on the stacks' float64 view) go through one batched
+    Each block of trials takes one array draw of uniforms.  The screen's
+    weights normalize their numpy log, and its mixture differences (two
+    real matmuls on the stacks' float64 view) go through one batched
     LAPACK eigvalsh call.  Every trial whose screened distance lies within
-    a rounding slack of the smallest is then recomputed with mixture_state
-    and trace_distance, in trial order, and the first strict minimum of
-    those values is reported, so no reported number comes from eigvalsh.
-    The slack covers eigvalsh's backward error (LAPACK Users' Guide,
-    section 4.7) and hermitian_eig's stopping rule, and the two ways of
-    summing a mixture (_screen_slack), so the report is the one a
-    trial-by-trial loop with trace_distance gives; normally a single trial
-    is recomputed.  The arguments are checked in order: a measurement of
-    another dimension than set0's raises DimensionMismatchError, trials
-    below 1 BadConfigError, and sets of different dimensions
-    DimensionMismatchError.
+    a rounding slack of the smallest gets its stream weights
+    (_rng.simplex_points, with math.log) and is recomputed with
+    mixture_state and trace_distance, in trial order, and the first strict
+    minimum of those values is reported, so no reported number comes from
+    numpy's log or eigvalsh.  The slack covers eigvalsh's backward error
+    (LAPACK Users' Guide, section 4.7) and hermitian_eig's stopping rule,
+    the two ways of summing a mixture, and the screened weights' error
+    (_screen_slack), so the report is the one a trial-by-trial loop with
+    trace_distance gives; normally a single trial is recomputed.
+
+    The margin is T's worst pair gap as given, not that of T clipped to
+    [0, I].  Validation accepts a measurement whose spectrum lies within
+    1e-9 of [0, 1], and such a T can report a margin up to about 2e-9
+    above eps*, 1e-9 from each end of its spectrum: T = diag(1 + 0.99e-9,
+    0.5, -0.99e-9) with S0 = {diag(0.9, 0.1, 0)} and S1 = {diag(0, 0.1,
+    0.9)} reports a violation of 1.78e-9 where eps* = 0.9 exactly.
+
+    The arguments are checked in order: a measurement of another dimension
+    than set0's raises DimensionMismatchError, trials below 1
+    BadConfigError, and sets of different dimensions DimensionMismatchError.
     """
     if t.dim != set0.dim:
         raise DimensionMismatchError(f"measurement dim {t.dim} != state dim {set0.dim}")
@@ -340,11 +371,14 @@ def certify_forward(
 
     best = np.inf
     # (screened distance, mu0, mu1) of every trial within slack of best, in
-    # trial order, keyed by its weights: a repeat (every trial, when both
-    # sets are singletons) can never beat its first occurrence.
+    # trial order, keyed by its stream weights: a repeat (every trial, when
+    # both sets are singletons) can never beat its first occurrence.
     pool: dict[bytes, tuple[float, np.ndarray, np.ndarray]] = {}
     for start in range(0, trials, per_block):
-        w0, w1 = rng.simplex_pairs(min(per_block, trials - start), l0, l1)
+        count = min(per_block, trials - start)
+        uniforms = rng.uniform_block(count * (l0 + l1)).reshape(count, l0 + l1)
+        draws = -log(uniforms)
+        w0, w1 = normalized(draws[:, :l0]), normalized(draws[:, l0:])
         _check_weight_rows(w0, start)
         _check_weight_rows(w1, start)
         diff = (w0 @ real0 - w1 @ real1).view(np.complex128).reshape(-1, d, d)
@@ -353,8 +387,8 @@ def certify_forward(
         best = min(best, float(screened.min()))
         pool = {key: entry for key, entry in pool.items() if entry[0] <= best + slack}
         for k in np.flatnonzero(screened <= best + slack):
-            key = w0[k].tobytes() + w1[k].tobytes()
-            pool.setdefault(key, (float(screened[k]), w0[k].copy(), w1[k].copy()))
+            mu0, mu1 = simplex_points(uniforms[k, :l0]), simplex_points(uniforms[k, l0:])
+            pool.setdefault(mu0.tobytes() + mu1.tobytes(), (float(screened[k]), mu0, mu1))
 
     min_distance = np.inf
     worst_mu0 = None

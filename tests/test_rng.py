@@ -1,4 +1,5 @@
-"""The array simplex draw reproduces the documented scalar stream."""
+"""The array simplex draw reproduces the documented scalar stream, and numpy's
+log, which certify screens with, stays within the screen's error bound."""
 
 import math
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from statesep._rng import SplitMix64
+from statesep.saddle import _SCREEN_LOG_ETA
 
 
 def reference_simplex(rng: SplitMix64, size: int) -> list[float]:
@@ -46,3 +48,18 @@ def test_state_wraps_modulo_two_to_the_64():
     for _ in range(2 * (3 + 1)):
         ref.next_uint64()
     assert fast._state == ref._state
+
+
+def test_numpy_log_within_the_screen_error_of_math_log():
+    # certify's screen takes -np.log(U) for the stream's -math.log(U); its
+    # slack allows each a relative error of _SCREEN_LOG_ETA.  The extreme
+    # uniforms are k = 0, 2^-54, and k = 2^53 - 1, whose half-ulp offset
+    # rounds away to give exactly 1.0; the top k give -log(U) near 0.
+    top = 2 ** 53
+    ks = np.array([0, 1, 2, 2 ** 52 - 1, 2 ** 52, 2 ** 52 + 1, top - 3, top - 2, top - 1],
+                  dtype=np.uint64)
+    extremes = (ks.astype(np.float64) + 0.5) * 2.0 ** -53
+    assert extremes[0] == 2.0 ** -54 and extremes[-1] == 1.0
+    uniforms = np.concatenate([extremes, SplitMix64(2024).uniform_block(1 << 20)])
+    exact = np.array([math.log(u) for u in uniforms.tolist()])
+    assert np.all(np.abs(np.log(uniforms) - exact) <= _SCREEN_LOG_ETA * np.abs(exact))

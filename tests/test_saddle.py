@@ -350,6 +350,44 @@ class TestCertifyForward:
             monkeypatch.setattr(saddle, "_CERTIFY_BLOCK", block)
             assert_same_report(ss.certify_forward(t, set0, set1, trials, seed), reference)
 
+    @pytest.fixture(scope="class")
+    def wide_shaped(self):
+        # The benchmark's wide shape, 256 + 256 states at d = 4: a block
+        # screens 32 trials, so 100 trials end in a partial block.  The
+        # sets lean towards |0><0| and |3><3|, and T projects on |0>, |1>.
+        lean = [np.diag(np.eye(4)[k]).astype(complex) for k in (0, 3)]
+        sets = [
+            ss.StateSet.from_matrices([
+                (ss.random_density(4, 1 + k % 4, 7_000 + 256 * side + k).matrix + lean[side]) / 2.0
+                for k in range(256)
+            ])
+            for side in (0, 1)
+        ]
+        t = ss.PovmElement(np.diag([1.0, 1.0, 0.0, 0.0]).astype(complex))
+        assert 100 % (saddle._CERTIFY_BLOCK // 512) != 0
+        return t, sets[0], sets[1], reference_certify(t, sets[0], sets[1], 100, 3)
+
+    def test_matches_per_trial_reference_wide(self, wide_shaped):
+        t, set0, set1, reference = wide_shaped
+        assert reference.margin > 0.0
+        assert_same_report(ss.certify_forward(t, set0, set1, 100, 3), reference)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_screen_log_off_by_eta_keeps_the_report(self, monkeypatch, wide_shaped, sign):
+        # Every screened exponential off by the full relative error the
+        # slack allows, in alternating directions, so that the weights move
+        # too: the screen may rank the trials otherwise, but the report is
+        # still the reference's.
+        t, set0, set1, reference = wide_shaped
+        eta = saddle._SCREEN_LOG_ETA
+
+        def skewed(u):
+            signs = np.where(np.arange(u.size).reshape(u.shape) % 2 == 0, sign, -sign)
+            return np.log(u) * (1.0 + signs * eta)
+
+        monkeypatch.setattr(saddle, "log", skewed)
+        assert_same_report(ss.certify_forward(t, set0, set1, 100, 3), reference)
+
     def test_ties_match_per_trial_reference(self):
         # Orthogonal supports, turned by a common unitary: every mixture pair
         # is at distance 1 up to rounding, so the screen cannot order the
