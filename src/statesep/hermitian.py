@@ -18,11 +18,11 @@ evaluates exactly.  The grid oracles (oracles.py) use eigvalsh on
 purpose, as a reference independent of this module.
 
 hermitian_eig serves every matrix at every dimension.  Its kernel rotates
-rows and columns kept as Python lists of native complex numbers.  Up to
-d ~ 30 that beats rotating numpy rows and columns by slicing (5x faster
-at d = 4, 2.6x at d = 12, 2x at d = 16); beyond, it costs more, 1.4x the
-sliced rotations' time at d = 48 and about 2x at d = 64, where a solve
-needing thousands of eigendecompositions is impractical with either.
+the upper triangle, kept as Python lists of native complex numbers.  For
+eigenvalues that beats numpy rows and columns rotated by slicing up to
+d ~ 48 (5x faster at d = 4, 3x at d = 12, 2.6x at d = 16); at d = 64
+slicing takes 0.8 of its time, and a solve needing thousands of
+eigendecompositions is impractical with either.
 
 Validating a state or measurement needs no spectrum, only a proof that
 no eigenvalue lies below a floor.  states._lowest_above gives one by a
@@ -41,7 +41,8 @@ squares in the Frobenius norm cannot overflow.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -66,10 +67,17 @@ _SCALE_ABOVE = 2.0 ** 500
 
 @dataclass(frozen=True)
 class EigenDecomposition:
-    """Eigenvalues sorted ascending; eigenvector k is ``eigenvectors[:, k]``."""
+    """Eigenvalues sorted ascending; eigenvector k is ``eigenvectors[:, k]``,
+    built on first read from the kernel's rotations (_replay) and kept."""
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    _rotations: list = field(repr=False, compare=False)
+    _order: np.ndarray = field(repr=False, compare=False)
+
+    @cached_property
+    def eigenvectors(self) -> np.ndarray:
+        v = _replay(self.dim, self._rotations)
+        return np.ascontiguousarray(v[:, self._order])
 
     @property
     def dim(self) -> int:
@@ -120,22 +128,26 @@ def _rotation_params(b: complex, app: float, aqq: float):
 
 
 def _jacobi(hmat: np.ndarray, threshold: float, skip: float):
-    """Cyclic sweeps on native complex scalars (rows as Python lists)."""
+    """Cyclic sweeps on the upper triangle, rows kept as Python lists.
+
+    Returns the diagonal and the log of rotations (p, q, c, s, spc, cpc).
+    Entry k of row p and column q takes the column formula for k < p, the
+    row formula for k > q, and between reads h[q][k] and h[k][p] as
+    conjugates.  CPython's complex product and difference commute with
+    conjugation, so this gives the bits of rotating the full matrix.
+    """
     n = hmat.shape[0]
     h: list[list[complex]] = hmat.tolist()
-    v: list[list[complex]] = np.eye(n, dtype=np.complex128).tolist()
+    rotations: list[tuple] = []
     limit = threshold * threshold
 
     def offdiag_sq() -> float:
-        # Summed entry by entry (not total minus diagonal: that subtraction
-        # of near-equal numbers floors out at rounding noise ~1e-15 * ||M||^2).
+        # Entry by entry in row-major order, the lower triangle read from the
+        # upper (total minus diagonal floors out at noise ~1e-15 * ||M||^2).
         total = 0.0
         for p in range(n):
-            hp = h[p]
-            for q in range(n):
-                if q != p:
-                    z = hp[q]
-                    total += z.real * z.real + z.imag * z.imag
+            for z in [h[q][p] for q in range(p)] + h[p][p + 1:]:
+                total += z.real * z.real + z.imag * z.imag
         return total
 
     for _ in range(_MAX_SWEEPS):
@@ -146,41 +158,52 @@ def _jacobi(hmat: np.ndarray, threshold: float, skip: float):
             for q in range(p + 1, n):
                 if abs(hp[q]) <= skip:
                     continue
-                app = h[p][p].real
+                app = hp[p].real
                 aqq = h[q][q].real
                 c, s, t, absb, phase = _rotation_params(hp[q], app, aqq)
                 hq = h[q]
-                cph = c * phase
                 sph = s * phase
-                for k in range(n):
+                conj_phase = phase.conjugate()
+                cpc = c * conj_phase
+                spc = s * conj_phase
+                for k in range(p):
+                    row = h[k]
+                    a = row[p]
+                    b = row[q]
+                    row[p] = c * a - spc * b
+                    row[q] = s * a + cpc * b
+                for k in range(p + 1, q):
+                    row = h[k]
+                    a = hp[k]
+                    b = row[q]
+                    hp[k] = c * a - sph * b.conjugate()
+                    row[q] = s * a.conjugate() + cpc * b
+                cph = c * phase
+                for k in range(q + 1, n):
                     a = hp[k]
                     b = hq[k]
                     hp[k] = c * a - sph * b
                     hq[k] = s * a + cph * b
-                conj_phase = phase.conjugate()
-                cpc = c * conj_phase
-                spc = s * conj_phase
-                for row in h:
-                    a = row[p]
-                    b = row[q]
-                    row[p] = c * a - spc * b
-                    row[q] = s * a + cpc * b
-                for row in v:
-                    a = row[p]
-                    b = row[q]
-                    row[p] = c * a - spc * b
-                    row[q] = s * a + cpc * b
+                rotations.append((p, q, c, s, spc, cpc))
                 hp[q] = 0j
-                h[q][p] = 0j
                 hp[p] = complex(app - t * absb)
-                h[q][q] = complex(aqq + t * absb)
+                hq[q] = complex(aqq + t * absb)
     else:
         if offdiag_sq() > limit:
             raise NoConvergenceError(
                 f"off-diagonal norm above {threshold:.3e} after {_MAX_SWEEPS} sweeps"
             )
-    eigenvalues = np.array([h[k][k].real for k in range(n)])
-    return eigenvalues, np.array(v, dtype=np.complex128)
+    return np.array([h[k][k].real for k in range(n)]), rotations
+
+
+def _replay(n: int, rotations: list) -> np.ndarray:
+    """The eigenvectors: _jacobi's rotations applied to the identity."""
+    v: list[list[complex]] = np.eye(n, dtype=np.complex128).tolist()
+    for p, q, c, s, spc, cpc in rotations:
+        for row in v:
+            a, b = row[p], row[q]
+            row[p], row[q] = c * a - spc * b, s * a + cpc * b
+    return np.array(v, dtype=np.complex128)
 
 
 def hermitian_eig(m) -> EigenDecomposition:
@@ -205,14 +228,11 @@ def hermitian_eig(m) -> EigenDecomposition:
     # Entries at or below `skip` never need their own rotation: even if all
     # n(n-1) of them remain, the off-diagonal norm stays under threshold.
     skip = threshold / max(n, 2)
-    eigenvalues, v = _jacobi(h, threshold, skip)
+    eigenvalues, rotations = _jacobi(h, threshold, skip)
     if exponent:
         eigenvalues = np.ldexp(eigenvalues, exponent)
     order = np.argsort(eigenvalues, kind="stable")
-    return EigenDecomposition(
-        eigenvalues=np.ascontiguousarray(eigenvalues[order]),
-        eigenvectors=np.ascontiguousarray(v[:, order]),
-    )
+    return EigenDecomposition(np.ascontiguousarray(eigenvalues[order]), rotations, order)
 
 
 def positive_part_projector(h) -> np.ndarray:

@@ -144,10 +144,10 @@ def validate_density(m) -> DensityMatrix:
     """
     a = check_hermitian(m)
     # Decompose at d <= 2, for two reasons: there one Jacobi rotation costs
-    # less than the screen (0.037 against 0.056 ms a call; from d = 3 the
-    # screen costs less, 0.061 against 0.076 ms, and 0.18 against 8.9 ms at
-    # d = 16), and perfbench/test_tracing.py counts exactly one hermitian_eig
-    # call in validate_density(np.eye(2) / 2).
+    # half the screen (0.03 against 0.06 ms a call; at d = 3 the two are
+    # about even, at d = 4 the screen costs less, 0.06 against 0.08 ms, and
+    # 0.19 against 3.9 ms at d = 16), and perfbench/test_tracing.py counts
+    # exactly one hermitian_eig call in validate_density(np.eye(2) / 2).
     if a.shape[0] >= 3 and screen_densities(a[None])[0]:
         return DensityMatrix(a)
     dec = hermitian_eig(a)
@@ -258,25 +258,28 @@ def screen_densities(matrices) -> np.ndarray:
     per call in ms, with the certificate's share, against a loop over the
     states of hermitian_eig and of validate_density, the latter with its
     own screen off (decomposed) and on (screened) (all states valid and
-    full rank, median of 9 interleaved runs of 2-200 calls; 2-core
-    machine, Python 3.11.7, numpy 2.4.6):
+    full rank, median of 9 interleaved runs of 2-200 calls; 2-core shared
+    machine, Python 3.11.7, numpy 2.4.6; repeat runs read up to 1.7x
+    higher, every column alike):
 
                                                   validate_density
                         screen  certificate  hermitian_eig  decomposed  screened
-        n = 1,   d = 2   0.06      0.03          0.03          0.04        0.04
-        n = 1,   d = 3   0.06      0.03          0.06          0.08        0.07
-        n = 1,   d = 4   0.10      0.05          0.17          0.17        0.10
-        n = 1,   d = 9   0.09      0.07          1.4           1.5         0.10
-        n = 1,   d = 16  0.15      0.12          8.7           8.8         0.19
-        n = 512, d = 2   0.31      0.11         17            23          23
-        n = 512, d = 4   0.71      0.29         71            75          37
+        n = 1,   d = 2   0.05      0.03          0.02          0.03        0.03
+        n = 1,   d = 3   0.07      0.05          0.05          0.07        0.07
+        n = 1,   d = 4   0.07      0.04          0.11          0.12        0.08
+        n = 1,   d = 9   0.10      0.08          0.74          0.76        0.11
+        n = 1,   d = 16  0.15      0.13          3.8           3.9         0.19
+        n = 512, d = 2   0.32      0.13         16            22          20
+        n = 512, d = 4   0.73      0.41         52            57          39
 
-    validate_density screens a lone matrix only from d = 3 up, for two
-    reasons.  At d = 2 its decomposition is a single Jacobi rotation and
-    costs less than the Hermiticity check and the screen (0.037 against
-    0.056 ms a call in interleaved runs; at d = 3 the screen costs less,
-    0.061 against 0.076 ms).  And perfbench/test_tracing.py counts exactly
-    one hermitian_eig call in validating a 2 x 2 state.
+    validate_density screens a lone matrix only from d = 3 up.  At d = 2
+    its decomposition is a single Jacobi rotation and costs half the
+    Hermiticity check and the screen (0.03 against 0.06 ms a call in
+    interleaved runs over 200 states), and perfbench/test_tracing.py counts
+    exactly one hermitian_eig call in validating a 2 x 2 state.  At d = 3
+    the decomposition now costs about as much as the screen (0.05 against
+    0.06 ms), at d = 4 more (0.08 against 0.06 ms); the rule stays at 3, a
+    difference of 0.01 ms a state that leaves every result the same.
     """
     parts = _screen_parts(matrices)
     if parts is None:

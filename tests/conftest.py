@@ -9,6 +9,7 @@ from hypothesis import settings
 import statesep as ss
 from statesep import hermitian
 from statesep._rng import SplitMix64
+from statesep.errors import NoConvergenceError
 
 # Property tests draw the same examples on every run (and so keep no
 # example database); some examples run O(d^3) Jacobi sweeps at d = 20.
@@ -101,6 +102,84 @@ def qubits():
 def degenerate_instance():
     """S0 = {|0><0|, |1><1|}, S1 = {I/2}: margin is analytically zero."""
     return state_set(KET0, KET1), state_set(MIXED2)
+
+
+def reference_jacobi(hmat, threshold, skip):
+    """The full-matrix Jacobi kernel: rows and columns rotated, V kept alongside.
+
+    hermitian._jacobi rotates only the upper triangle and logs its
+    rotations; this one gives the eigenvalues and eigenvectors their bits
+    must equal (in _jacobi's order, before hermitian_eig sorts them).
+    """
+    n = hmat.shape[0]
+    h = hmat.tolist()
+    v = np.eye(n, dtype=np.complex128).tolist()
+    limit = threshold * threshold
+
+    def offdiag_sq():
+        total = 0.0
+        for p in range(n):
+            hp = h[p]
+            for q in range(n):
+                if q != p:
+                    z = hp[q]
+                    total += z.real * z.real + z.imag * z.imag
+        return total
+
+    for _ in range(hermitian._MAX_SWEEPS):
+        if offdiag_sq() <= limit:
+            break
+        for p in range(n - 1):
+            hp = h[p]
+            for q in range(p + 1, n):
+                if abs(hp[q]) <= skip:
+                    continue
+                app = h[p][p].real
+                aqq = h[q][q].real
+                c, s, t, absb, phase = hermitian._rotation_params(hp[q], app, aqq)
+                hq = h[q]
+                cph = c * phase
+                sph = s * phase
+                for k in range(n):
+                    a = hp[k]
+                    b = hq[k]
+                    hp[k] = c * a - sph * b
+                    hq[k] = s * a + cph * b
+                conj_phase = phase.conjugate()
+                cpc = c * conj_phase
+                spc = s * conj_phase
+                for row in h:
+                    a = row[p]
+                    b = row[q]
+                    row[p] = c * a - spc * b
+                    row[q] = s * a + cpc * b
+                for row in v:
+                    a = row[p]
+                    b = row[q]
+                    row[p] = c * a - spc * b
+                    row[q] = s * a + cpc * b
+                hp[q] = 0j
+                h[q][p] = 0j
+                hp[p] = complex(app - t * absb)
+                h[q][q] = complex(aqq + t * absb)
+    else:
+        if offdiag_sq() > limit:
+            raise NoConvergenceError("reference kernel did not converge")
+    return np.array([h[k][k].real for k in range(n)]), np.array(v, dtype=np.complex128)
+
+
+@pytest.fixture
+def replays(monkeypatch):
+    """List that grows by one each time a rotation log is replayed into eigenvectors."""
+    calls = []
+    original = hermitian._replay
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(hermitian, "_replay", counted)
+    return calls
 
 
 @pytest.fixture

@@ -1,13 +1,16 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import statesep as ss
 import statesep.hermitian as hm
-from statesep.errors import NoConvergenceError, NotHermitianError
+from statesep.errors import NoConvergenceError, NotHermitianError, NotPositiveError
 
-from conftest import random_hermitian
+from conftest import random_hermitian, random_instance, reference_jacobi
 
 
 @st.composite
@@ -16,6 +19,31 @@ def hermitian_matrices(draw):
     parts = draw(hnp.arrays(np.float64, (2, dim, dim), elements=st.floats(-1.0, 1.0)))
     m = parts[0] + 1j * parts[1]
     return (m + m.conj().T) / 2.0
+
+
+@st.composite
+def kernel_inputs(draw):
+    """Hermitian matrices at d = 1-20 of the kinds that steer the kernel.
+
+    Real ones, clustered spectra, blocks with exactly zero coupling (their
+    rotations are skipped), near-diagonal ones, and each possibly scaled
+    above 2^500.
+    """
+    dim = draw(st.integers(1, 20))
+    kind = draw(st.sampled_from(("complex", "real", "clustered", "blocks", "near_diagonal")))
+    rng = np.random.RandomState(draw(st.integers(0, 2 ** 32 - 1)))
+    m = rng.uniform(-1.0, 1.0, (dim, dim)) + 1j * rng.uniform(-1.0, 1.0, (dim, dim))
+    if kind == "real":
+        m = m.real.astype(complex)
+    elif kind == "clustered":
+        q = np.linalg.qr(m)[0]
+        m = (q * rng.randint(-2, 3, dim)) @ q.conj().T
+    elif kind == "blocks":
+        block = rng.randint(3, size=dim)
+        m[block[:, None] != block[None, :]] = 0.0
+    elif kind == "near_diagonal":
+        m = np.diag(m.diagonal().real) + 1e-12 * m
+    return (m + m.conj().T) / 2.0 * draw(st.sampled_from((1.0, 2.0 ** 600)))
 
 
 class TestHermitianEig:
@@ -78,6 +106,19 @@ class TestHermitianEig:
         assert again.eigenvalues.tobytes() == dec.eigenvalues.tobytes()
         assert again.eigenvectors.tobytes() == vecs.tobytes()
 
+    @given(kernel_inputs())
+    def test_same_bytes_as_the_full_matrix_kernel(self, h):
+        dec = hm.hermitian_eig(h)
+        vecs = dec.eigenvectors
+        # reference_jacobi returns V where _jacobi returns its rotation log,
+        # so its "replay" is the identity map.
+        with mock.patch.object(hm, "_jacobi", reference_jacobi), \
+                mock.patch.object(hm, "_replay", lambda n, v: v):
+            ref = hm.hermitian_eig(h)
+            ref_vecs = ref.eigenvectors
+        assert dec.eigenvalues.tobytes() == ref.eigenvalues.tobytes()
+        assert vecs.tobytes() == ref_vecs.tobytes()
+
     def test_deterministic(self):
         h = random_hermitian(np.random.RandomState(5), 6)
         a = hm.hermitian_eig(h)
@@ -130,6 +171,31 @@ class TestHugeEntries:
         unscaled = hm.hermitian_eig(h)
         assert dec.eigenvalues.tobytes() == unscaled.eigenvalues.tobytes()
         assert dec.eigenvectors.tobytes() == unscaled.eigenvectors.tobytes()
+
+
+class TestLazyEigenvectors:
+    """Eigenvectors are replayed from the rotation log only when read."""
+
+    def test_paths_that_read_eigenvalues_replay_nothing(self, replays, jacobi_calls):
+        set0, set1 = random_instance(3, dims=(4,))
+        res = ss.solve_saddle(set0, set1, ss.SolverConfig(target_gap=1e-3))
+        ss.certify_forward(res.measurement, set0, set1, trials=200, seed=1)
+        ss.trace_distance(set0.states[0], set1.states[0])
+        ss.validate_density(np.eye(2) / 2)
+        with pytest.raises(NotPositiveError):
+            ss.validate_density(np.diag([1.0 + 1e-8, 0.0, -1e-8]))
+        ss.validate_povm_element(np.diag([0.2, 0.7, 1.0]))
+        assert len(jacobi_calls) >= 6
+        assert replays == []
+
+    def test_one_replay_however_often_read(self, replays):
+        h = random_hermitian(np.random.RandomState(41), 5)
+        dec = hm.hermitian_eig(h)
+        assert replays == []
+        assert dec.eigenvectors is dec.eigenvectors
+        assert len(replays) == 1
+        hm.positive_part_projector(h)
+        assert len(replays) == 2
 
 
 class TestTrace:
