@@ -4,13 +4,16 @@ The library computes the optimal separation margin between two state
 sets, a witness measurement achieving it, and worst-case mixtures
 certifying that nothing better exists.  Distance convention everywhere:
 ``trace_distance`` is the HALF trace norm, so an achievable margin eps
-compares directly against mixture distances with no factor of 2.
+compares directly against mixture distances with no factor of 2.  The
+upper bounds are ``max_pair_gap``, which equals the trace distance for
+states of equal trace.
 """
 
 from .discrimination import (
     GapReport,
     helstrom_measurement,
     is_separating,
+    max_pair_gap,
     min_separation_gap,
     pair_gap,
     separation_gap,
@@ -62,6 +65,7 @@ __all__ = [
     "helstrom_measurement",
     "hermitian_eig",
     "is_separating",
+    "max_pair_gap",
     "min_separation_gap",
     "mixture_grid_oracle",
     "mixture_state",

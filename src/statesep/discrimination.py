@@ -2,11 +2,11 @@
 
 Convention used throughout the package: trace_distance returns the HALF
 trace norm, (1/2)||rho - sigma||_1.  That makes it directly comparable to
-expectation gaps: the best achievable Tr(T rho) - Tr(T sigma) over POVM
-elements T equals trace_distance(rho, sigma), with no factor of 2 anywhere
-at the call sites.  A measurement separates two sets by margin eps exactly
-when every mixture of one set keeps trace_distance >= eps from every
-mixture of the other.
+expectation gaps: for states of equal trace, the best achievable
+Tr(T rho) - Tr(T sigma) over POVM elements T, max_pair_gap(rho, sigma),
+equals trace_distance(rho, sigma), with no factor of 2 anywhere at the
+call sites.  A measurement separates two sets by margin eps exactly when
+every mixture pair of the two sets keeps max_pair_gap >= eps.
 """
 
 from __future__ import annotations
@@ -69,6 +69,20 @@ def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     _require_same_dim(rho.dim, sigma.dim)
     lam = hermitian_eig(_symmetrized_difference(rho, sigma)).eigenvalues
     return float(0.5 * np.abs(lam).sum())
+
+
+def max_pair_gap(rho: DensityMatrix, sigma: DensityMatrix) -> float:
+    """Largest Tr(T rho) - Tr(T sigma) over POVM elements T.
+
+    That is the sum of the positive eigenvalues of rho - sigma, and it
+    bounds from above the margin of every measurement separating sets that
+    hold rho and sigma.  It is trace_distance(rho, sigma) + Tr(rho -
+    sigma) / 2, so the two agree only for states of equal trace, and
+    validation lets a state's trace stray 1e-9 from 1.
+    """
+    _require_same_dim(rho.dim, sigma.dim)
+    lam = hermitian_eig(_symmetrized_difference(rho, sigma)).eigenvalues
+    return float(np.maximum(lam, 0.0).sum())
 
 
 def helstrom_measurement(rho: DensityMatrix, sigma: DensityMatrix) -> PovmElement:

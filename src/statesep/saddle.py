@@ -5,10 +5,12 @@ measurement player maximizes the worst pair gap; the optimal margin is
 
     eps* = max_T min_{(rho, sigma) in S0 x S1} u(T, (rho, sigma)),
 
-and by minimax duality it equals the smallest trace_distance between a
-mixture of S0 and a mixture of S1 (half-norm convention, so no factor 2).
+and by minimax duality it equals the smallest max_pair_gap between a
+mixture of S0 and a mixture of S1: the sum of the positive eigenvalues of
+their difference, which is their trace distance (half-norm convention,
+so no factor 2) when their traces are equal.
 
-solve_saddle minimizes f(mu0, mu1) = trace distance of the two mixtures,
+solve_saddle minimizes f(mu0, mu1) = max_pair_gap of the two mixtures,
 f(mu) = max_{0 <= T <= I} Tr(T Delta(mu)), by Kelley's cutting-plane
 method (Kelley 1960), which for this game is the double oracle of
 McMahan, Gordon & Blum (2003).  Each iteration queries one mixture pair:
@@ -49,9 +51,10 @@ from numpy.linalg import eigh, eigvalsh
 
 from ._master import Master
 from ._rng import SplitMix64, normalized, simplex_points
-# separation_gap is not called here; it stays bound because the benchmark's
-# tracer (perfbench/tracing.py) wraps statesep.saddle.separation_gap.
-from .discrimination import min_separation_gap, separation_gap, trace_distance
+# separation_gap and trace_distance are not called here; they stay bound
+# because the benchmark's tracer (perfbench/tracing.py) wraps
+# statesep.saddle.separation_gap and statesep.saddle.trace_distance.
+from .discrimination import max_pair_gap, min_separation_gap, separation_gap, trace_distance
 from .errors import BadConfigError, BadWeightsError, DimensionMismatchError, EmptySetError
 from .hermitian import POSITIVE_CUTOFF, hermitian_eig
 from .states import WEIGHT_SUM_TOL, PovmElement, StateSet, mixture_state
@@ -64,7 +67,7 @@ _CERTIFY_BLOCK = 1 << 14
 # it per unit of d.  solve_saddle screens each query's distance with the
 # kernel term alone, d * _SCREEN_SLACK: its screen and hermitian_eig see
 # the same matrix.
-_SCREEN_SLACK = 4e-13
+_SCREEN_SLACK = 8e-13
 # The relative error allowed to each of the screen's exponentials -log(U)
 # against math.log's.  numpy's log is not correctly rounded, but it was
 # seen within 1 ulp (relative 2^-52) of math.log, 256 times inside this;
@@ -76,7 +79,11 @@ def _screen_slack(d: int, states: int) -> float:
     """How far a screened distance may lie above the least exact one.
 
     Three errors separate a trial's screened distance from the one
-    trace_distance gives it; let u = 2^-53.
+    max_pair_gap gives it; let u = 2^-53.  The distance of a mixture
+    difference H is f(H) = sum_i max(lambda_i, 0) = max_{0 <= T <= I}
+    Tr(T H).  So moving each eigenvalue by e_i moves f by at most
+    sum_i |e_i|, and a change E of H moves f by at most ||E||_1: twice what
+    the same errors move half the trace norm by.
     - The kernels.  Each keeps every eigenvalue within 1e-13 * max(1,
       ||H||_F) of the exact ones of the matrix it is given: hermitian_eig
       by its stopping rule (off-diagonal norm at most 1e-13 * ||H||_F)
@@ -84,7 +91,7 @@ def _screen_slack(d: int, states: int) -> float:
       bound p(d) u ||H||_2, p a modestly growing function of d (LAPACK
       Users' Guide, 3rd ed., 1999, section 4.7); a property test pins the
       two within that of each other.  A mixture difference has
-      ||H||_F <= 2, so each distance is within d * 1e-13 of that matrix's
+      ||H||_F <= 2, so each distance is within d * 2e-13 of that matrix's
       exact one.
     - The matrices.  The screen sums a block's mixtures by real matmuls on
       the stacks' float64 view, mixture_state by an einsum.  Each real
@@ -93,8 +100,9 @@ def _screen_slack(d: int, states: int) -> float:
       within gamma_states (Higham 2002, eq. 3.5) of exact, and each entry
       of a difference within (states + 1) u.  The two differences then
       differ by at most 2 sqrt(2) (states + 1) u per entry, d times that
-      in Frobenius norm, and their exact distances by at most sqrt(d) / 2
-      times the Frobenius norm of that: sqrt(2) d^1.5 (states + 1) u.
+      in Frobenius norm, and their exact distances by at most sqrt(d)
+      times the Frobenius norm of that (||E||_1 <= sqrt(d) ||E||_F):
+      2 sqrt(2) d^1.5 (states + 1) u.
     - The weights.  The screen normalizes numpy's -log(U), the reported
       weights math.log's (_rng.simplex_points), in the same way: a
       left-to-right sum of at most `states` positive terms, within
@@ -103,12 +111,11 @@ def _screen_slack(d: int, states: int) -> float:
       the stream's, so is their sum, and each screened weight is within
       relative w = 2 eta + 2 states u (to first order) of the reported
       one.  A mixture then moves by at most w max_i ||rho_i||_1 in trace
-      norm, the difference by twice that, and the distance, half the
-      trace norm, by w max_i ||rho_i||_1.
-    With e = 2d * 1e-13 + sqrt(2) d^1.5 (states + 1) u + w, the trial with
-    the least exact distance screens within 2e of the least screened
-    distance.  The slack is 2e, with 3 in place of 2 sqrt(2) and 5 in
-    place of 4 to spare for second-order terms, and for weights, entries
+      norm, and the difference, and so the distance, by twice that.
+    With e = 4d * 1e-13 + 2 sqrt(2) d^1.5 (states + 1) u + 2w, the trial
+    with the least exact distance screens within 2e of the least screened
+    distance.  The slack is 2e, with 6 in place of 4 sqrt(2) and 10 in
+    place of 8 to spare for second-order terms, and for weights, entries
     and trace norms that exceed 1 by validation's 1e-9 tolerances.
 
     solve_saddle uses the kernel term alone, d * _SCREEN_SLACK: it gives
@@ -116,8 +123,8 @@ def _screen_slack(d: int, states: int) -> float:
     separate a query's screened distance from its hermitian_eig one.
     """
     u = 2.0 ** -53
-    return (d * (_SCREEN_SLACK + 3.0 * math.sqrt(d) * (states + 1) * u)
-            + 5.0 * (_SCREEN_LOG_ETA + states * u))
+    return (d * (_SCREEN_SLACK + 6.0 * math.sqrt(d) * (states + 1) * u)
+            + 10.0 * (_SCREEN_LOG_ETA + states * u))
 
 
 @dataclass(frozen=True)
@@ -157,7 +164,7 @@ class Checkpoint:
 class CertReport:
     """Outcome of sampling mixture pairs against a measurement's margin.
 
-    violation = margin - trace_distance(mixtures); positive beyond 1e-9
+    violation = margin - max_pair_gap(mixtures); positive beyond 1e-9
     would contradict the margin being achievable.
     """
 
@@ -175,7 +182,7 @@ class SaddleResult:
 
     measurement is the best certified combination of cuts; lower_bound is
     its worst pair gap (an achievable margin), upper_bound the smallest
-    mixture trace distance queried (no measurement can beat it).  mu0/mu1
+    max_pair_gap of the mixture pairs queried (no measurement can beat it).  mu0/mu1
     are the mixtures of the last iteration: the uniform pair at the first,
     the master's optimal mixtures after.  best_mu0/best_mu1 are the
     mixtures attaining upper_bound.  rounds_used counts iterations, and
@@ -253,14 +260,15 @@ def solve_saddle(
     for t in range(1, cfg.max_rounds + 1):
         rounds_used = t
         # LAPACK's eigendecomposition of the query's mixture difference
-        # chooses the new cut, its positive-part projector.  Its trace
-        # distance, an upper bound, is recomputed with hermitian_eig only
-        # where the screened one leaves room to beat the best so far.
+        # chooses the new cut, its positive-part projector.  The sum of its
+        # positive eigenvalues, an upper bound, is recomputed with
+        # hermitian_eig only where the screened one leaves room to beat the
+        # best so far.
         diff = (mu0 @ flat0 - mu1 @ flat1).reshape(d, d)
         h = (diff + diff.conj().T) / 2.0
         lam, vecs = eigh(h)
-        if 0.5 * np.abs(lam).sum() <= best_upper + d * _SCREEN_SLACK:
-            value = float(0.5 * np.abs(hermitian_eig(h).eigenvalues).sum())
+        if np.maximum(lam, 0.0).sum() <= best_upper + d * _SCREEN_SLACK:
+            value = float(np.maximum(hermitian_eig(h).eigenvalues, 0.0).sum())
             if value < best_upper:
                 best_upper = value
                 best_mu0 = mu0
@@ -321,10 +329,11 @@ def certify_forward(
     trials: int,
     seed: int,
 ) -> CertReport:
-    """Sample mixture pairs and compare their trace distance to T's margin.
+    """Sample mixture pairs and compare their max_pair_gap to T's margin.
 
-    Any POVM element whose worst pair gap is eps forces every mixture of
-    set0 to stay at trace distance >= eps from every mixture of set1; this
+    Any POVM element whose worst pair gap is eps forces every mixture pair
+    of set0 and set1 to keep max_pair_gap >= eps, the trace distance where
+    the two traces agree; this
     samples `trials` uniform (Dirichlet(1,...,1)) mixture pairs from the
     documented SplitMix64 stream (mu0's exponentials drawn before mu1's,
     per trial) and reports the largest violation found, expected <= 1e-9.
@@ -336,13 +345,13 @@ def certify_forward(
     LAPACK eigvalsh call.  Every trial whose screened distance lies within
     a rounding slack of the smallest gets its stream weights
     (_rng.simplex_points, with math.log) and is recomputed with
-    mixture_state and trace_distance, in trial order, and the first strict
+    mixture_state and max_pair_gap, in trial order, and the first strict
     minimum of those values is reported, so no reported number comes from
     numpy's log or eigvalsh.  The slack covers eigvalsh's backward error
     (LAPACK Users' Guide, section 4.7) and hermitian_eig's stopping rule,
     the two ways of summing a mixture, and the screened weights' error
     (_screen_slack), so the report is the one a trial-by-trial loop with
-    trace_distance gives; normally a single trial is recomputed.
+    max_pair_gap gives; normally a single trial is recomputed.
 
     The margin is T's worst pair gap as given, not that of T clipped to
     [0, I].  Validation accepts a measurement whose spectrum lies within
@@ -383,7 +392,7 @@ def certify_forward(
         _check_weight_rows(w1, start)
         diff = (w0 @ real0 - w1 @ real1).view(np.complex128).reshape(-1, d, d)
         lam = eigvalsh((diff + diff.conj().transpose(0, 2, 1)) / 2.0)
-        screened = 0.5 * np.abs(lam).sum(axis=1)
+        screened = np.maximum(lam, 0.0).sum(axis=1)
         best = min(best, float(screened.min()))
         pool = {key: entry for key, entry in pool.items() if entry[0] <= best + slack}
         for k in np.flatnonzero(screened <= best + slack):
@@ -394,7 +403,7 @@ def certify_forward(
     worst_mu0 = None
     worst_mu1 = None
     for _, mu0, mu1 in pool.values():
-        dist = trace_distance(mixture_state(mu0, set0), mixture_state(mu1, set1))
+        dist = max_pair_gap(mixture_state(mu0, set0), mixture_state(mu1, set1))
         if dist < min_distance:
             min_distance = dist
             worst_mu0 = mu0

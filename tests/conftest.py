@@ -58,7 +58,7 @@ def random_instance(seed: int, dims=(2, 3, 4), max_states: int = 4):
 
 
 def reference_certify(t, set0, set1, trials, seed):
-    """certify_forward as one trace_distance per trial, drawn from next_uint64."""
+    """certify_forward as one max_pair_gap per trial, drawn from next_uint64."""
     rng = SplitMix64(seed)
 
     def simplex(size):
@@ -72,7 +72,7 @@ def reference_certify(t, set0, set1, trials, seed):
     best = (np.inf, None, None)
     for _ in range(trials):
         mu0, mu1 = simplex(len(set0)), simplex(len(set1))
-        dist = ss.trace_distance(ss.mixture_state(mu0, set0), ss.mixture_state(mu1, set1))
+        dist = ss.max_pair_gap(ss.mixture_state(mu0, set0), ss.mixture_state(mu1, set1))
         if dist < best[0]:
             best = (dist, mu0, mu1)
     margin = ss.separation_gap(t, set0, set1).min_gap

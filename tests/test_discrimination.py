@@ -122,6 +122,31 @@ class TestHelstromMeasurement:
                 assert ss.pair_gap(t, a, b) <= ceiling + 1e-8
 
 
+class TestMaxPairGap:
+    def test_is_the_trace_distance_for_equal_traces(self):
+        rng = np.random.RandomState(19)
+        for dim in (2, 3, 4, 9):
+            a = ss.random_density(dim, 1 + rng.randint(dim), rng.randint(2**31))
+            b = ss.random_density(dim, 1 + rng.randint(dim), rng.randint(2**31))
+            assert abs(ss.max_pair_gap(a, b) - ss.trace_distance(a, b)) <= 1e-13
+
+    def test_helstrom_measurement_attains_it_when_traces_differ(self):
+        # Traces 1 + t and 1 - t: the trace distance is 0.1 + t, the best
+        # pair gap 0.1 + 2t, which |0><0| attains.
+        t = 0.99e-9
+        a = density(np.diag([1.0 + t, 0.0]))
+        b = density(np.diag([0.9 - t, 0.1]))
+        best = ss.max_pair_gap(a, b)
+        assert best == pytest.approx(0.1 + 2 * t, abs=1e-16)
+        assert ss.trace_distance(a, b) == pytest.approx(0.1 + t, abs=1e-16)
+        assert ss.pair_gap(ss.helstrom_measurement(a, b), a, b) == pytest.approx(best, abs=1e-16)
+        assert ss.max_pair_gap(b, a) == pytest.approx(0.1, abs=1e-16)
+
+    def test_rejects_mixed_dimensions(self, qubits):
+        with pytest.raises(DimensionMismatchError):
+            ss.max_pair_gap(qubits["ket0"], density(np.eye(3) / 3.0))
+
+
 class TestPairGap:
     def test_identity_measurement(self, qubits):
         t = ss.validate_povm_element(np.eye(2))

@@ -89,7 +89,46 @@ def test_weak_duality_at_every_checkpoint(seed):
 
 
 def jacobi_distance(h):
-    return float(0.5 * np.abs(hermitian.hermitian_eig(h).eigenvalues).sum())
+    return float(np.maximum(hermitian.hermitian_eig(h).eigenvalues, 0.0).sum())
+
+
+# Inside validation's limits: |Tr rho - 1| <= 1e-9, eigenvalues >= -1e-9.
+LIMIT = 0.99e-9
+
+
+@st.composite
+def instances_at_the_limits(draw):
+    """One to three states a side at d = 2-4, each trace 1 or 1 +/- LIMIT,
+    and the least eigenvalue of each 0 or -LIMIT, in a random basis."""
+    dim = draw(st.integers(min_value=2, max_value=4))
+
+    def state():
+        weights = np.array(draw(st.lists(st.integers(1, 100), min_size=dim - 1,
+                                         max_size=dim - 1)), dtype=float)
+        low = draw(st.sampled_from((0.0, -LIMIT)))
+        p = np.append(weights / weights.sum(), low)
+        p[0] += draw(st.sampled_from((-LIMIT, 0.0, LIMIT))) - low
+        u = haar_unitary(dim, draw(seeds))
+        m = (u * p) @ u.conj().T
+        return ss.validate_density((m + m.conj().T) / 2.0)
+
+    sizes = st.integers(min_value=1, max_value=3)
+    return tuple(ss.StateSet(dim=dim, states=tuple(state() for _ in range(draw(sizes))))
+                 for _ in range(2))
+
+
+@settings(max_examples=30)
+@given(instances_at_the_limits())
+def test_bounds_hold_at_the_validators_limits(instance):
+    # Both sides bound the same max over 0 <= T <= I, so only rounding may
+    # part them, not traces that differ by up to 2e-9.
+    set0, set1 = instance
+    slack = set0.dim * 1e-13
+    res = ss.solve_saddle(set0, set1, ss.SolverConfig(max_rounds=300, target_gap=1e-9))
+    for point in res.trace:
+        assert point.lower_bound <= point.upper_bound + slack
+    report = ss.certify_forward(res.measurement, set0, set1, trials=50, seed=1)
+    assert report.max_violation <= slack
 
 
 @EXAMPLES

@@ -223,6 +223,22 @@ class TestMinMixtureDistance:
         assert res.upper_bound == res.trace[-1].upper_bound
         assert res.upper_bound == min(c.upper_bound for c in res.trace)
 
+    def test_holds_for_traces_off_one(self):
+        # Both traces 0.99e-9 off 1, which validation accepts.  Half the
+        # trace norm of the difference, 0.1 + t, would lie under the margin
+        # |0><0| attains, 0.1 + 2t; the sum of its positive eigenvalues
+        # is that margin.
+        t = 0.99e-9
+        set0 = state_set(np.diag([1.0 + t, 0.0]))
+        set1 = state_set(np.diag([0.9 - t, 0.1]))
+        res = ss.solve_saddle(set0, set1, ss.SolverConfig(target_gap=1e-12))
+        assert res.converged
+        assert res.lower_bound == pytest.approx(0.1 + 2 * t, abs=1e-15)
+        assert res.lower_bound <= res.upper_bound + 2e-13
+        assert ss.trace_distance(set0.states[0], set1.states[0]) < res.lower_bound - 9e-10
+        report = ss.certify_forward(res.measurement, set0, set1, trials=10, seed=1)
+        assert report.max_violation <= 2e-13
+
     def test_realizes_its_value(self):
         set0, set1 = random_instance(22)
         res = ss.solve_saddle(set0, set1, FAST)
