@@ -182,11 +182,11 @@ class SaddleResult:
 
     measurement is the best certified combination of cuts; lower_bound is
     its worst pair gap (an achievable margin), upper_bound the smallest
-    max_pair_gap of the mixture pairs queried (no measurement can beat it).  mu0/mu1
-    are the mixtures of the last iteration: the uniform pair at the first,
-    the master's optimal mixtures after.  best_mu0/best_mu1 are the
-    mixtures attaining upper_bound.  rounds_used counts iterations, and
-    trace holds one checkpoint per iteration.
+    max_pair_gap of the mixture pairs queried (no measurement can beat
+    it).  mu0/mu1 are the mixtures of the last iteration: the uniform pair
+    at the first, the master's optimal mixtures after.  best_mu0/best_mu1
+    are the mixtures attaining upper_bound.  rounds_used counts iterations,
+    and trace holds one checkpoint per iteration.
     """
 
     measurement: PovmElement

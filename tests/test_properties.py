@@ -3,9 +3,11 @@
 Every converged solve sandwiches eps*: lower_bound <= eps* <= upper_bound
 with upper_bound - lower_bound <= TARGET.  So two solves of instances
 with the same eps* agree within TARGET on each bound, whatever algorithm
-produced them, and the exact cases below pin eps* itself.  Hypothesis
-draws small instances (d = 2-4, one to three states a side) from seeds,
-in the conftest's random_instance convention.
+produced them, and the exact cases below pin eps* itself.  The two
+bounds stay ordered up to rounding even for states at the validator's
+trace and eigenvalue limits.  Hypothesis draws small instances (d = 2-4,
+one to three states a side) from seeds, in the conftest's
+random_instance convention.
 
 The later properties cover the layers under the solver: certify's
 batched eigvalsh screen against hermitian_eig and against eigvalsh of
