@@ -89,18 +89,6 @@ class SplitMix64:
         z ^= z >> np.uint64(31)
         return ((z >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
 
-    def simplex_pairs(self, count: int, size0: int, size1: int):
-        """`count` pairs of uniform points on the simplices of `size0` and `size1`.
-
-        Returns two float64 arrays, (count, size0) and (count, size1).  Row
-        k of each is the k-th pair's point: normalized standard exponentials
-        -log(U), the first row's `size0` draws first, then its `size1`
-        draws, then the next pair's.  All count * (size0 + size1) uniforms
-        come from one uniform_block call.
-        """
-        uniforms = self.uniform_block(count * (size0 + size1)).reshape(count, -1)
-        return simplex_points(uniforms[:, :size0]), simplex_points(uniforms[:, size0:])
-
 
 def simplex_points(uniforms: np.ndarray) -> np.ndarray:
     """The stream's simplex points from rows of uniforms: exponentials -log(U), normalized.

@@ -26,7 +26,15 @@ from .errors import InvalidMeasurementError, StatesepError
 from .saddle import SolverConfig, certify_forward, solve_saddle
 from .states import StateSet, mixture_state, random_density
 
-CERT_TOL = 1e-9
+# The largest violation certify accepts.  Validation admits a T with
+# spectrum in [-delta, 1 + delta], delta = 1e-9, and for such a T every
+# mixture pair, Delta the difference of its mixtures, has
+# margin - max_pair_gap <= Tr (T - clip(T)) Delta <= delta ||Delta||_1,
+# clip(T) being T with its spectrum clipped to [0, 1], which no pair gap
+# beats.  Each validated state has trace norm at most 1 + (2d + 1) 1e-9, so
+# ||Delta||_1 <= 2 + O(d 1e-9), and 2e-9 covers the validator's slack; the
+# other 1e-9 is the allowance for rounding.
+CERT_TOL = 3e-9
 
 
 def _fmt(x: float) -> str:

@@ -29,9 +29,10 @@ no eigenvalue lies below a floor.  states._lowest_above gives one by a
 shifted Cholesky factorization, and screen_densities and
 screen_povm_element use it.  hermitian_eig decomposes a state in
 validate_density only at d <= 2, where one rotation is cheaper than the
-proof, or when the proof cannot clear it; loading a set, building one
-with StateSet.from_matrices and loading a measurement decompose only the
-matrices their screen rejects.
+proof, or when the proof cannot clear it.  validate_povm_element screens
+a measurement itself, at every d, and decomposes it only when the proof
+cannot clear it; building a set with StateSet.from_matrices, and so
+loading one, decomposes only the states the screen rejects.
 
 hermitian_eig scales a matrix with an entry above 2^500 down by an exact
 power of two before iterating, and its eigenvalues back up, so that the

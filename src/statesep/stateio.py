@@ -20,9 +20,13 @@ any check fails, the whole file is parsed again by the per-entry loop
 (parse_matrix), the only code that words a parse error, so the first
 error, its state index and its message are those of that loop alone.
 
-The parsed states are validated in one pass (_screened), from which
-load_state_set and load_single_state raise the first invalid state's
-error and load_state_verdicts (`statesep validate`) returns every state's.
+This module parses and writes files and checks no physics.  The parsed
+states are validated by states.screened, the one screened pass every
+state set takes: load_state_set and load_single_state build their set
+with StateSet.from_matrices, which raises the first invalid state's
+error, and load_state_verdicts (`statesep validate`) returns every
+state's.  A measurement is validated by validate_povm_element, which
+screens it too.
 """
 
 from __future__ import annotations
@@ -34,12 +38,14 @@ from typing import Any
 import numpy as np
 
 from .errors import MultiStateFileError, ParseError, StatesepError
+# validate_density is not called here; it stays bound because the
+# benchmark's tracer (perfbench/tracing.py) wraps
+# statesep.stateio.validate_density.
 from .states import (
     DensityMatrix,
     PovmElement,
     StateSet,
-    screen_densities,
-    screen_povm_element,
+    screened,
     validate_density,
     validate_povm_element,
 )
@@ -310,32 +316,12 @@ def _read_states(path: str) -> tuple[int, list[str | None], np.ndarray]:
     return dim, labels, np.stack(matrices)
 
 
-def _screened(stack: np.ndarray):
-    """Each state of an (n, d, d) stack, in order, as a DensityMatrix or its StatesepError.
-
-    One screen_densities call covers the stack; the states it passes are
-    wrapped as parsed, and each other one goes through validate_density
-    when the caller asks for it, so stopping at the first error validates
-    no later state.  Each item is what validate_density gives on its state.
-    """
-    for matrix, ok in zip(stack, screen_densities(stack)):
-        if ok:
-            yield DensityMatrix(matrix)
-            continue
-        try:
-            yield validate_density(matrix)
-        except StatesepError as exc:
-            yield exc
-
-
-def _densities(path: str, stack: np.ndarray) -> list[DensityMatrix]:
-    """The stack's states, or the first invalid one's error with the path and state index prefixed."""
-    states = []
-    for k, state in enumerate(_screened(stack)):
-        if isinstance(state, StatesepError):
-            raise type(state)(f"{path}: state {k}: {state}") from state
-        states.append(state)
-    return states
+def _state_set(path: str, stack: np.ndarray, labels=None) -> StateSet:
+    """StateSet.from_matrices(stack, labels), its error raised with the path prefixed."""
+    try:
+        return StateSet.from_matrices(stack, labels)
+    except StatesepError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
 
 
 def load_state_verdicts(path: str) -> tuple[int, list[tuple[str | None, StatesepError | None]]]:
@@ -347,26 +333,22 @@ def load_state_verdicts(path: str) -> tuple[int, list[tuple[str | None, Statesep
     not only up to the first invalid one.
     """
     dim, labels, stack = _read_states(path)
-    verdicts = [state if isinstance(state, StatesepError) else None for state in _screened(stack)]
+    verdicts = [state if isinstance(state, StatesepError) else None for state in screened(stack)]
     return dim, list(zip(labels, verdicts))
 
 
 def load_state_set(path: str) -> StateSet:
     """Parse and fully validate a state-set file.
 
-    The states are parsed in one array pass and validated by _screened;
-    the first invalid state's error is raised with the path and state
-    index prefixed, so the set, or the error, is that of validating each
-    state in turn.
+    The states are parsed in one array pass and validated by
+    StateSet.from_matrices; the first invalid state's error is raised with
+    the path and state index prefixed, so the set, or the error, is that
+    of validating each state in turn.
     """
-    dim, labels, stack = _read_states(path)
-    states = _densities(path, stack)
-    have_labels = any(label is not None for label in labels)
-    return StateSet(
-        dim=dim,
-        states=tuple(states),
-        labels=tuple(lbl if lbl is not None else "" for lbl in labels) if have_labels else None,
-    )
+    _, labels, stack = _read_states(path)
+    if all(label is None for label in labels):
+        return _state_set(path, stack)
+    return _state_set(path, stack, [label if label is not None else "" for label in labels])
 
 
 def load_single_state(path: str) -> DensityMatrix:
@@ -378,27 +360,22 @@ def load_single_state(path: str) -> DensityMatrix:
     _, _, stack = _read_states(path)
     if len(stack) != 1:
         raise MultiStateFileError(f"{path}: expected exactly one state, found {len(stack)}")
-    return _densities(path, stack)[0]
+    return _state_set(path, stack).states[0]
 
 
 def load_measurement(path: str) -> PovmElement:
     """Parse and validate a measurement file ({"dim": d, "matrix": [[...]]}).
 
     The matrix is parsed in the array pass that state sets take, or, if a
-    check of that pass fails, by parse_matrix, which words the error.  A
-    matrix that screen_povm_element proves to lie within [0, I] by a
-    rounding margin (two shifted Cholesky certificates, no
-    eigendecomposition) is wrapped as parsed; any other goes through
-    validate_povm_element, whose error is raised with the path prefixed.
-    Every error names the path once.
+    check of that pass fails, by parse_matrix, which words the error.  It
+    is then validated by validate_povm_element, whose error is raised with
+    the path prefixed, so every error names the path once.
     """
     doc = _load_json(path)
     dim = _parse_dim(doc, path)
     raw = doc.get("matrix")
     stack = _stack_matrices([raw], dim)
     matrix = parse_matrix(raw, dim, f"{path}: matrix") if stack is None else stack[0]
-    if screen_povm_element(matrix):
-        return PovmElement(matrix)
     try:
         return validate_povm_element(matrix)
     except StatesepError as exc:

@@ -22,6 +22,7 @@ from .errors import (
     LengthMismatchError,
     NotPositiveError,
     SpectrumOutOfRangeError,
+    StatesepError,
 )
 from .hermitian import _SCALE_ABOVE, HERMITICITY_TOL, check_hermitian, hermitian_eig, trace
 
@@ -106,18 +107,21 @@ class StateSet:
     def from_matrices(cls, matrices, labels=None) -> "StateSet":
         """Validate raw matrices and assemble a set (all must share one dim).
 
-        The matrices that screen_densities passes are wrapped as they are;
-        every other one goes through validate_density, in order, so the
-        set, or the first error, is the one a loop of validate_density
-        gives.
+        The matrices are validated by screened, in order, and the first
+        invalid one's error is raised with its index prefixed ("state k:
+        ..."), so the set, or the error, is that of a loop of
+        validate_density.  An (n, d, d) array is screened as it is; any
+        other iterable is listed first.
         """
-        matrices = list(matrices)
-        passed = screen_densities(matrices)
-        states = tuple(DensityMatrix(m) if ok else validate_density(m)
-                       for m, ok in zip(matrices, passed))
+        matrices = matrices if isinstance(matrices, np.ndarray) else list(matrices)
+        states = []
+        for k, state in enumerate(screened(matrices)):
+            if isinstance(state, StatesepError):
+                raise type(state)(f"state {k}: {state}") from state
+            states.append(state)
         if not states:
             raise EmptySetError("state set must contain at least one state")
-        return cls(dim=states[0].dim, states=states,
+        return cls(dim=states[0].dim, states=tuple(states),
                    labels=tuple(labels) if labels is not None else None)
 
     def stack(self) -> np.ndarray:
@@ -161,6 +165,25 @@ def validate_density(m) -> DensityMatrix:
             f"(re tol {TRACE_TOL:.1e}, im tol {TRACE_IMAG_TOL:.1e})"
         )
     return DensityMatrix(a)
+
+
+def screened(matrices):
+    """Each matrix, in order, as a DensityMatrix or the StatesepError validate_density raises.
+
+    matrices is a sequence of matrices or an (n, d, d) array.  One
+    screen_densities call covers them all; a matrix it passes is wrapped
+    as it is, and each other one goes through validate_density only when
+    the caller asks for it, so stopping at the first error validates no
+    later matrix.  Each item is what validate_density gives on its matrix.
+    """
+    for matrix, ok in zip(matrices, screen_densities(matrices)):
+        if ok:
+            yield DensityMatrix(matrix)
+            continue
+        try:
+            yield validate_density(matrix)
+        except StatesepError as exc:
+            yield exc
 
 
 def _lowest_above(h, floor) -> np.ndarray:
@@ -317,8 +340,16 @@ def screen_povm_element(m) -> bool:
 
 
 def validate_povm_element(m) -> PovmElement:
-    """Check Hermiticity and spectrum within [-1e-9, 1 + 1e-9]."""
+    """Check Hermiticity and spectrum within [-1e-9, 1 + 1e-9].
+
+    A Hermitian matrix first goes through screen_povm_element, and one it
+    passes is returned with no spectrum computed; any other is decomposed
+    by hermitian_eig.  The screen passes only matrices that clear both
+    checks, so the result and every error are the same either way.
+    """
     a = check_hermitian(m)
+    if screen_povm_element(a):
+        return PovmElement(a)
     dec = hermitian_eig(a)
     lo = float(dec.eigenvalues[0])
     hi = float(dec.eigenvalues[-1])

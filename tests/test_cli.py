@@ -234,6 +234,38 @@ class TestCertify:
         assert doc["result"]["max_violation"] <= 1e-9
         assert doc["result"]["certified"] is True
 
+    def test_measurement_at_the_validators_edge_certifies(self, tmp_path, capsys):
+        # T lies 0.99e-9 outside [0, I] at both ends, which validation
+        # accepts; its margin exceeds eps* = 0.9 by 1.78e-9.
+        t_path = tmp_path / "T.json"
+        t = ss.PovmElement(np.diag([1.0 + 0.99e-9, 0.5, -0.99e-9]))
+        stateio.save_measurement(str(t_path), t)
+        s0 = write_set(tmp_path / "s0.json", np.diag([0.9, 0.1, 0.0]))
+        s1 = write_set(tmp_path / "s1.json", np.diag([0.0, 0.1, 0.9]))
+        assert run_cli("certify", s0, s1, str(t_path), "--trials", "100", "--json") == 0
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert 1e-9 < result["max_violation"] <= cli.CERT_TOL
+        assert result["certified"] is True
+
+    @pytest.mark.parametrize("violation,certified", [
+        (cli.CERT_TOL, True),
+        (np.nextafter(cli.CERT_TOL, np.inf), False),
+    ])
+    def test_violation_beyond_tolerance_exits_1(self, files, capsys, tmp_path, monkeypatch,
+                                                violation, certified):
+        t_path = tmp_path / "T.json"
+        stateio.save_measurement(str(t_path), ss.PovmElement(np.eye(2) / 2.0))
+        report = ss.saddle.CertReport(margin=0.0, max_violation=float(violation),
+                                      worst_mu0=np.array([0.5, 0.5]), worst_mu1=np.array([1.0]),
+                                      min_distance=0.0, trials=1)
+        monkeypatch.setattr(cli, "certify_forward", lambda *args, **kwargs: report)
+        argv = ["certify", files["basis"], files["mixed"], str(t_path)]
+        assert run_cli(*argv) == (0 if certified else 1)
+        out = capsys.readouterr().out
+        assert ("VIOLATED" in out) is not certified and ("(certified)" in out) is certified
+        assert run_cli(*argv, "--json") == (0 if certified else 1)
+        assert json.loads(capsys.readouterr().out)["result"]["certified"] is certified
+
     def test_invalid_measurement_rejected_before_sampling(self, files, capsys, tmp_path):
         t_path = tmp_path / "T.json"
         doc = {"dim": 2, "matrix": [[{"re": 1.2, "im": 0.0}, {"re": 0.0, "im": 0.0}],

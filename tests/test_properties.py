@@ -14,8 +14,9 @@ batched eigvalsh screen against hermitian_eig and against eigvalsh of
 each matrix alone, certify_forward against a trial-by-trial reference
 loop, screened set loading and validate_density's own screen against
 validating each state by its spectrum, the shifted Cholesky certificate
-against eigvalsh, screened measurement loading against
-validate_povm_element, and the CLI's typed exit, naming the bad file
+against eigvalsh, validate_povm_element's screen and screened
+measurement loading against validating the measurement by its spectrum,
+and the CLI's typed exit, naming the bad file
 once, on every kind of malformed input file.
 """
 
@@ -394,7 +395,7 @@ def assert_same_outcome(load, stack, failure, wording):
 def test_screened_loading_matches_validating_each_state(matrices):
     stack, failure = validated_one_by_one(matrices)
     assert_same_outcome(lambda: ss.StateSet.from_matrices(matrices), stack, failure,
-                        lambda k, exc: str(exc))
+                        lambda k, exc: f"state {k}: {exc}")
     if any(np.isnan(m).any() for m in matrices):
         return  # a file cannot carry a NaN
     with tempfile.TemporaryDirectory() as tmp:
@@ -552,6 +553,12 @@ def edge_measurements(draw):
     return kind, m
 
 
+def decomposed_measurement(m):
+    """validate_povm_element(m) with its screen off: the matrix gets a spectrum."""
+    with mock.patch.object(ss.states, "screen_povm_element", lambda m: False):
+        return ss.validate_povm_element(m)
+
+
 @settings(max_examples=100)
 @given(edge_measurements())
 def test_screened_measurement_loading_matches_validating_it(case):
@@ -563,12 +570,16 @@ def test_screened_measurement_loading_matches_validating_it(case):
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(stateio.dumps({"dim": m.shape[0], "matrix": stateio.matrix_to_jsonable(m)}))
         try:
-            expected = ss.validate_povm_element(m)
+            expected = decomposed_measurement(m)
         except ss.StatesepError as exc:
+            with pytest.raises(type(exc)) as direct:
+                ss.validate_povm_element(m)
+            assert str(direct.value) == str(exc)
             with pytest.raises(type(exc)) as info:
                 stateio.load_measurement(path)
             assert str(info.value) == f"{path}: {exc}"
         else:
+            assert ss.validate_povm_element(m).matrix.tobytes() == expected.matrix.tobytes()
             assert stateio.load_measurement(path).matrix.tobytes() == expected.matrix.tobytes()
 
 

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from statesep._rng import SplitMix64
+from statesep._rng import SplitMix64, simplex_points
 from statesep.saddle import _SCREEN_LOG_ETA
 
 
@@ -19,6 +19,22 @@ def reference_simplex(rng: SplitMix64, size: int) -> list[float]:
     return [e / total for e in draws]
 
 
+def stream_pairs(rng: SplitMix64, count: int, size0: int, size1: int):
+    """`count` pairs of simplex points, drawn as certify_forward draws a block of trials.
+
+    One uniform_block call gives every uniform, row k holding pair k's
+    size0 then size1 draws, and simplex_points turns each half-row into a
+    point.  The whole-block form, one simplex_points call per half, must
+    give the same rows.
+    """
+    uniforms = rng.uniform_block(count * (size0 + size1)).reshape(count, size0 + size1)
+    pairs = [(simplex_points(row[:size0]), simplex_points(row[size0:])) for row in uniforms]
+    rows0, rows1 = simplex_points(uniforms[:, :size0]), simplex_points(uniforms[:, size0:])
+    assert rows0.tobytes() == np.array([mu0 for mu0, _ in pairs]).tobytes()
+    assert rows1.tobytes() == np.array([mu1 for _, mu1 in pairs]).tobytes()
+    return pairs
+
+
 @pytest.mark.parametrize("size0,size1", [(1, 1), (4, 3), (256, 256)])
 @pytest.mark.parametrize("offset", [0, 1, 7])
 def test_simplex_pairs_match_scalar_stream(size0, size1, offset):
@@ -27,26 +43,21 @@ def test_simplex_pairs_match_scalar_stream(size0, size1, offset):
     for _ in range(offset):
         ref.next_uint64()
         fast.next_uint64()
-    # Two calls, so the second block starts where the first one stopped.
-    blocks = [fast.simplex_pairs(3, size0, size1), fast.simplex_pairs(2, size0, size1)]
-    want0, want1 = [], []
-    for _ in range(5):
-        want0.append(reference_simplex(ref, size0))
-        want1.append(reference_simplex(ref, size1))
-    got0 = np.concatenate([b[0] for b in blocks])
-    got1 = np.concatenate([b[1] for b in blocks])
-    assert got0.shape == (5, size0) and got1.shape == (5, size1)
-    assert got0.tobytes() == np.array(want0).tobytes()
-    assert got1.tobytes() == np.array(want1).tobytes()
+    # Two blocks, so the second starts where the first one stopped.
+    got = stream_pairs(fast, 3, size0, size1) + stream_pairs(fast, 2, size0, size1)
+    for mu0, mu1 in got:
+        assert mu0.tobytes() == np.array(reference_simplex(ref, size0)).tobytes()
+        assert mu1.tobytes() == np.array(reference_simplex(ref, size1)).tobytes()
     assert fast._state == ref._state
     assert fast.next_uint64() == ref.next_uint64()
 
 
 def test_state_wraps_modulo_two_to_the_64():
     ref, fast = SplitMix64(2 ** 64 - 1), SplitMix64(2 ** 64 - 1)
-    fast.simplex_pairs(2, 3, 1)
-    for _ in range(2 * (3 + 1)):
-        ref.next_uint64()
+    got = stream_pairs(fast, 2, 3, 1)
+    for mu0, mu1 in got:
+        assert mu0.tobytes() == np.array(reference_simplex(ref, 3)).tobytes()
+        assert mu1.tobytes() == np.array(reference_simplex(ref, 1)).tobytes()
     assert fast._state == ref._state
 
 

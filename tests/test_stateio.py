@@ -182,7 +182,7 @@ class TestParsing:
             seen.append(matrix)
             raise boom
 
-        monkeypatch.setattr(stateio, "validate_density", fail)
+        monkeypatch.setattr(ss.states, "validate_density", fail)
         with pytest.raises(RuntimeError) as info:
             stateio.load_state_set(str(p))
         assert info.value is boom

@@ -181,6 +181,17 @@ class TestValidatePovmElement:
     def test_projector_valid(self):
         ss.validate_povm_element(np.diag([1.0, 0.0, 1.0]))
 
+    @pytest.mark.parametrize("dim", [1, 2, 16])
+    def test_screened_element_spends_no_eigendecomposition(self, jacobi_calls, dim):
+        rho = ss.random_density(dim, dim, 3).matrix
+        m = rho / np.abs(rho).max() / dim
+        jacobi_calls.clear()
+        assert ss.validate_povm_element(m).matrix.tobytes() == m.tobytes()
+        assert len(jacobi_calls) == 0
+        # On the ceiling exactly, only the spectrum accepts it.
+        ss.validate_povm_element(np.diag([0.5] * (dim - 1) + [ss.states.POVM_CEILING]))
+        assert len(jacobi_calls) == 1
+
 
 class TestStateSet:
     def test_uniform_dimension_enforced(self):
@@ -192,6 +203,16 @@ class TestStateSet:
             ss.StateSet(dim=2, states=())
         with pytest.raises(EmptySetError, match="^state set must contain at least one state$"):
             ss.StateSet.from_matrices([])
+
+    def test_from_matrices_names_the_failing_state(self):
+        mats = [np.eye(2) / 2, np.diag([1.0, 0.0]), np.diag([1.2, -0.2]), np.diag([2.0, 0.0])]
+        with pytest.raises(NotPositiveError) as err:
+            ss.StateSet.from_matrices(mats)
+        assert str(err.value).startswith("state 2: minimum eigenvalue -2.000e-01")
+        with pytest.raises(NotPositiveError, match="^state 2: "):
+            ss.StateSet.from_matrices(m for m in mats)
+        sset = ss.StateSet.from_matrices(m for m in mats[:2])
+        assert sset.stack().tobytes() == np.array(mats[:2], dtype=complex).tobytes()
 
     def test_label_count(self):
         with pytest.raises(LengthMismatchError):
