@@ -32,6 +32,7 @@ API (its distribution methods are allowed to change between versions).
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -42,10 +43,15 @@ _MIX2 = 0x94D049BB133111EB
 
 
 class SplitMix64:
-    """SplitMix64 stream seeded with a 64-bit integer (wider seeds are masked)."""
+    """SplitMix64 stream seeded with a 64-bit integer (wider seeds are masked).
+
+    The state is kept as a Python int: a numpy integer seed or count is
+    taken through operator.index, since numpy arithmetic with the 64-bit
+    constants would overflow.
+    """
 
     def __init__(self, seed: int):
-        self._state = seed & _MASK64
+        self._state = operator.index(seed) & _MASK64
 
     def next_uint64(self) -> int:
         self._state = (self._state + _GOLDEN) & _MASK64
@@ -81,6 +87,7 @@ class SplitMix64:
         Entry i is the uniform the (i + 1)-th next_uint64 call would give,
         and the state advances by exactly `count` outputs.
         """
+        count = operator.index(count)
         steps = np.arange(1, count + 1, dtype=np.uint64)
         z = np.uint64(self._state) + steps * np.uint64(_GOLDEN)
         self._state = (self._state + count * _GOLDEN) & _MASK64

@@ -4,7 +4,9 @@ Commands: validate | solve | distance | helstrom | certify | random.
 Exit codes: 0 success / converged / certified, 2 solver hit the iteration cap
 without converging, 1 any error.  Stdout carries a human summary; --json
 replaces it with a single deterministic JSON document (no timing fields),
-so repeated runs on identical inputs emit identical bytes.
+so repeated runs on identical inputs emit identical bytes.  Payloads carry
+the library's weight vectors and matrices as they are; stateio.dumps
+renders the arrays.
 
 The commands check nothing themselves: validate prints the verdicts of
 stateio.load_state_verdicts, which validates as the loaders do.
@@ -85,16 +87,16 @@ def _cmd_solve(args) -> tuple[int, dict, list[str]]:
         "gap": result.gap,
         "converged": result.converged,
         "rounds_used": result.rounds_used,
-        "mu0": [float(v) for v in result.mu0],
-        "mu1": [float(v) for v in result.mu1],
-        "best_mu0": [float(v) for v in result.best_mu0],
-        "best_mu1": [float(v) for v in result.best_mu1],
+        "mu0": result.mu0,
+        "mu1": result.mu1,
+        "best_mu0": result.best_mu0,
+        "best_mu1": result.best_mu1,
         "trace": [
             {"round": c.round, "lower_bound": c.lower_bound,
              "upper_bound": c.upper_bound, "gap": c.gap}
             for c in result.trace
         ],
-        "measurement": stateio.measurement_to_jsonable(result.measurement),
+        "measurement": {"dim": result.measurement.dim, "matrix": result.measurement.matrix},
     }
     lines = [
         f"dim {set0.dim}, |S0| = {len(set0)}, |S1| = {len(set1)}",
@@ -121,11 +123,8 @@ def _cmd_distance(args) -> tuple[int, dict, list[str]]:
     mu1 = np.full(n1, 1.0 / n1) if args.mu1 is None else _parse_weight_flag(args.mu1)
     # mixture_state checks each weight vector.
     dist = trace_distance(mixture_state(mu0, set0), mixture_state(mu1, set1))
-    payload = {
-        "distance": dist,
-        "mu0": [float(v) for v in mu0],
-        "mu1": [float(v) for v in mu1],
-    }
+    # dumps renders the default array and the flag's parsed list alike.
+    payload = {"distance": dist, "mu0": mu0, "mu1": mu1}
     return 0, payload, [f"trace distance: {_fmt(dist)}"]
 
 
@@ -134,7 +133,7 @@ def _cmd_helstrom(args) -> tuple[int, dict, list[str]]:
     sigma = stateio.load_single_state(args.sigma)
     t = helstrom_measurement(rho, sigma)
     gap = pair_gap(t, rho, sigma)
-    payload = {"gap": gap, "measurement": stateio.measurement_to_jsonable(t)}
+    payload = {"gap": gap, "measurement": {"dim": t.dim, "matrix": t.matrix}}
     lines = [f"achieved gap: {_fmt(gap)}"]
     if args.out:
         stateio.save_measurement(args.out, t)
@@ -158,8 +157,8 @@ def _cmd_certify(args) -> tuple[int, dict, list[str]]:
         "max_violation": report.max_violation,
         "min_distance": report.min_distance,
         "trials": report.trials,
-        "worst_mu0": [float(v) for v in report.worst_mu0],
-        "worst_mu1": [float(v) for v in report.worst_mu1],
+        "worst_mu0": report.worst_mu0,
+        "worst_mu1": report.worst_mu1,
         "certified": certified,
     }
     lines = [

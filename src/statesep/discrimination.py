@@ -20,6 +20,7 @@ from .errors import (
     DimensionMismatchError,
     GapOutOfBandError,
     ImaginaryResidueError,
+    as_real,
 )
 from .hermitian import hermitian_eig, positive_part_projector
 from .states import DensityMatrix, PovmElement, StateSet
@@ -151,8 +152,10 @@ def min_separation_gap(t: PovmElement, set0: StateSet, set1: StateSet) -> float:
 def is_separating(t: PovmElement, set0: StateSet, set1: StateSet, eps: float) -> bool:
     """Whether T attains margin eps: min pair gap >= eps - 1e-12.
 
-    eps must be positive; anything else, NaN included, raises BadConfigError.
+    eps must be a positive real number; anything else, NaN, a bool or a
+    string included, raises BadConfigError.
     """
+    eps = as_real(eps, "eps")
     if not eps > 0.0:
         raise BadConfigError(f"eps must be positive, got {eps}")
     return min_separation_gap(t, set0, set1) >= eps - 1e-12

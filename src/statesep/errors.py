@@ -1,4 +1,12 @@
-"""Exception types raised by the library and the CLI."""
+"""Exception types raised by the library and the CLI.
+
+as_int and as_real check a number argument's type for the library's entry
+points, so that a wrong-typed number raises a typed error at once rather
+than a TypeError deep inside.
+"""
+
+import numbers
+import operator
 
 
 class StatesepError(Exception):
@@ -76,7 +84,8 @@ class SetTooLargeError(StatesepError):
 # --- solver ---
 
 class BadConfigError(StatesepError, ValueError):
-    """A limit out of range: rounds or trials < 1, eps not > 0, target gap not finite and > 0."""
+    """A limit out of range or of the wrong type: rounds or trials not an
+    integer >= 1, eps not a number > 0, target gap not a finite number > 0."""
 
 
 # --- files / CLI ---
@@ -91,3 +100,33 @@ class MultiStateFileError(StatesepError):
 
 class InvalidMeasurementError(StatesepError):
     """Measurement file does not describe a valid POVM element."""
+
+
+# --- number arguments ---
+
+def as_int(value, name: str, error: type[StatesepError] = BadConfigError) -> int:
+    """value as a Python int: any Python or numpy integer but a bool.
+
+    Anything else, a float with an integral value included, raises `error`.
+    """
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise error(f"{name} must be an integer, got {value!r}")
+
+
+def as_real(value, name: str) -> float:
+    """value as a float: any Python or numpy real but a bool.
+
+    An integer too large for a float becomes an infinity of its sign.
+    Anything else, None, a string or a complex number, raises
+    BadConfigError.
+    """
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            return float("inf") if value > 0 else float("-inf")
+    raise BadConfigError(f"{name} must be a real number, got {value!r}")

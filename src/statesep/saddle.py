@@ -55,7 +55,14 @@ from ._rng import SplitMix64, normalized, simplex_points
 # because the benchmark's tracer (perfbench/tracing.py) wraps
 # statesep.saddle.separation_gap and statesep.saddle.trace_distance.
 from .discrimination import max_pair_gap, min_separation_gap, separation_gap, trace_distance
-from .errors import BadConfigError, BadWeightsError, DimensionMismatchError, EmptySetError
+from .errors import (
+    BadConfigError,
+    BadWeightsError,
+    DimensionMismatchError,
+    EmptySetError,
+    as_int,
+    as_real,
+)
 from .hermitian import POSITIVE_CUTOFF, hermitian_eig
 from .states import WEIGHT_SUM_TOL, PovmElement, StateSet, mixture_state
 
@@ -131,17 +138,20 @@ def _screen_slack(d: int, states: int) -> float:
 class SolverConfig:
     """Limits for solve_saddle.
 
-    max_rounds caps the cutting-plane iterations: one LAPACK
-    eigendecomposition and one master re-solve each, and a hermitian_eig
-    one wherever the query can lower the upper bound.  target_gap, finite
-    and positive, is the duality gap at which the solve stops.  The solver
-    is deterministic.
+    max_rounds, an integer >= 1, caps the cutting-plane iterations: one
+    LAPACK eigendecomposition and one master re-solve each, and a
+    hermitian_eig one wherever the query can lower the upper bound.
+    target_gap, a finite positive number, is the duality gap at which the
+    solve stops.  Anything else raises BadConfigError.  The solver is
+    deterministic.
     """
 
     max_rounds: int = 20000
     target_gap: float = 1e-4
 
     def __post_init__(self):
+        object.__setattr__(self, "max_rounds", as_int(self.max_rounds, "max_rounds"))
+        object.__setattr__(self, "target_gap", as_real(self.target_gap, "target_gap"))
         if self.max_rounds < 1:
             raise BadConfigError(f"max_rounds must be >= 1, got {self.max_rounds}")
         if not (math.isfinite(self.target_gap) and self.target_gap > 0.0):
@@ -370,11 +380,13 @@ def certify_forward(
     another matrix than the one given.
 
     The arguments are checked in order: a measurement of another dimension
-    than set0's raises DimensionMismatchError, trials below 1
-    BadConfigError, and sets of different dimensions DimensionMismatchError.
+    than set0's raises DimensionMismatchError, trials that is not an
+    integer >= 1 BadConfigError, and sets of different dimensions
+    DimensionMismatchError.
     """
     if t.dim != set0.dim:
         raise DimensionMismatchError(f"measurement dim {t.dim} != state dim {set0.dim}")
+    trials = as_int(trials, "trials")
     if trials < 1:
         raise BadConfigError(f"trials must be >= 1, got {trials}")
     _check_instance(set0, set1)

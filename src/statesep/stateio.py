@@ -9,8 +9,15 @@ State-set schema (UTF-8 JSON, matrices row-major, dim rows of dim entries):
 
 A measurement file carries a single "matrix" instead of "states".  Floats
 are written as decimal with 17 significant digits, so every file written
-here re-parses to bit-identical matrices.  The writers format each matrix
-row with one %-template, giving the bytes the generic `dumps` gives.
+here re-parses to bit-identical matrices.
+
+dumps renders numpy arrays itself: a weight vector as one inline list, a
+matrix as rows of {re, im} objects, each row by _row_lines' one template.
+So a document goes to dumps with its arrays as they are, and
+save_measurement is dumps of {"dim", "matrix"}.  save_state_set keeps its
+own one-pass template over the whole stack, for speed: through dumps, the
+recursion costs about 7 us a state (crit2's 100 files rendered in 4.7-5.2
+ms against 3.3 ms), and a crit2 set-up took 13.5% longer.
 
 Reading parses every matrix of a file in one array pass: check each
 matrix's shape, gather every entry's re and im into one list, check their
@@ -63,16 +70,20 @@ def format_float(x: float) -> str:
     return _float_texts([x])[0]
 
 
+# An array is a nested value, as a dict or a list is: dumps lays it out.
+_NESTED = (dict, list, np.ndarray)
+
+
 def _is_leaf_dict(obj) -> bool:
-    return isinstance(obj, dict) and all(
-        not isinstance(v, (dict, list)) for v in obj.values()
-    )
+    return isinstance(obj, dict) and all(not isinstance(v, _NESTED) for v in obj.values())
 
 
 def _is_inline_list(obj) -> bool:
-    # A matrix row: every item a scalar or a flat {re, im}-style object.
+    # A one-line list: every item a scalar or a flat object.  No matrix of
+    # the program comes here (arrays take _row_lines); only lists of trace
+    # checkpoints and of weights, and the rows of parsed documents.
     return isinstance(obj, (list, tuple)) and all(
-        _is_leaf_dict(v) or not isinstance(v, (dict, list)) for v in obj
+        _is_leaf_dict(v) or not isinstance(v, _NESTED) for v in obj
     )
 
 
@@ -82,9 +93,22 @@ def dumps(obj: Any, indent: int = 0) -> str:
     Dicts keep insertion order; dicts of scalars render on one line so a
     matrix row stays on one line.  The floats of each one-line list or
     dict are formatted together by one _float_texts call.
+
+    Arrays render as the lists they hold: a 1-D float64 array as one
+    inline list of floats, a 2-D complex128 array as a matrix, one row of
+    {"re", "im"} objects per line at indent + 2, by _row_lines.  Any other
+    array raises TypeError, as any other type does.
     """
     pad = " " * indent
     inner = " " * (indent + 2)
+    if isinstance(obj, np.ndarray):
+        if obj.ndim == 1 and obj.dtype == np.float64:
+            return "[" + ", ".join(_float_texts(obj.tolist())) + "]"
+        if obj.ndim == 2 and obj.dtype == np.complex128:
+            if not len(obj):
+                return "[]"
+            return "[\n" + ",\n".join(_row_lines(obj[None], indent + 2)) + f"\n{pad}]"
+        raise TypeError(f"cannot serialize a {obj.ndim}-D {obj.dtype} array")
     if isinstance(obj, dict):
         if not obj:
             return "{}"
@@ -138,38 +162,31 @@ def matrix_to_jsonable(matrix: np.ndarray) -> list:
     ]
 
 
-def state_set_to_jsonable(sset: StateSet) -> dict:
-    states = []
-    for k, rho in enumerate(sset.states):
-        entry: dict[str, Any] = {}
-        if sset.labels is not None:
-            entry["label"] = sset.labels[k]
-        entry["matrix"] = matrix_to_jsonable(rho.matrix)
-        states.append(entry)
-    return {"dim": sset.dim, "states": states}
-
-
-def measurement_to_jsonable(t: PovmElement) -> dict:
-    return {"dim": t.dim, "matrix": matrix_to_jsonable(t.matrix)}
-
-
 def _row_lines(stack: np.ndarray, indent: int) -> list[str]:
-    """Every row of an (n, d, d) stack, in order, as dumps writes it at `indent`.
+    """Every row of an (n, rows, cols) complex stack, in order, as dumps writes it at `indent`.
 
     _float_texts formats all the entries at once, raising dumps' ValueError
-    at the first non-finite one, and one template per row fills them in, so
-    each line is what dumps gives for matrix_to_jsonable's row.
+    at the first non-finite one, and one template per row fills them in.
+    This is the package's one renderer of a matrix: dumps calls it for a
+    matrix, and save_state_set for a whole set.
     """
-    n, d = stack.shape[0], stack.shape[1]
-    texts = _float_texts(stack.view(np.float64).ravel().tolist())
-    template = " " * indent + "[" + ", ".join(['{"re": %s, "im": %s}'] * d) + "]"
-    return ("\n".join([template] * (n * d)) % tuple(texts)).split("\n")
+    n, rows, cols = stack.shape
+    texts = _float_texts(stack.ravel().view(np.float64).tolist())
+    template = " " * indent + "[" + ", ".join(['{"re": %s, "im": %s}'] * cols) + "]"
+    return ("\n".join([template] * (n * rows)) % tuple(texts)).split("\n")
 
 
 def save_state_set(path: str, sset: StateSet) -> None:
-    """Write the bytes dumps(state_set_to_jsonable(sset)) gives, one template per row.
+    """Write the bytes dumps gives for {"dim", "states": [{"label", "matrix"}, ...]}.
 
-    A non-finite entry raises dumps' ValueError before the file is opened.
+    A state has "label" only when the set has labels, and "matrix" is the
+    state's array.  The file is filled from one _row_lines pass over the
+    whole stack rather than through dumps, whose recursion costs about
+    7 us a state: rendering crit2's 100 files took 4.7-5.2 ms through
+    dumps against 3.3 ms here, and in 8 alternating process pairs (each
+    the median of 25 set-ups) a crit2 set-up took 0.0259 s through dumps
+    against 0.0228 s (+13.5%, slower in 7 of the 8).  A non-finite entry
+    raises dumps' ValueError before the file is opened.
     """
     d = sset.dim
     rows = _row_lines(sset.stack(), 8)
@@ -183,13 +200,14 @@ def save_state_set(path: str, sset: StateSet) -> None:
 
 
 def save_measurement(path: str, t: PovmElement) -> None:
-    """Write the bytes dumps(measurement_to_jsonable(t)) gives, one template per row.
+    """Write dumps({"dim": t.dim, "matrix": t.matrix}) and a newline.
 
-    A non-finite entry raises dumps' ValueError before the file is opened.
+    The text is rendered before the file is opened, so a non-finite entry
+    raises dumps' ValueError and leaves no file behind.
     """
-    rows = _row_lines(t.matrix[None], 4)
+    text = dumps({"dim": t.dim, "matrix": t.matrix}) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f'{{\n  "dim": {t.dim},\n  "matrix": [\n' + ",\n".join(rows) + "\n  ]\n}\n")
+        fh.write(text)
 
 
 # --- reading ---

@@ -23,6 +23,7 @@ from .errors import (
     NotPositiveError,
     SpectrumOutOfRangeError,
     StatesepError,
+    as_int,
 )
 from .hermitian import _SCALE_ABOVE, HERMITICITY_TOL, check_hermitian, hermitian_eig, trace
 
@@ -411,6 +412,8 @@ def random_density(dim: int, rank: int, seed: int) -> DensityMatrix:
     warning out for almost every draw; only a draw it cannot clear costs
     an eigendecomposition, the only one this function spends.
     """
+    dim = as_int(dim, "dimension", BadRankError)
+    rank = as_int(rank, "rank", BadRankError)
     if dim < 1:
         raise BadRankError(f"dimension must be >= 1, got {dim}")
     if not 1 <= rank <= dim:

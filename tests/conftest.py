@@ -7,7 +7,7 @@ import pytest
 from hypothesis import settings
 
 import statesep as ss
-from statesep import hermitian
+from statesep import hermitian, stateio
 from statesep._rng import SplitMix64
 from statesep.errors import NoConvergenceError
 
@@ -34,6 +34,21 @@ def density(matrix) -> ss.DensityMatrix:
 
 def state_set(*matrices) -> ss.StateSet:
     return ss.StateSet.from_matrices([np.asarray(m, dtype=complex) for m in matrices])
+
+
+def set_document(sset: ss.StateSet) -> dict:
+    """A state-set file's document in list-and-dict form, for tests to edit."""
+    states = []
+    for k, rho in enumerate(sset.states):
+        entry = {} if sset.labels is None else {"label": sset.labels[k]}
+        entry["matrix"] = stateio.matrix_to_jsonable(rho.matrix)
+        states.append(entry)
+    return {"dim": sset.dim, "states": states}
+
+
+def measurement_document(t: ss.PovmElement) -> dict:
+    """A measurement file's document in list-and-dict form, for tests to edit."""
+    return {"dim": t.dim, "matrix": stateio.matrix_to_jsonable(t.matrix)}
 
 
 def random_hermitian(rng: np.random.RandomState, dim: int) -> np.ndarray:

@@ -10,7 +10,7 @@ import pytest
 import statesep as ss
 from statesep import cli, stateio
 
-from conftest import KET0, KET1, MIXED2, PLUS, state_set
+from conftest import KET0, KET1, MIXED2, PLUS, set_document, state_set
 
 
 def run_cli(*argv):
@@ -41,7 +41,7 @@ class TestValidate:
 
     def test_bad_trace_names_index(self, files, capsys):
         bad = files["tmp"] / "bad.json"
-        doc = stateio.state_set_to_jsonable(state_set(KET0, MIXED2))
+        doc = set_document(state_set(KET0, MIXED2))
         doc["states"][1]["matrix"][0][0]["re"] = 0.4  # trace 0.9
         bad.write_text(stateio.dumps(doc), encoding="utf-8")
         assert run_cli("validate", str(bad), files["orth1"]) == 1
@@ -83,7 +83,7 @@ class TestValidate:
         ids=["nan", "inf", "-inf", "huge-int"],
     )
     def test_non_finite_entry_named(self, files, capsys, tmp_path, literal):
-        doc = stateio.state_set_to_jsonable(state_set(KET0, MIXED2))
+        doc = set_document(state_set(KET0, MIXED2))
         doc["states"][1]["matrix"][0][1]["im"] = "PLACEHOLDER"
         bad = tmp_path / "nonfinite.json"
         bad.write_text(json.dumps(doc).replace('"PLACEHOLDER"', literal), encoding="utf-8")

@@ -330,6 +330,10 @@ class TestIsSeparating:
         for eps in (0.0, -0.5, float("nan"), float("-inf")):
             with pytest.raises(BadConfigError, match="eps must be positive"):
                 ss.is_separating(t, state_set(KET0), state_set(KET1), eps)
+        for eps in ("x", None, True, 0.5j):
+            with pytest.raises(BadConfigError, match="eps must be a real number"):
+                ss.is_separating(t, state_set(KET0), state_set(KET1), eps)
+        assert ss.is_separating(t, state_set(KET0), state_set(KET1), np.float32(0.25)) is False
 
 
 class TestLinearityBridge:

@@ -37,7 +37,13 @@ import statesep as ss
 from statesep import cli, hermitian, saddle, stateio
 from statesep.errors import ParseError
 
-from conftest import assert_same_report, random_instance, reference_certify
+from conftest import (
+    assert_same_report,
+    measurement_document,
+    random_instance,
+    reference_certify,
+    set_document,
+)
 
 TARGET = 2e-3
 CONFIG = ss.SolverConfig(max_rounds=20000, target_gap=TARGET)
@@ -599,14 +605,14 @@ def corrupted_files(draw, measurement, kind):
     """The text of a valid set or measurement file with one corruption."""
     dim = draw(st.integers(min_value=1, max_value=3))
     if measurement:
-        doc = stateio.measurement_to_jsonable(ss.PovmElement(np.eye(dim) / 2.0))
+        doc = measurement_document(ss.PovmElement(np.eye(dim) / 2.0))
         state = None
         matrix = doc["matrix"]
     else:
         count = draw(st.integers(min_value=1, max_value=3))
         sset = ss.StateSet(dim=dim, states=tuple(
             ss.random_density(dim, dim, draw(seeds)) for _ in range(count)))
-        doc = stateio.state_set_to_jsonable(sset)
+        doc = set_document(sset)
         state = draw(st.integers(min_value=0, max_value=count - 1))
         matrix = doc["states"][state]["matrix"]
     i = draw(st.integers(min_value=0, max_value=dim - 1))
@@ -807,22 +813,33 @@ def reference_float(x):
 
 
 def recursive_dumps(obj, indent=0):
-    """dumps as one recursive call per value, each float by reference_float."""
+    """dumps of a list-and-dict document as one recursive call per value.
+
+    Each float goes through reference_float.  A dict of scalars, and a list
+    of scalars and such dicts, render on one line.
+    """
     pad = " " * indent
     inner = " " * (indent + 2)
+
+    def scalar(v):
+        return not isinstance(v, (dict, list))
+
+    def flat(v):
+        return scalar(v) or isinstance(v, dict) and all(map(scalar, v.values()))
+
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        if stateio._is_leaf_dict(obj):
+        if all(map(scalar, obj.values())):
             return "{" + ", ".join(f"{json.dumps(k)}: {recursive_dumps(v)}"
                                    for k, v in obj.items()) + "}"
         lines = [f"{inner}{json.dumps(k)}: {recursive_dumps(v, indent + 2)}"
                  for k, v in obj.items()]
         return "{\n" + ",\n".join(lines) + f"\n{pad}}}"
-    if isinstance(obj, (list, tuple)):
+    if isinstance(obj, list):
         if not obj:
             return "[]"
-        if stateio._is_inline_list(obj):
+        if all(map(flat, obj)):
             return "[" + ", ".join(recursive_dumps(v) for v in obj) + "]"
         lines = [f"{inner}{recursive_dumps(v, indent + 2)}" for v in obj]
         return "[\n" + ",\n".join(lines) + f"\n{pad}]"
@@ -837,9 +854,21 @@ def recursive_dumps(obj, indent=0):
     return json.dumps(obj)
 
 
+def listed(obj):
+    """A document with its arrays written out: weights as lists of floats,
+    matrices as rows of {re, im} objects."""
+    if isinstance(obj, dict):
+        return {k: listed(v) for k, v in obj.items()}
+    if isinstance(obj, np.ndarray):
+        return [float(v) for v in obj] if obj.ndim == 1 else stateio.matrix_to_jsonable(obj)
+    return obj
+
+
 def cli_payloads(dim):
-    """`solve --json` and `certify --json` documents, as cli.run builds them."""
-    numbers = st.lists(written_numbers, max_size=6)
+    """`solve --json` and `certify --json` documents, as cli.run builds them:
+    weights as float64 arrays, the measurement as {"dim", "matrix"} with a
+    complex128 matrix."""
+    numbers = hnp.arrays(np.float64, st.integers(0, 6), elements=written_numbers)
     paths = labels
     solve_inputs = st.fixed_dictionaries({
         "set0": paths, "set1": paths, "rounds": st.integers(1, 20000),
@@ -848,13 +877,14 @@ def cli_payloads(dim):
         "round": st.integers(1, 20000), "lower_bound": written_numbers,
         "upper_bound": written_numbers, "gap": written_numbers})
     matrix = hnp.arrays(np.complex128, (dim, dim), elements=st.complex_numbers(
-        allow_nan=False, allow_infinity=False)).map(stateio.matrix_to_jsonable)
+        allow_nan=False, allow_infinity=False))
     solve_result = st.fixed_dictionaries({
         "lower_bound": written_numbers, "upper_bound": written_numbers,
         "gap": written_numbers, "converged": st.booleans(),
         "rounds_used": st.integers(1, 20000), "mu0": numbers, "mu1": numbers,
         "best_mu0": numbers, "best_mu1": numbers,
-        "trace": st.lists(checkpoint, max_size=4), "measurement": matrix,
+        "trace": st.lists(checkpoint, max_size=4),
+        "measurement": st.fixed_dictionaries({"dim": st.just(dim), "matrix": matrix}),
     }, optional={"out": paths})
     certify_inputs = st.fixed_dictionaries({
         "set0": paths, "set1": paths, "measurement": paths,
@@ -875,9 +905,10 @@ def cli_payloads(dim):
 @given(st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=4), st.data())
 def test_writers_write_the_bytes_dumps_writes(dim, count, data):
     # The writers and dumps write the bytes of the recursive reference, and
-    # so do the CLI's --json documents.
+    # so do the CLI's --json documents, whose arrays dumps renders itself.
     payload = data.draw(cli_payloads(dim))
-    assert stateio.dumps(payload) == recursive_dumps(payload)
+    assert stateio.dumps(payload) == recursive_dumps(listed(payload))
+    assert stateio.dumps(listed(payload)) == recursive_dumps(listed(payload))
     parts = data.draw(hnp.arrays(np.float64, (count, dim, dim, 2), elements=written_numbers))
     stack = parts.view(np.complex128)[..., 0]
     names = data.draw(st.none() | st.lists(labels, min_size=count, max_size=count))
@@ -892,10 +923,12 @@ def test_writers_write_the_bytes_dumps_writes(dim, count, data):
         with open(t_path, "rb") as fh:
             t_bytes = fh.read()
         _, loaded_labels, loaded = stateio._read_states(set_path)
-    assert set_bytes == (recursive_dumps(stateio.state_set_to_jsonable(sset)) + "\n").encode()
-    assert t_bytes == (recursive_dumps(stateio.measurement_to_jsonable(t)) + "\n").encode()
-    assert set_bytes == (stateio.dumps(stateio.state_set_to_jsonable(sset)) + "\n").encode()
-    assert t_bytes == (stateio.dumps(stateio.measurement_to_jsonable(t)) + "\n").encode()
+    assert set_bytes == (recursive_dumps(set_document(sset)) + "\n").encode()
+    assert t_bytes == (recursive_dumps(measurement_document(t)) + "\n").encode()
+    # The set writer's template gives the bytes dumps gives for the states' arrays.
+    states = [{"matrix": m} if names is None else {"label": name, "matrix": m}
+              for name, m in zip(names or [None] * count, sset.stack())]
+    assert set_bytes == (stateio.dumps({"dim": dim, "states": states}) + "\n").encode()
     assert loaded_labels == (list(names) if names is not None else [None] * count)
     assert loaded.tobytes() == sset.stack().tobytes()
     back = stateio.parse_matrix(json.loads(t_bytes)["matrix"], dim, "T")

@@ -6,8 +6,11 @@ import math
 import numpy as np
 import pytest
 
+import statesep as ss
 from statesep._rng import SplitMix64, simplex_points
 from statesep.saddle import _SCREEN_LOG_ETA
+
+from conftest import KET0, MIXED2, PLUS, assert_same_report, state_set
 
 
 def reference_simplex(rng: SplitMix64, size: int) -> list[float]:
@@ -59,6 +62,25 @@ def test_state_wraps_modulo_two_to_the_64():
         assert mu0.tobytes() == np.array(reference_simplex(ref, 3)).tobytes()
         assert mu1.tobytes() == np.array(reference_simplex(ref, 1)).tobytes()
     assert fast._state == ref._state
+
+
+@pytest.mark.parametrize("integer", [np.int64, np.uint64, np.int32])
+def test_numpy_integers_draw_the_bytes_python_integers_draw(integer):
+    # numpy integers times the 64-bit constants would overflow; each call
+    # takes them as the Python ints they equal.
+    assert SplitMix64(integer(5)).next_uint64() == SplitMix64(5).next_uint64()
+    block = SplitMix64(1).uniform_block(integer(4))
+    assert block.tobytes() == SplitMix64(1).uniform_block(4).tobytes()
+    rng = SplitMix64(1)
+    rng.uniform_block(integer(3))
+    assert rng._state == SplitMix64(1 + 3 * 0x9E3779B97F4A7C15)._state
+    rho = ss.random_density(2, 2, integer(5))
+    assert rho.matrix.tobytes() == ss.random_density(2, 2, 5).matrix.tobytes()
+    set0, set1 = state_set(KET0, PLUS), state_set(MIXED2)
+    t = ss.PovmElement(KET0)
+    want = ss.certify_forward(t, set0, set1, 3, 5)
+    assert_same_report(ss.certify_forward(t, set0, set1, integer(3), 5), want)
+    assert_same_report(ss.certify_forward(t, set0, set1, 3, integer(5)), want)
 
 
 def test_numpy_log_within_the_screen_error_of_math_log():

@@ -39,11 +39,27 @@ class TestSolverConfig:
             {"target_gap": float("inf")},
             {"target_gap": float("nan")},
             {"target_gap": float("-inf")},
+            {"max_rounds": 2.5},
+            {"max_rounds": 10.0},
+            {"max_rounds": float("nan")},
+            {"max_rounds": "10"},
+            {"max_rounds": None},
+            {"max_rounds": True},
+            {"target_gap": "x"},
+            {"target_gap": None},
+            {"target_gap": True},
+            {"target_gap": 1e-3 + 0j},
+            {"target_gap": 10**400},
         ],
     )
     def test_rejects_bad_config(self, kwargs):
         with pytest.raises(BadConfigError):
             ss.SolverConfig(**kwargs)
+
+    def test_numpy_numbers_kept_as_python_numbers(self):
+        cfg = ss.SolverConfig(max_rounds=np.int64(7), target_gap=np.float32(0.5))
+        assert type(cfg.max_rounds) is int and cfg.max_rounds == 7
+        assert type(cfg.target_gap) is float and cfg.target_gap == 0.5
 
 
 def best_response(mu0, mu1, set0, set1):
@@ -436,5 +452,9 @@ class TestCertifyForward:
             ss.certify_forward(ss.PovmElement(np.eye(2) / 2.0), set0, set1, trials=0, seed=0)
         for trials in (0, -3):
             with pytest.raises(BadConfigError, match="trials must be >= 1"):
+                ss.certify_forward(ss.PovmElement(np.eye(2) / 2.0), set0, set1,
+                                   trials=trials, seed=0)
+        for trials in (2.5, 3.0, "3", None, True):
+            with pytest.raises(BadConfigError, match="trials must be an integer"):
                 ss.certify_forward(ss.PovmElement(np.eye(2) / 2.0), set0, set1,
                                    trials=trials, seed=0)

@@ -7,7 +7,7 @@ import statesep as ss
 from statesep import stateio
 from statesep.errors import MultiStateFileError, ParseError, SpectrumOutOfRangeError
 
-from conftest import KET0, KET1, MIXED2, state_set
+from conftest import KET0, KET1, MIXED2, measurement_document, set_document, state_set
 
 
 def write(path, doc):
@@ -245,6 +245,115 @@ class TestParsing:
             stateio.load_measurement(str(p))
 
 
+class TestLiteralLayout:
+    """The documents' bytes, written out by hand: a check of the layout that
+    takes nothing from the code that writes it."""
+
+    def test_measurement_file(self, tmp_path):
+        m = np.array([[0.5, 0.25 - 0.5j], [0.25 + 0.5j, -0.0]], dtype=complex)
+        p = tmp_path / "t.json"
+        stateio.save_measurement(str(p), ss.PovmElement(m))
+        assert p.read_bytes() == (
+            b'{\n'
+            b'  "dim": 2,\n'
+            b'  "matrix": [\n'
+            b'    [{"re": 0.5, "im": 0.0}, {"re": 0.25, "im": -0.5}],\n'
+            b'    [{"re": 0.25, "im": 0.5}, {"re": -0.0, "im": 0.0}]\n'
+            b'  ]\n'
+            b'}\n'
+        )
+
+    def test_state_set_file(self, tmp_path):
+        p = tmp_path / "s.json"
+        stateio.save_state_set(str(p), state_set(KET0, MIXED2))
+        assert p.read_bytes() == (
+            b'{\n'
+            b'  "dim": 2,\n'
+            b'  "states": [\n'
+            b'    {\n'
+            b'      "matrix": [\n'
+            b'        [{"re": 1.0, "im": 0.0}, {"re": 0.0, "im": 0.0}],\n'
+            b'        [{"re": 0.0, "im": 0.0}, {"re": 0.0, "im": 0.0}]\n'
+            b'      ]\n'
+            b'    },\n'
+            b'    {\n'
+            b'      "matrix": [\n'
+            b'        [{"re": 0.5, "im": 0.0}, {"re": 0.0, "im": 0.0}],\n'
+            b'        [{"re": 0.0, "im": 0.0}, {"re": 0.5, "im": 0.0}]\n'
+            b'      ]\n'
+            b'    }\n'
+            b'  ]\n'
+            b'}\n'
+        )
+
+    def test_labelled_state_set_file(self, tmp_path):
+        one = ss.DensityMatrix(np.ones((1, 1)))
+        p = tmp_path / "s.json"
+        stateio.save_state_set(str(p), ss.StateSet(dim=1, states=(one, one),
+                                                   labels=('q"\\é', "")))
+        assert p.read_bytes() == (
+            b'{\n'
+            b'  "dim": 1,\n'
+            b'  "states": [\n'
+            b'    {\n'
+            b'      "label": "q\\"\\\\\\u00e9",\n'
+            b'      "matrix": [\n'
+            b'        [{"re": 1.0, "im": 0.0}]\n'
+            b'      ]\n'
+            b'    },\n'
+            b'    {\n'
+            b'      "label": "",\n'
+            b'      "matrix": [\n'
+            b'        [{"re": 1.0, "im": 0.0}]\n'
+            b'      ]\n'
+            b'    }\n'
+            b'  ]\n'
+            b'}\n'
+        )
+
+    def test_solve_shaped_document(self):
+        doc = {
+            "lower_bound": 1 / 3,
+            "mu0": np.array([1 / 3, 2 / 3]),
+            "trace": [{"round": 1, "lower_bound": 5e-324, "upper_bound": 1.0, "gap": 1.0},
+                      {"round": 2, "lower_bound": 0.5, "upper_bound": 0.5, "gap": 0.0}],
+            "measurement": {"dim": 2, "matrix": np.eye(2, dtype=complex) / 2.0},
+        }
+        assert stateio.dumps(doc) == (
+            '{\n'
+            '  "lower_bound": 0.33333333333333331,\n'
+            '  "mu0": [0.33333333333333331, 0.66666666666666663],\n'
+            '  "trace": [{"round": 1, "lower_bound": 4.9406564584124654e-324, '
+            '"upper_bound": 1.0, "gap": 1.0}, '
+            '{"round": 2, "lower_bound": 0.5, "upper_bound": 0.5, "gap": 0.0}],\n'
+            '  "measurement": {\n'
+            '    "dim": 2,\n'
+            '    "matrix": [\n'
+            '      [{"re": 0.5, "im": 0.0}, {"re": 0.0, "im": 0.0}],\n'
+            '      [{"re": 0.0, "im": 0.0}, {"re": 0.5, "im": 0.0}]\n'
+            '    ]\n'
+            '  }\n'
+            '}'
+        )
+
+    @pytest.mark.parametrize("array", [
+        np.array([1, 2]), np.array([0.5], dtype=np.float32), np.eye(2), np.ones(2, dtype=complex),
+        np.ones((1, 2, 2), dtype=complex),
+    ], ids=["int", "float32", "2-D float", "1-D complex", "3-D complex"])
+    def test_dumps_rejects_other_arrays(self, array):
+        with pytest.raises(TypeError, match="cannot serialize"):
+            stateio.dumps({"a": array})
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 2), (2, 0), (1, 3), (3, 1), (3, 3)])
+    def test_arrays_render_as_their_lists(self, shape):
+        m = (np.arange(np.prod(shape)) * (0.5 - 0.25j)).reshape(shape)
+        for matrix in (m, m.T):  # m.T is not C-contiguous
+            assert stateio.dumps({"m": matrix}) == stateio.dumps(
+                {"m": stateio.matrix_to_jsonable(matrix)})
+        for weights in (m.real.ravel(), m.real.T.ravel()[::-1]):
+            assert stateio.dumps({"w": weights}) == stateio.dumps({"w": weights.tolist()})
+
+
 class TestRoundTrip:
     def test_state_set_bits_survive(self, tmp_path):
         rng_states = [ss.random_density(3, 3, seed) for seed in (5, 6, 7)]
@@ -285,8 +394,8 @@ class TestRoundTrip:
         m[1, 0] = complex(0.5, value)
         sset = ss.StateSet(dim=2, states=(ss.DensityMatrix(m),))
         for save, obj, jsonable in (
-            (stateio.save_state_set, sset, stateio.state_set_to_jsonable),
-            (stateio.save_measurement, ss.PovmElement(m), stateio.measurement_to_jsonable),
+            (stateio.save_state_set, sset, set_document),
+            (stateio.save_measurement, ss.PovmElement(m), measurement_document),
         ):
             with pytest.raises(ValueError) as expected:
                 stateio.dumps(jsonable(obj))

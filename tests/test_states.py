@@ -322,6 +322,9 @@ class TestRandomDensity:
             ss.random_density(2, 3, seed=1)
         with pytest.raises(BadRankError):
             ss.random_density(0, 0, seed=1)
+        for dim, rank in ((2.5, 2), (2, 1.0), ("2", 1), (True, 1), (2, None)):
+            with pytest.raises(BadRankError, match="must be an integer"):
+                ss.random_density(dim, rank, seed=1)
 
 
 class TestMixtureWeights:
