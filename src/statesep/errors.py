@@ -20,7 +20,8 @@ class NotHermitianError(StatesepError):
 
 
 class NoConvergenceError(StatesepError):
-    """An iterative method stopped short: Jacobi at its sweep cap, or the master LP."""
+    """An iterative method stopped short: hermitian_eig's QL iteration past
+    30 iterations per unit of dimension, or the master LP."""
 
 
 # --- state / measurement validation ---

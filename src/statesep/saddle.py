@@ -92,12 +92,13 @@ def _screen_slack(d: int, states: int) -> float:
     sum_i |e_i|, and a change E of H moves f by at most ||E||_1: twice what
     the same errors move half the trace norm by.
     - The kernels.  Each keeps every eigenvalue within 1e-13 * max(1,
-      ||H||_F) of the exact ones of the matrix it is given: hermitian_eig
-      by its stopping rule (off-diagonal norm at most 1e-13 * ||H||_F)
-      up to its rotations' rounding, eigvalsh by LAPACK's backward-error
-      bound p(d) u ||H||_2, p a modestly growing function of d (LAPACK
-      Users' Guide, 3rd ed., 1999, section 4.7); a property test pins the
-      two within that of each other.  A mixture difference has
+      ||H||_F) of the exact ones of the matrix it is given.  Both are a
+      Householder tridiagonalization followed by a QL or QR iteration,
+      hermitian_eig in Python and eigvalsh in LAPACK, and both are
+      backward stable, with eigenvalues within p(d) u ||H||_2, p a
+      modestly growing function of d (LAPACK Users' Guide, 3rd ed., 1999,
+      section 4.7); property tests pin the two within 1e-13 * max(1,
+      ||H||_F) of each other.  A mixture difference has
       ||H||_F <= 2, so each distance is within d * 2e-13 of that matrix's
       exact one.
     - The matrices.  The screen sums a block's mixtures by real matmuls on
@@ -381,7 +382,8 @@ def certify_forward(
 
     The arguments are checked in order: a measurement of another dimension
     than set0's raises DimensionMismatchError, trials that is not an
-    integer >= 1 BadConfigError, and sets of different dimensions
+    integer >= 1 BadConfigError, a seed that is not an integer
+    BadConfigError, and sets of different dimensions
     DimensionMismatchError.
     """
     if t.dim != set0.dim:
@@ -389,6 +391,7 @@ def certify_forward(
     trials = as_int(trials, "trials")
     if trials < 1:
         raise BadConfigError(f"trials must be >= 1, got {trials}")
+    seed = as_int(seed, "seed")
     _check_instance(set0, set1)
     margin = min_separation_gap(t, set0, set1)
     rng = SplitMix64(seed)

@@ -14,6 +14,7 @@ import numpy as np
 
 from ._rng import SplitMix64
 from .errors import (
+    BadConfigError,
     BadRankError,
     BadTraceError,
     BadWeightsError,
@@ -141,19 +142,19 @@ def validate_density(m) -> DensityMatrix:
     NotHermitianError, then NotPositiveError (minimum eigenvalue quoted),
     then BadTraceError (deviation quoted).
 
-    From d = 3 up, a Hermitian matrix first goes through screen_densities,
-    and one it passes is returned with no spectrum computed.  Only a 1 x 1
-    or 2 x 2 matrix, or one the screen cannot clear, is decomposed by
-    hermitian_eig; the screen passes only matrices that clear all three
-    checks, so the result and every error are the same either way.
+    From d = 5 up, a Hermitian matrix first goes through screen_densities,
+    and one it passes is returned with no spectrum computed.  A matrix of
+    d <= 4, or one the screen cannot clear, is decomposed by hermitian_eig;
+    the screen passes only matrices that clear all three checks, so the
+    result and every error are the same either way.
     """
     a = check_hermitian(m)
-    # Decompose at d <= 2, for two reasons: there one Jacobi rotation costs
-    # half the screen (0.03 against 0.06 ms a call; at d = 3 the two are
-    # about even, at d = 4 the screen costs less, 0.06 against 0.08 ms, and
-    # 0.19 against 3.9 ms at d = 16), and perfbench/test_tracing.py counts
-    # exactly one hermitian_eig call in validate_density(np.eye(2) / 2).
-    if a.shape[0] >= 3 and screen_densities(a[None])[0]:
+    # Decompose at d <= 4, where it costs less than the screen (0.066
+    # against 0.074 ms a call at d = 4; at d = 5 the screen costs less,
+    # 0.081 against 0.101 ms, and 0.18 against 0.78 ms at d = 16; see
+    # screen_densities).  perfbench/test_tracing.py counts exactly one
+    # hermitian_eig call in validate_density(np.eye(2) / 2).
+    if a.shape[0] >= 5 and screen_densities(a[None])[0]:
         return DensityMatrix(a)
     dec = hermitian_eig(a)
     lo = float(dec.eigenvalues[0])
@@ -278,32 +279,30 @@ def screen_densities(matrices) -> np.ndarray:
     left to validate_density, which alone words an error; nothing is
     passed if the input is not a stack of square matrices.
 
-    Every set size takes the screen, a single state included.  Its time
-    per call in ms, with the certificate's share, against a loop over the
-    states of hermitian_eig and of validate_density, the latter with its
-    own screen off (decomposed) and on (screened) (all states valid and
-    full rank, median of 9 interleaved runs of 2-200 calls; 2-core shared
-    machine, Python 3.11.7, numpy 2.4.6; repeat runs read up to 1.7x
+    Every set size takes the screen; a single state takes it from d = 5 up.
+    Its time per call in ms, with the certificate's share, against a loop
+    over the states of hermitian_eig and of validate_density's two paths,
+    decomposing every state and screening every state (all states valid
+    and full rank, median of 9 interleaved runs of 2-200 calls; 2-core
+    shared machine, Python 3.11.7, numpy 2.4.6; repeat runs read up to 1.6x
     higher, every column alike):
 
                                                   validate_density
                         screen  certificate  hermitian_eig  decomposed  screened
-        n = 1,   d = 2   0.05      0.03          0.02          0.03        0.03
-        n = 1,   d = 3   0.07      0.05          0.05          0.07        0.07
-        n = 1,   d = 4   0.07      0.04          0.11          0.12        0.08
-        n = 1,   d = 9   0.10      0.08          0.74          0.76        0.11
-        n = 1,   d = 16  0.15      0.13          3.8           3.9         0.19
-        n = 512, d = 2   0.32      0.13         16            22          20
-        n = 512, d = 4   0.73      0.41         52            57          39
+        n = 1,   d = 2   0.08      0.04          0.03          0.04        0.09
+        n = 1,   d = 3   0.10      0.06          0.06          0.05        0.07
+        n = 1,   d = 4   0.06      0.04          0.06          0.07        0.07
+        n = 1,   d = 5   0.07      0.05          0.09          0.10        0.08
+        n = 1,   d = 9   0.10      0.07          0.24          0.26        0.11
+        n = 1,   d = 16  0.16      0.13          0.78          0.78        0.18
+        n = 512, d = 2   0.27      0.10          9.8          14          31
+        n = 512, d = 4   0.77      0.31         36            39          44
 
-    validate_density screens a lone matrix only from d = 3 up.  At d = 2
-    its decomposition is a single Jacobi rotation and costs half the
-    Hermiticity check and the screen (0.03 against 0.06 ms a call in
-    interleaved runs over 200 states), and perfbench/test_tracing.py counts
-    exactly one hermitian_eig call in validating a 2 x 2 state.  At d = 3
-    the decomposition now costs about as much as the screen (0.05 against
-    0.06 ms), at d = 4 more (0.08 against 0.06 ms); the rule stays at 3, a
-    difference of 0.01 ms a state that leaves every result the same.
+    So validate_density screens a lone matrix only from d = 5 up.  In five
+    interleaved runs over 200 states of every rank, the decomposition cost
+    less at d = 4 in all five (0.06-0.11 against 0.07-0.13 ms a call) and
+    more at d = 5 in four (0.08-0.14 against 0.08-0.14 ms).  Results are
+    the same either way.
     """
     parts = _screen_parts(matrices)
     if parts is None:
@@ -411,6 +410,9 @@ def random_density(dim: int, rank: int, seed: int) -> DensityMatrix:
     rejected.  A shifted Cholesky certificate (_lowest_above) rules the
     warning out for almost every draw; only a draw it cannot clear costs
     an eigendecomposition, the only one this function spends.
+
+    A dimension or rank that is not an integer, or not 1 <= rank <= dim,
+    raises BadRankError; a seed that is not an integer BadConfigError.
     """
     dim = as_int(dim, "dimension", BadRankError)
     rank = as_int(rank, "rank", BadRankError)
@@ -418,6 +420,7 @@ def random_density(dim: int, rank: int, seed: int) -> DensityMatrix:
         raise BadRankError(f"dimension must be >= 1, got {dim}")
     if not 1 <= rank <= dim:
         raise BadRankError(f"rank {rank} outside 1..{dim}")
+    seed = as_int(seed, "seed")
     g = np.array(SplitMix64(seed).normals(2 * dim * rank)).view(np.complex128).reshape(dim, rank)
     gram = g @ g.conj().T
     rho = gram / gram.diagonal().real.sum()

@@ -154,7 +154,7 @@ def test_criterion_5_degenerate_overlap():
 
 
 def test_criterion_6_linear_algebra_substrate():
-    """Jacobi reconstruction at 1e-10 and projector optimality at 1e-8."""
+    """hermitian_eig reconstruction at 1e-10 and projector optimality at 1e-8."""
     rng = np.random.RandomState(606)
     worst_recon = 0.0
     for _ in range(CRIT6_MATRICES):

@@ -1,4 +1,3 @@
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,7 +9,7 @@ import statesep as ss
 import statesep.hermitian as hm
 from statesep.errors import NoConvergenceError, NotHermitianError, NotPositiveError
 
-from conftest import random_hermitian, random_instance, reference_jacobi
+from conftest import random_hermitian, random_instance
 
 
 @st.composite
@@ -25,12 +24,15 @@ def hermitian_matrices(draw):
 def kernel_inputs(draw):
     """Hermitian matrices at d = 1-20 of the kinds that steer the kernel.
 
-    Real ones, clustered spectra, blocks with exactly zero coupling (their
-    rotations are skipped), near-diagonal ones, and each possibly scaled
-    above 2^500.
+    Real ones, clustered spectra, blocks with exactly zero coupling (whose
+    columns may need no reflector), near-diagonal ones, graded ones (rows
+    and columns scaled by 10^-k, k up to 200, so that normal and subnormal
+    entries meet in one column), and each possibly scaled above 2^500, to
+    entries near 1e-158 (whose squares underflow), or to subnormal entries.
     """
     dim = draw(st.integers(1, 20))
-    kind = draw(st.sampled_from(("complex", "real", "clustered", "blocks", "near_diagonal")))
+    kind = draw(st.sampled_from(("complex", "real", "clustered", "blocks", "near_diagonal",
+                                 "graded")))
     rng = np.random.RandomState(draw(st.integers(0, 2 ** 32 - 1)))
     m = rng.uniform(-1.0, 1.0, (dim, dim)) + 1j * rng.uniform(-1.0, 1.0, (dim, dim))
     if kind == "real":
@@ -43,7 +45,18 @@ def kernel_inputs(draw):
         m[block[:, None] != block[None, :]] = 0.0
     elif kind == "near_diagonal":
         m = np.diag(m.diagonal().real) + 1e-12 * m
-    return (m + m.conj().T) / 2.0 * draw(st.sampled_from((1.0, 2.0 ** 600)))
+    elif kind == "graded":
+        grade = 10.0 ** -rng.randint(0, 200, dim).astype(float)
+        m = m * grade[:, None] * grade[None, :]
+    scale = draw(st.sampled_from((1.0, 2.0 ** 600, 1e-158, 2.0 ** -1060)))
+    return (m + m.conj().T) / 2.0 * scale
+
+
+def exactly_scaled(h):
+    """h times the power of two 2^-e that brings its largest entry into [1/2, 1), and e."""
+    big = np.abs(h).max()
+    e = int(np.frexp(big)[1]) if big else 0
+    return np.ldexp(h.view(np.float64), -e).view(np.complex128), e
 
 
 class TestHermitianEig:
@@ -106,19 +119,6 @@ class TestHermitianEig:
         assert again.eigenvalues.tobytes() == dec.eigenvalues.tobytes()
         assert again.eigenvectors.tobytes() == vecs.tobytes()
 
-    @given(kernel_inputs())
-    def test_same_bytes_as_the_full_matrix_kernel(self, h):
-        dec = hm.hermitian_eig(h)
-        vecs = dec.eigenvectors
-        # reference_jacobi returns V where _jacobi returns its rotation log,
-        # so its "replay" is the identity map.
-        with mock.patch.object(hm, "_jacobi", reference_jacobi), \
-                mock.patch.object(hm, "_replay", lambda n, v: v):
-            ref = hm.hermitian_eig(h)
-            ref_vecs = ref.eigenvectors
-        assert dec.eigenvalues.tobytes() == ref.eigenvalues.tobytes()
-        assert vecs.tobytes() == ref_vecs.tobytes()
-
     def test_deterministic(self):
         h = random_hermitian(np.random.RandomState(5), 6)
         a = hm.hermitian_eig(h)
@@ -136,11 +136,102 @@ class TestHermitianEig:
         assert dec.eigenvalues[0] < dec.eigenvalues[1]
 
     def test_no_convergence_error(self, monkeypatch):
-        monkeypatch.setattr(hm, "_MAX_SWEEPS", 0)
+        monkeypatch.setattr(hm, "_QL_ITERATIONS_PER_DIM", 0)
         for h in (np.array([[0.0, 1.0], [1.0, 0.0]]),
                   random_hermitian(np.random.RandomState(0), 12)):
             with pytest.raises(NoConvergenceError):
                 hm.hermitian_eig(h)
+
+
+class TestKernel:
+    """Householder tridiagonalization and implicit QL: accuracy, exact spectra, convergence."""
+
+    @given(hermitian_matrices())
+    def test_agrees_with_eigvalsh(self, h):
+        lam = hm.hermitian_eig(h).eigenvalues
+        assert np.abs(lam - np.linalg.eigvalsh(h)).max() <= 1e-13 * max(1.0, np.linalg.norm(h))
+
+    @given(kernel_inputs())
+    def test_kernel_inputs(self, h):
+        # eigvalsh and numpy's norms see h scaled exactly into [1/2, 1), so
+        # huge, tiny and subnormal inputs are compared at full precision;
+        # the eigenvalues are compared back at h's scale, where each of the
+        # two may round once to a subnormal.
+        dec = hm.hermitian_eig(h)
+        scaled, e = exactly_scaled(h)
+        norm = np.linalg.norm(scaled)
+        ref = np.ldexp(np.linalg.eigvalsh(scaled), e)
+        assert np.abs(dec.eigenvalues - ref).max() <= np.ldexp(1e-13 * norm, e) + 2.0 ** -1073
+        assert np.abs(dec.eigenvalues - ref).max() <= 1e-13 * max(1.0, np.ldexp(norm, e))
+        vecs = dec.eigenvectors
+        assert np.linalg.norm(vecs.conj().T @ vecs - np.eye(dec.dim)) <= 1e-12
+        if e > -1000:
+            lam = np.ldexp(dec.eigenvalues, -e)
+            assert np.linalg.norm((vecs * lam) @ vecs.conj().T - scaled) <= 1e-12 * max(norm, 1.0)
+
+    @pytest.mark.parametrize("dim", [1, 2, 5, 16])
+    def test_zero_matrix(self, dim):
+        dec = hm.hermitian_eig(np.zeros((dim, dim)))
+        assert dec.eigenvalues.tobytes() == np.zeros(dim).tobytes()
+        assert dec.eigenvectors.tobytes() == np.eye(dim, dtype=np.complex128).tobytes()
+
+    @pytest.mark.parametrize("dim", [2, 3, 5, 9, 16])
+    def test_repeated_eigenvalues(self, dim):
+        q = np.linalg.qr(random_hermitian(np.random.RandomState(dim), dim))[0]
+        spectrum = np.sort(np.resize([1.0, -2.0, 1.0, 0.5], dim))
+        dec = hm.hermitian_eig((q * spectrum) @ q.conj().T)
+        assert np.abs(dec.eigenvalues - spectrum).max() <= 1e-14 * dim
+        for value in np.unique(spectrum):
+            got = dec.eigenvectors[:, np.abs(dec.eigenvalues - value) < 1e-6]
+            want = q[:, spectrum == value]
+            assert np.linalg.norm(got @ got.conj().T - want @ want.conj().T) <= 1e-12
+
+    @pytest.mark.parametrize("dim", [2, 3, 8, 16, 20])
+    def test_rank_one_projector(self, dim):
+        rng = np.random.RandomState(40 + dim)
+        psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        psi /= np.linalg.norm(psi)
+        dec = hm.hermitian_eig(np.outer(psi, psi.conj()))
+        assert np.abs(dec.eigenvalues[:-1]).max() <= 1e-15 * dim
+        assert abs(dec.eigenvalues[-1] - 1.0) <= 1e-15 * dim
+        assert abs(abs(np.vdot(psi, dec.eigenvectors[:, -1])) - 1.0) <= 1e-14
+
+    @pytest.mark.parametrize("dim", [4, 9, 16])
+    def test_blocks_with_zero_coupling(self, dim):
+        rng = np.random.RandomState(60 + dim)
+        h = random_hermitian(rng, dim)
+        labels = rng.randint(3, size=dim)
+        h[labels[:, None] != labels[None, :]] = 0.0
+        blocks = [np.flatnonzero(labels == b) for b in np.unique(labels)]
+        want = np.sort(np.concatenate([np.linalg.eigvalsh(h[np.ix_(i, i)]) for i in blocks]))
+        dec = hm.hermitian_eig(h)
+        assert np.abs(dec.eigenvalues - want).max() <= 1e-14 * np.linalg.norm(h)
+        # Each eigenvector lies in one block.
+        for k in range(dim):
+            assert len(set(labels[np.abs(dec.eigenvectors[:, k]) > 1e-8])) == 1
+
+    def test_graded_matrices_keep_orthonormal_eigenvectors(self):
+        # Rows and columns scaled by 10^-k, k up to 200: columns below the
+        # smallest normal number, and subnormal leading entries, occur in
+        # matrices that no scaling of the whole brings into range.
+        rng = np.random.RandomState(2)
+        for _ in range(200):
+            dim = rng.randint(2, 21)
+            grade = 10.0 ** -rng.randint(0, 200, dim).astype(float)
+            h = random_hermitian(rng, dim) * grade[:, None] * grade[None, :]
+            dec = hm.hermitian_eig(h)
+            vecs = dec.eigenvectors
+            assert np.linalg.norm(vecs.conj().T @ vecs - np.eye(dim)) <= 1e-12
+            rebuilt = (vecs * dec.eigenvalues) @ vecs.conj().T
+            assert np.linalg.norm(rebuilt - h) <= 1e-13 * np.linalg.norm(h)
+
+    def test_graded_matrix_converges(self):
+        # Couplings of 5e-9 and 1e-224 in one matrix: the bulge of a QL
+        # step would underflow halfway up had the 1e-224 ones not deflated.
+        h = np.full((5, 5), 1.37562487e-224, dtype=complex)
+        h[0, 1] = h[1, 0] = 5e-9
+        lam = hm.hermitian_eig(h).eigenvalues
+        assert np.abs(lam - np.linalg.eigvalsh(h)).max() <= 1e-13 * 5e-9
 
 
 class TestHugeEntries:
@@ -150,7 +241,7 @@ class TestHugeEntries:
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_both_kernels_return_the_huge_spectrum(self, sign):
-        # The Jacobi kernel and eigvalsh, which ranks certify's trials.
+        # hermitian_eig and eigvalsh, which ranks certify's trials.
         m = sign * 1e160 * self.SWAP
         expected = np.array([-1e160, 1e160])
         for lam in (hm.hermitian_eig(m).eigenvalues, np.linalg.eigvalsh(m)):
@@ -173,10 +264,32 @@ class TestHugeEntries:
         assert dec.eigenvectors.tobytes() == unscaled.eigenvectors.tobytes()
 
 
-class TestLazyEigenvectors:
-    """Eigenvectors are replayed from the rotation log only when read."""
+class TestTinyEntries:
+    """A nonzero matrix with every entry below 2^-500 is scaled up by a power of two."""
 
-    def test_paths_that_read_eigenvalues_replay_nothing(self, replays, jacobi_calls):
+    def test_scaling_up_commutes_bit_for_bit(self):
+        h = random_hermitian(np.random.RandomState(5), 5)
+        dec = hm.hermitian_eig(h)
+        for power in (-600, -900):
+            tiny = hm.hermitian_eig(2.0 ** power * h)
+            assert tiny.eigenvalues.tobytes() == (2.0 ** power * dec.eigenvalues).tobytes()
+            assert tiny.eigenvectors.tobytes() == dec.eigenvectors.tobytes()
+
+    @pytest.mark.parametrize("entry", [9.49e-159, 1e-300, 2.0 ** -1070])
+    def test_equal_entries(self, entry):
+        # Rank one: eigenvalues 0, 0 and 3 * entry.  9.49e-159 is the
+        # matrix whose squares underflow; 2^-1070 is subnormal.
+        dec = hm.hermitian_eig(np.full((3, 3), entry, dtype=complex))
+        assert np.abs(dec.eigenvalues[:2]).max() <= 1e-15 * entry
+        assert dec.eigenvalues[2] == pytest.approx(3 * entry, rel=1e-15)
+        vecs = dec.eigenvectors
+        assert np.linalg.norm(vecs.conj().T @ vecs - np.eye(3)) <= 1e-14
+
+
+class TestLazyEigenvectors:
+    """Eigenvectors are replayed from the kernel's log only when read."""
+
+    def test_paths_that_read_eigenvalues_replay_nothing(self, replays, kernel_calls):
         set0, set1 = random_instance(3, dims=(4,))
         res = ss.solve_saddle(set0, set1, ss.SolverConfig(target_gap=1e-3))
         ss.certify_forward(res.measurement, set0, set1, trials=200, seed=1)
@@ -186,7 +299,7 @@ class TestLazyEigenvectors:
             ss.validate_density(np.diag([1.0 + 1e-8, 0.0, -1e-8]))
         # On the ceiling exactly: the screen leaves it, the spectrum accepts it.
         ss.validate_povm_element(np.diag([0.2, 0.7, ss.states.POVM_CEILING]))
-        assert len(jacobi_calls) >= 6
+        assert len(kernel_calls) >= 6
         assert replays == []
 
     def test_one_replay_however_often_read(self, replays):

@@ -1,7 +1,7 @@
 """The cutting-plane master LP against scipy's HiGHS, and its limits.
 
 HiGHS (through scipy.optimize.linprog) serves only as a test oracle, the
-way numpy's eigvalsh serves for the Jacobi kernel; scipy is a test extra,
+way numpy's eigvalsh serves for hermitian_eig; scipy is a test extra,
 not a dependency of the package.
 """
 

@@ -97,7 +97,7 @@ def test_weak_duality_at_every_checkpoint(seed):
     assert abs(ss.trace_distance(rho, sigma) - res.upper_bound) <= 1e-9
 
 
-def jacobi_distance(h):
+def kernel_distance(h):
     return float(np.maximum(hermitian.hermitian_eig(h).eigenvalues, 0.0).sum())
 
 
@@ -157,7 +157,7 @@ def test_upper_bound_is_the_least_jacobi_distance_of_all_queries(seed):
 
     with mock.patch.object(saddle, "eigh", recorded):
         res = ss.solve_saddle(set0, set1, ss.SolverConfig(max_rounds=500, target_gap=1e-7))
-    values = [jacobi_distance(h) for h in queries]
+    values = [kernel_distance(h) for h in queries]
     assert len(values) == res.rounds_used == len(res.trace)
     assert res.upper_bound == min(values)
     for point in res.trace:
@@ -165,7 +165,7 @@ def test_upper_bound_is_the_least_jacobi_distance_of_all_queries(seed):
     d = set0.dim
     diff = (res.best_mu0 @ set0.stack().reshape(len(set0), d * d)
             - res.best_mu1 @ set1.stack().reshape(len(set1), d * d)).reshape(d, d)
-    assert jacobi_distance((diff + diff.conj().T) / 2.0) == res.upper_bound
+    assert kernel_distance((diff + diff.conj().T) / 2.0) == res.upper_bound
 
 
 @EXAMPLES
@@ -299,10 +299,10 @@ def test_batched_eigenvalues_agree_with_both_references(stack):
     lam = np.linalg.eigvalsh(stack)
     for h, row in zip(stack, lam):
         bound = 1e-13 * max(1.0, np.linalg.norm(h))
-        jacobi = hermitian.hermitian_eig(h).eigenvalues
-        assert np.abs(row - jacobi).max() <= bound
+        kernel = hermitian.hermitian_eig(h).eigenvalues
+        assert np.abs(row - kernel).max() <= bound
         assert np.abs(row - np.linalg.eigvalsh(h)).max() <= bound
-        assert np.abs(np.linalg.eigh(h)[0] - jacobi).max() <= bound
+        assert np.abs(np.linalg.eigh(h)[0] - kernel).max() <= bound
 
 
 @EXAMPLES

@@ -320,7 +320,7 @@ class TestCertifyForward:
         assert a.min_distance == b.min_distance
         assert a.worst_mu0.tobytes() == b.worst_mu0.tobytes()
 
-    def test_one_scalar_eigendecomposition_per_certify(self, jacobi_calls, monkeypatch):
+    def test_one_scalar_eigendecomposition_per_certify(self, kernel_calls, monkeypatch):
         # Trials are screened by one batched eigvalsh call per block; only
         # the closest trial runs hermitian_eig, through trace_distance.
         set0, set1 = random_instance(11)
@@ -336,17 +336,17 @@ class TestCertifyForward:
         width = max(len(set0) + len(set1), set0.dim ** 2)
         for trials, block in ((1, 16384), (37, 16384), (1000, 16384), (1000, 7 * width)):
             monkeypatch.setattr(saddle, "_CERTIFY_BLOCK", block)
-            jacobi_calls.clear()
+            kernel_calls.clear()
             batched.clear()
             ss.certify_forward(t, set0, set1, trials=trials, seed=4)
-            assert len(jacobi_calls) == 1
+            assert len(kernel_calls) == 1
             assert len(batched) == -(-trials // (block // width))
             assert sum(batched) == trials
         # Singletons: every trial is the same pair, recomputed only once.
-        jacobi_calls.clear()
+        kernel_calls.clear()
         ss.certify_forward(t, ss.StateSet(dim=set0.dim, states=set0.states[:1]),
                            ss.StateSet(dim=set1.dim, states=set1.states[:1]), trials=50, seed=4)
-        assert len(jacobi_calls) == 1
+        assert len(kernel_calls) == 1
 
     @pytest.mark.parametrize("seed", [11, 22, 314])
     def test_report_independent_of_block_size(self, monkeypatch, seed):
@@ -458,3 +458,10 @@ class TestCertifyForward:
             with pytest.raises(BadConfigError, match="trials must be an integer"):
                 ss.certify_forward(ss.PovmElement(np.eye(2) / 2.0), set0, set1,
                                    trials=trials, seed=0)
+        for seed in (2.5, 3.0, "3", None, True):
+            with pytest.raises(BadConfigError, match="seed must be an integer"):
+                ss.certify_forward(ss.PovmElement(np.eye(2) / 2.0), set0, set1,
+                                   trials=3, seed=seed)
+        # trials is checked before seed.
+        with pytest.raises(BadConfigError, match="trials must be an integer"):
+            ss.certify_forward(ss.PovmElement(np.eye(2) / 2.0), set0, set1, trials=2.5, seed=2.5)

@@ -189,23 +189,23 @@ class TestParsing:
         assert len(seen) == 1 and seen[0].tobytes() == matrices[4].astype(complex).tobytes()
 
     @pytest.mark.parametrize("count,runs", [(256, 0), (3, 0)])
-    def test_eigendecompositions_spent(self, tmp_path, jacobi_calls, count, runs):
+    def test_eigendecompositions_spent(self, tmp_path, kernel_calls, count, runs):
         # A set of any size is screened by one Cholesky certificate, which
-        # runs no _jacobi.
-        self.assert_loads_with(tmp_path, jacobi_calls, 4, count, runs)
+        # runs no _householder_ql.
+        self.assert_loads_with(tmp_path, kernel_calls, 4, count, runs)
 
-    def test_deep_set_spends_no_eigendecomposition(self, tmp_path, jacobi_calls):
-        self.assert_loads_with(tmp_path, jacobi_calls, 16, 3, 0)
+    def test_deep_set_spends_no_eigendecomposition(self, tmp_path, kernel_calls):
+        self.assert_loads_with(tmp_path, kernel_calls, 16, 3, 0)
 
     @staticmethod
-    def assert_loads_with(tmp_path, jacobi_calls, dim, count, runs):
+    def assert_loads_with(tmp_path, kernel_calls, dim, count, runs):
         sset = ss.StateSet(dim=dim, states=tuple(
             ss.random_density(dim, 1 + seed % dim, seed) for seed in range(count)))
         p = tmp_path / "s.json"
         stateio.save_state_set(str(p), sset)
-        jacobi_calls.clear()
+        kernel_calls.clear()
         back = stateio.load_state_set(str(p))
-        assert len(jacobi_calls) == runs
+        assert len(kernel_calls) == runs
         assert back.stack().tobytes() == sset.stack().tobytes()
 
     def test_single_state_file(self, tmp_path):
@@ -221,15 +221,15 @@ class TestParsing:
         np.testing.assert_array_equal(t.matrix, KET0)
 
     @pytest.mark.parametrize("dim", [2, 16])
-    def test_measurement_screened(self, tmp_path, jacobi_calls, dim):
+    def test_measurement_screened(self, tmp_path, kernel_calls, dim):
         # A valid T is proved inside [0, I] by the certificate: no spectrum.
         rho = ss.random_density(dim, dim, 3).matrix
         t = ss.PovmElement(rho / np.abs(rho).max() / dim)
         p = tmp_path / "t.json"
         stateio.save_measurement(str(p), t)
-        jacobi_calls.clear()
+        kernel_calls.clear()
         assert stateio.load_measurement(str(p)).matrix.tobytes() == t.matrix.tobytes()
-        assert len(jacobi_calls) == 0
+        assert len(kernel_calls) == 0
 
     def test_single_state_error_names_path_and_state(self, tmp_path):
         p = tmp_path / "s.json"

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 import statesep as ss
 from statesep.errors import (
+    BadConfigError,
     BadRankError,
     BadTraceError,
     BadWeightsError,
@@ -53,24 +54,31 @@ class TestValidateDensity:
         with pytest.raises(NotPositiveError, match="-1.000e[+]160"):
             ss.validate_density(np.array([[0.5, 1e160], [1e160, 0.5]]))
 
-    @pytest.mark.parametrize("dim", [3, 4, 9, 16])
-    def test_full_rank_state_spends_no_spectrum(self, dim, jacobi_calls):
+    @pytest.mark.parametrize("dim", [5, 6, 9, 16])
+    def test_full_rank_state_spends_no_spectrum(self, dim, kernel_calls):
         m = ss.random_density(dim, dim, 21).matrix
-        jacobi_calls.clear()
+        kernel_calls.clear()
         assert ss.validate_density(m).matrix.tobytes() == m.tobytes()
-        assert len(jacobi_calls) == 0
+        assert len(kernel_calls) == 0
 
-    def test_qubit_state_spends_one_spectrum(self, jacobi_calls):
-        # At d = 2 the single Jacobi rotation is cheaper than the screen.
+    def test_qubit_state_spends_one_spectrum(self, kernel_calls):
+        # Up to d = 4 the decomposition is cheaper than the screen.
         ss.validate_density(ss.random_density(2, 2, 21).matrix)
-        assert len(jacobi_calls) == 1
+        assert len(kernel_calls) == 1
 
-    def test_state_the_screen_refuses_is_decomposed(self, jacobi_calls):
+    @pytest.mark.parametrize("dim", [3, 4])
+    def test_small_state_spends_one_spectrum(self, dim, kernel_calls):
+        m = ss.random_density(dim, dim, 21).matrix
+        kernel_calls.clear()
+        assert ss.validate_density(m).matrix.tobytes() == m.tobytes()
+        assert len(kernel_calls) == 1
+
+    def test_state_the_screen_refuses_is_decomposed(self, kernel_calls):
         f = np.exp(2j * np.pi * np.outer(range(4), range(4)) / 4) / 2.0  # unitary
         m = f @ np.diag([-2e-9, 0.3, 0.3, 0.4 + 2e-9]) @ f.conj().T
         with pytest.raises(NotPositiveError, match="minimum eigenvalue -2.000e-09 below"):
             ss.validate_density(m)
-        assert len(jacobi_calls) == 1
+        assert len(kernel_calls) == 1
 
 
 def valid_matrices(count, dim=3):
@@ -111,17 +119,17 @@ class TestScreenDensities:
     def test_no_stack_of_square_matrices_passes_nothing(self, mats):
         assert not ss.states.screen_densities(mats).any()
 
-    def test_certificate_failure_passes_nothing(self, monkeypatch, jacobi_calls):
+    def test_certificate_failure_passes_nothing(self, monkeypatch, kernel_calls):
         def fail(h, floor):
             return np.zeros(len(h), dtype=bool)
 
         monkeypatch.setattr(ss.states, "_lowest_above", fail)
         mats = valid_matrices(12)
         assert not ss.states.screen_densities(mats).any()
-        jacobi_calls.clear()
+        kernel_calls.clear()
         sset = ss.StateSet.from_matrices(mats)
         # Every state went through validate_density, one spectrum each.
-        assert len(jacobi_calls) == 12
+        assert len(kernel_calls) == 12
         assert sset.stack().tobytes() == np.array(mats).tobytes()
 
 
@@ -182,15 +190,15 @@ class TestValidatePovmElement:
         ss.validate_povm_element(np.diag([1.0, 0.0, 1.0]))
 
     @pytest.mark.parametrize("dim", [1, 2, 16])
-    def test_screened_element_spends_no_eigendecomposition(self, jacobi_calls, dim):
+    def test_screened_element_spends_no_eigendecomposition(self, kernel_calls, dim):
         rho = ss.random_density(dim, dim, 3).matrix
         m = rho / np.abs(rho).max() / dim
-        jacobi_calls.clear()
+        kernel_calls.clear()
         assert ss.validate_povm_element(m).matrix.tobytes() == m.tobytes()
-        assert len(jacobi_calls) == 0
+        assert len(kernel_calls) == 0
         # On the ceiling exactly, only the spectrum accepts it.
         ss.validate_povm_element(np.diag([0.5] * (dim - 1) + [ss.states.POVM_CEILING]))
-        assert len(jacobi_calls) == 1
+        assert len(kernel_calls) == 1
 
 
 class TestStateSet:
@@ -295,20 +303,20 @@ class TestRandomDensity:
             assert lam[-1] == pytest.approx(1.0, abs=1e-9)
             assert np.all(lam[:-1] <= 1e-9)
 
-    def test_eigendecompositions_spent(self, jacobi_calls, monkeypatch):
+    def test_eigendecompositions_spent(self, kernel_calls, monkeypatch):
         # A well-conditioned full-rank draw is cleared by the certificate,
         # and only full-rank draws are checked at all.
         expected = [ss.random_density(4, rank, seed=5).matrix.tobytes() for rank in (1, 2, 3, 4)]
-        assert len(jacobi_calls) == 0
+        assert len(kernel_calls) == 0
         # A draw the certificate cannot clear costs one spectrum, same bits.
         monkeypatch.setattr(ss.states, "_lowest_above", lambda h, floor: np.zeros(len(h), bool))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert ss.random_density(4, 4, seed=5).matrix.tobytes() == expected[3]
-        assert len(jacobi_calls) == 1
+        assert len(kernel_calls) == 1
         for rank in (1, 2, 3):
             ss.random_density(4, rank, seed=5)
-        assert len(jacobi_calls) == 1
+        assert len(kernel_calls) == 1
 
     def test_full_rank_is_positive(self):
         for seed in range(5):
@@ -325,6 +333,13 @@ class TestRandomDensity:
         for dim, rank in ((2.5, 2), (2, 1.0), ("2", 1), (True, 1), (2, None)):
             with pytest.raises(BadRankError, match="must be an integer"):
                 ss.random_density(dim, rank, seed=1)
+
+    def test_bad_seed(self):
+        for seed in (1.5, 2.0, "3", None, True):
+            with pytest.raises(BadConfigError, match="seed must be an integer"):
+                ss.random_density(2, 2, seed)
+        assert (ss.random_density(2, 2, np.uint64(7)).matrix.tobytes()
+                == ss.random_density(2, 2, 7).matrix.tobytes())
 
 
 class TestMixtureWeights:
