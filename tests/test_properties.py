@@ -413,13 +413,13 @@ def test_screened_loading_matches_validating_each_state(matrices):
                             lambda k, exc: f"{path}: state {k}: {exc}")
 
 
-# --- validate_density: the screen it runs from d = 3 changes no outcome ---
+# --- validate_density: the screen it runs from d = 5 changes no outcome ---
 
 @st.composite
 def validation_cases(draw):
-    """(kind, matrix), d = 1-6: a valid state of any rank, an edge matrix,
+    """(kind, matrix), d = 1-8: a valid state of any rank, an edge matrix,
     or a Hermitian matrix with an entry above 2^500."""
-    dim = draw(st.integers(min_value=1, max_value=6))
+    dim = draw(st.integers(min_value=1, max_value=8))
     kind = draw(st.sampled_from(("valid", "above 2^500") + EDGES))
     if kind in EDGES:
         return kind, draw(edge_matrix(dim, kind))
