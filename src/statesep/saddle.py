@@ -98,7 +98,10 @@ def _screen_slack(d: int, states: int) -> float:
       backward stable, with eigenvalues within p(d) u ||H||_2, p a
       modestly growing function of d (LAPACK Users' Guide, 3rd ed., 1999,
       section 4.7); property tests pin the two within 1e-13 * max(1,
-      ||H||_F) of each other.  A mixture difference has
+      ||H||_F) of each other.  (eigvalsh falls short of that bound on
+      some matrices that mix entries near 1e-160 with entries of order 1:
+      on a 4 x 4 it missed +/-0.375 by 1.5e-7, where eigh did not.)  A
+      mixture difference has
       ||H||_F <= 2, so each distance is within d * 2e-13 of that matrix's
       exact one.
     - The matrices.  The screen sums a block's mixtures by real matmuls on
