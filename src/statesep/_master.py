@@ -17,12 +17,14 @@ for every other basic variable, the slack of a row.  The rows R whose
 slacks are not basic (the tight rows, always including sum(w) = 1) have
 as many members as C, and the basis matrix is nonsingular exactly when
 its square block M = A[R, C] is.  So the solver inverts only M, at most
-K + 2 square, never an (l0 + l1 + 1)-square basis, and inverts it afresh
-at each pivot, so no rounding carries from one pivot to the next.  a and
-b are basic from the first basis on and, being free, never leave it.
+K + 2 square, never an (l0 + l1 + 1)-square basis.  Each new basis is
+factorized afresh, so no rounding carries from one pivot to the next,
+and the factorization is kept across re-solves.  a and b are basic from
+the first basis on and, being free, never leave it.
 
 Adding a cut appends a column and keeps the current basis primal
-feasible, so each re-solve starts warm.  Pricing is Dantzig's rule (the
+feasible, so each re-solve starts warm, and its first pricing reuses
+the kept factorization.  Pricing is Dantzig's rule (the
 largest reduced cost); after a run of degenerate pivots it switches to
 Bland's rule (Bland 1977: the lowest-numbered candidate enters, and the
 lowest-numbered of the tied rows leaves), which cannot cycle, until a
@@ -63,6 +65,7 @@ class Master:
         self.n = 2
         self.basic: list[int] = []  # C, structural column indices
         self.tight: list[int] = []  # R, row indices, as many as C
+        self._basis: _Basis | None = None  # C and R's factorization, once made
 
     def add_cut(self, exp0: np.ndarray, exp1: np.ndarray) -> None:
         """Append the cut whose expectations over S0 and S1 are exp0, exp1."""
@@ -75,6 +78,7 @@ class Master:
         if not self.basic:
             # All weight on the first cut, a and b at its extreme rows:
             # every slack is then >= 0.
+            self._basis = None
             self.basic = [self.n, _A, _B]
             self.tight = [self.eq, int(np.argmin(exp0)), self.l0 + int(np.argmax(exp1))]
         self.n += 1
@@ -91,22 +95,17 @@ class Master:
         cost[_A], cost[_B] = 1.0, -1.0
         degenerate = 0
         for pivot in range(_MAX_PIVOTS + 1):
-            rows = np.array(self.tight)
-            basic = np.array(self.basic)
-            basic_cols = cols[:, basic]
-            inverse = np.linalg.inv(basic_cols[rows])
-            x = inverse[:, self.tight.index(self.eq)]  # the right-hand side is e_eq
-            y = cost[basic] @ inverse
+            if self._basis is None:
+                self._basis = _Basis(self)
+            f = self._basis
 
             # Price the structural columns (variable k) and the slacks of
             # the tight rows (variable n + r); the equality row has none.
-            reduced = cost - y @ cols[rows, :n]
-            reduced[basic] = 0.0
-            slack = np.where(rows == self.eq, 0.0, -y)
+            reduced = cost - f.y @ cols[f.rows, :n]
+            reduced[f.basic] = 0.0
+            names = np.concatenate([np.arange(n), n + f.rows])
             bland = degenerate >= _DEGENERATE_RUN
-            entering = _entering(
-                np.concatenate([reduced, slack]), np.concatenate([np.arange(n), n + rows]), bland
-            )
+            entering = _entering(np.concatenate([reduced, f.slack]), names, bland)
             if entering is None:
                 break
             if pivot == _MAX_PIVOTS:
@@ -119,34 +118,28 @@ class Master:
             else:
                 column = np.zeros(cols.shape[0])
                 column[entering - n] = 1.0
-            loose = np.ones(cols.shape[0], dtype=bool)
-            loose[rows] = False
-            loose_rows = np.flatnonzero(loose)
-            loose_cols = basic_cols[loose_rows]
-            u = inverse @ column[rows]
-            names = np.concatenate([basic, n + loose_rows])
-            values = np.concatenate([x, -(loose_cols @ x)])
-            steps = np.concatenate([u, column[loose_rows] - loose_cols @ u])
+            u = f.inverse @ column[f.rows]
+            steps = np.concatenate([u, column[f.loose_rows] - f.loose_cols @ u])
 
             # Ratio test over the bounded basic variables; a and b are free.
-            values[values <= _ZERO_TOL] = 0.0
-            candidates = np.flatnonzero((names > _B) & (steps > _PIVOT_TOL))
+            candidates = np.flatnonzero(f.bounded & (steps > _PIVOT_TOL))
             if candidates.size == 0:
                 raise NoConvergenceError("master LP found no pivot row for its entering variable")
-            ratios = values[candidates] / steps[candidates]
+            ratios = f.values[candidates] / steps[candidates]
             best = ratios.min()
             ties = candidates[ratios <= best + _ZERO_TOL]
+            leaving_names = np.concatenate([f.basic, n + f.loose_rows])[ties]
             if bland:
-                leaving = ties[np.argmin(names[ties])]
+                leaving = leaving_names.min()
             else:
-                leaving = ties[np.argmax(steps[ties])]
+                leaving = leaving_names[np.argmax(steps[ties])]
             degenerate = degenerate + 1 if best <= _PIVOT_TOL else 0
-            self._exchange(entering, int(names[leaving]), n)
+            self._exchange(entering, int(leaving), n)
 
         w = np.zeros(n)
-        w[basic] = x
+        w[f.basic] = f.x
         mu = np.zeros(cols.shape[0])
-        mu[rows] = y
+        mu[f.rows] = f.y
         return (
             _normalized(w[2:]),
             _normalized(mu[:self.l0]),
@@ -155,6 +148,7 @@ class Master:
 
     def _exchange(self, entering: int, leaving: int, n: int) -> None:
         """Update C and R for one pivot; variables are numbered as in solve."""
+        self._basis = None
         if entering < n and leaving < n:
             self.basic[self.basic.index(leaving)] = entering
         elif entering < n:
@@ -167,14 +161,46 @@ class Master:
             del self.tight[self.tight.index(entering - n)]
 
 
+class _Basis:
+    """The factorization of one basis, and what pricing and ratio tests read of it.
+
+    None of it depends on the number of cut columns, so adding a cut keeps
+    it: the first pivot of a warm re-solve inverts nothing.
+    """
+
+    __slots__ = ("rows", "basic", "inverse", "x", "y", "slack", "loose_rows",
+                 "loose_cols", "values", "bounded")
+
+    def __init__(self, master: Master):
+        self.rows = np.array(master.tight)
+        self.basic = np.array(master.basic)
+        basic_cols = master.cols[:, self.basic]
+        self.inverse = np.linalg.inv(basic_cols[self.rows])
+        self.x = self.inverse[:, master.tight.index(master.eq)]  # the right-hand side is e_eq
+        cost = np.where(self.basic == _A, 1.0, np.where(self.basic == _B, -1.0, 0.0))
+        self.y = cost @ self.inverse
+        self.slack = np.where(self.rows == master.eq, 0.0, -self.y)
+        loose = np.ones(master.cols.shape[0], dtype=bool)
+        loose[self.rows] = False
+        self.loose_rows = np.flatnonzero(loose)
+        self.loose_cols = basic_cols[self.loose_rows]
+        # The basic structurals, then the slacks of the loose rows.
+        self.values = np.concatenate([self.x, -(self.loose_cols @ self.x)])
+        self.values[self.values <= _ZERO_TOL] = 0.0
+        self.bounded = np.concatenate([self.basic > _B, np.ones(self.loose_rows.size, bool)])
+
+
 def _entering(gains: np.ndarray, names: np.ndarray, bland: bool) -> int | None:
-    """The improving variable to enter, or None at optimality."""
-    improving = np.flatnonzero(gains > _COST_TOL)
-    if improving.size == 0:
-        return None
+    """The improving variable to enter, or None at optimality.
+
+    A NaN gain never enters: it compares false against _COST_TOL.
+    """
+    improving = gains > _COST_TOL
     if bland:
-        return int(names[improving].min())
-    return int(names[improving[np.argmax(gains[improving])]])
+        candidates = names[improving]
+        return int(candidates.min()) if candidates.size else None
+    k = int(np.argmax(np.where(improving, gains, -np.inf)))
+    return int(names[k]) if improving[k] else None
 
 
 def _normalized(v: np.ndarray) -> np.ndarray:

@@ -22,11 +22,23 @@ certified upper bound on eps*; the screen's slack (_screen_slack's kernel
 term) covers both eigensolvers' error, so no query that could lower the
 bound is skipped.  Every cut is a linear minorant of f, so the
 master problem, min over mu of max_k Tr(T_k Delta(mu)), is a linear
-program; its optimal mixtures are the next query.  The solver works on
+program; its optimal mixtures are Kelley's point m.  The solver works on
 the LP's dual, max over weights w on the cuts of the worst pair gap of
 sum_k w_k T_k, whose duals are those mixtures: a dense revised simplex
 (_master.py) re-solved warm after each cut, with Bland's rule (Bland
 1977) against cycling on degenerate bases.
+
+Kelley's method tails off because its query jumps to each new m, far
+from the best mixtures found so far.  So the queries are smoothed
+(Wentges 1997): the first is the uniform pair, and each later one is
+q = a c + (1 - a) m, a = _SMOOTHING, where the stability centre c is the
+mixture pair attaining the best upper bound so far.  A query is
+mispriced when its cut leaves the model's value at m where it was, the
+master's value v: m0 . Tr(T rho) - m1 . Tr(T sigma) <= v + 1e-12.  The
+query after a mispriced one is m itself, a plain Kelley step (Pessoa,
+Sadykov, Uchoa & Vanderbeck 2013), so at least one round in two cuts off
+Kelley's point, as every round of Kelley's method does.  q is a convex combination of two mixture pairs, so it is a
+mixture pair too: its cut and its value are as valid as m's.
 
 LP duality makes the master's value the worst pair gap of the measurement
 sum_k w_k T_k.  That measurement is a convex combination of projectors,
@@ -80,6 +92,9 @@ _SCREEN_SLACK = 8e-13
 # seen within 1 ulp (relative 2^-52) of math.log, 256 times inside this;
 # tests/test_rng.py pins it on the stream's uniforms.
 _SCREEN_LOG_ETA = 2.0 ** -44
+# Each query after the first lies this share of the way from Kelley's point
+# towards the best mixtures so far (Wentges 1997).
+_SMOOTHING = 0.5
 
 
 def _screen_slack(d: int, states: int) -> float:
@@ -200,10 +215,11 @@ class SaddleResult:
     measurement is the best certified combination of cuts; lower_bound is
     its worst pair gap (an achievable margin), upper_bound the smallest
     max_pair_gap of the mixture pairs queried (no measurement can beat
-    it).  mu0/mu1 are the mixtures of the last iteration: the uniform pair
-    at the first, the master's optimal mixtures after.  best_mu0/best_mu1
-    are the mixtures attaining upper_bound.  rounds_used counts iterations,
-    and trace holds one checkpoint per iteration.
+    it).  mu0/mu1 are the mixtures of the last query: the uniform pair at
+    the first iteration, a smoothed pair or the master's optimal mixtures
+    after.  best_mu0/best_mu1 are the mixtures attaining upper_bound.
+    rounds_used counts iterations, and trace holds one checkpoint per
+    iteration.
     """
 
     measurement: PovmElement
@@ -255,10 +271,12 @@ def solve_saddle(
     master = Master(l0, l1)
     cuts: list[np.ndarray] = []
 
-    def add_cut(t: np.ndarray) -> None:
+    def add_cut(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         flat_t = t.reshape(d * d)
         cuts.append(t)
-        master.add_cut((flat0_t @ flat_t).real, (flat1_t @ flat_t).real)
+        exp0, exp1 = (flat0_t @ flat_t).real, (flat1_t @ flat_t).real
+        master.add_cut(exp0, exp1)
+        return exp0, exp1
 
     identity_half = PovmElement(np.eye(d, dtype=np.complex128) / 2.0)
     add_cut(identity_half.matrix)
@@ -270,6 +288,9 @@ def solve_saddle(
     best_upper = np.inf
     best_mu0 = mu0
     best_mu1 = mu1
+    # Kelley's point (the master's optimal mixtures) and the master's value
+    # there, once the master has been solved.
+    kelley: tuple[np.ndarray, np.ndarray, float] | None = None
     history: list[Checkpoint] = []
     rounds_used = 0
     converged = False
@@ -291,7 +312,13 @@ def solve_saddle(
                 best_mu0 = mu0
                 best_mu1 = mu1
         cols = vecs[:, lam > POSITIVE_CUTOFF]
-        add_cut(cols @ cols.conj().T)
+        exp0, exp1 = add_cut(cols @ cols.conj().T)
+        # The query is mispriced when its cut raises the model's value at
+        # Kelley's point by at most rounding; the next query is then that
+        # point itself.
+        mispriced = kelley is not None and (
+            float(kelley[0] @ exp0 - kelley[1] @ exp1) <= kelley[2] + 1e-12
+        )
 
         weights, next_mu0, next_mu1 = master.solve()
         combined = np.zeros((d, d), dtype=np.complex128)
@@ -310,7 +337,14 @@ def solve_saddle(
         if gap <= cfg.target_gap:
             converged = True
             break
-        mu0, mu1 = next_mu0, next_mu1
+        if t == cfg.max_rounds:
+            break
+        kelley = (next_mu0, next_mu1, lower)
+        if mispriced:
+            mu0, mu1 = next_mu0, next_mu1
+        else:
+            mu0 = _SMOOTHING * best_mu0 + (1.0 - _SMOOTHING) * next_mu0
+            mu1 = _SMOOTHING * best_mu1 + (1.0 - _SMOOTHING) * next_mu1
 
     return SaddleResult(
         measurement=best_t,

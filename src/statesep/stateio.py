@@ -221,7 +221,8 @@ def _parse_entry(obj, where: str) -> complex:
             raise ParseError(f"{where}: entry missing {key!r}")
         if isinstance(obj[key], bool) or not isinstance(obj[key], (int, float)):
             raise ParseError(f"{where}: entry field {key!r} is not a number")
-        # json.loads accepts NaN and Infinity, and integers of any size.
+        # json.loads accepts NaN and Infinity, and integers up to Python's
+        # limit on digits (longer ones fail in _load_json).
         try:
             value = float(obj[key])
         except OverflowError:
@@ -261,6 +262,10 @@ def _load_json(path: str):
         raise ParseError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
     except RecursionError as exc:
         raise ParseError(f"{path}: JSON nested too deeply to parse") from exc
+    except ValueError as exc:
+        # Python refuses to convert an integer literal of more than
+        # sys.get_int_max_str_digits() digits (4,300 by default).
+        raise ParseError(f"{path}: integer literal too long to parse: {exc}") from exc
 
 
 def _parse_dim(doc, path: str) -> int:

@@ -71,6 +71,57 @@ def random_instance(seed: int, dims=(2, 3, 4), max_states: int = 4):
     return set0, set1
 
 
+def wolfe_nearest_point(points: np.ndarray) -> tuple[float, float]:
+    """Bracket [lo, hi] on the distance from the origin to the hull of the rows.
+
+    Wolfe's nearest-point algorithm (Wolfe 1976), in floats: a corral of
+    affinely independent points whose affine minimizer x lies inside
+    their hull.  A major cycle adds the point least along x; a minor
+    cycle drops points until the minimizer has positive weights.  hi = |x|
+    (x is in the hull) and lo = min_k x . p_k / |x| (the hull lies beyond
+    that plane), both up to rounding.
+    """
+    p = np.asarray(points, dtype=float)
+    corral = [int(np.argmin((p * p).sum(axis=1)))]
+    w = np.ones(1)
+    x = p[corral[0]]
+    reach = float(np.sqrt((p * p).sum(axis=1).max()))
+    for _ in range(100 * len(p)):
+        j = int(np.argmin(p @ x))
+        norm = float(np.sqrt(x @ x))
+        if (norm <= 1e-14 * reach or x @ x - p[j] @ x <= 1e-14 * norm * reach
+                or j in corral or len(corral) > p.shape[1]):
+            break
+        corral.append(j)
+        w = np.append(w, 0.0)
+        while True:
+            q = p[corral]
+            m = len(corral)
+            border = np.block([[q @ q.T, np.ones((m, 1))], [np.ones((1, m)), np.zeros((1, 1))]])
+            v = np.linalg.solve(border, np.append(np.zeros(m), 1.0))[:m]
+            if v.min() > 0.0:
+                w = v
+                break
+            # Step from w towards v until the first weight reaches zero.
+            falling = np.flatnonzero(v <= 0.0)
+            ratios = w[falling] / (w[falling] - v[falling])
+            w = w + ratios.min() * (v - w)
+            w[falling[np.argmin(ratios)]] = 0.0
+            corral = [c for c, wc in zip(corral, w) if wc > 0.0]
+            w = w[w > 0.0]
+        x = w @ p[corral]
+    norm = float(np.sqrt(x @ x))
+    lo = max(0.0, float((p @ x).min()) / norm) if norm > 0.0 else 0.0
+    return lo, norm
+
+
+def qubit_bloch(sset: ss.StateSet) -> np.ndarray:
+    """Bloch vectors (x, y, z) of unit-trace qubit states, one row each."""
+    m = sset.stack()
+    return np.stack([2.0 * m[:, 0, 1].real, -2.0 * m[:, 0, 1].imag,
+                     (m[:, 0, 0] - m[:, 1, 1]).real], axis=1)
+
+
 def reference_certify(t, set0, set1, trials, seed):
     """certify_forward as one max_pair_gap per trial, drawn from next_uint64."""
     rng = SplitMix64(seed)

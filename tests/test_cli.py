@@ -103,6 +103,16 @@ class TestValidate:
         assert run_cli("solve", str(deep), files["orth1"]) == 1
         assert f"error: {deep}: JSON nested too deeply" in capsys.readouterr().err
 
+    def test_over_long_integer_exit_1_names_path(self, files, capsys, tmp_path):
+        doc = set_document(state_set(KET0, MIXED2))
+        doc["states"][1]["matrix"][0][0]["re"] = "PLACEHOLDER"
+        bad = tmp_path / "long.json"
+        bad.write_text(json.dumps(doc).replace('"PLACEHOLDER"', "1" * 5001), encoding="utf-8")
+        assert run_cli("validate", str(bad), files["orth1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: integer literal too long to parse")
+        assert err.count("\n") == 1
+
     def test_non_utf8_exit_1_names_path(self, files, capsys, tmp_path):
         binary = tmp_path / "binary.json"
         binary.write_bytes(b'{"dim": 1, "states": [\xff]}')

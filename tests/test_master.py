@@ -105,6 +105,39 @@ class TestBlandFromFirstPivot(TestAgainstHighs):
         monkeypatch.setattr(_master, "_DEGENERATE_RUN", 0)
 
 
+def test_optimal_warm_basis_inverts_nothing(monkeypatch):
+    # A cut no mixture prefers (every S0 expectation 0, every S1 one 1)
+    # leaves the basis optimal: the re-solve prices it with the kept
+    # factorization and returns the same bits.
+    rng = np.random.RandomState(3)
+    master = _master.Master(5, 4)
+    for _ in range(6):
+        master.add_cut(rng.uniform(size=5), rng.uniform(size=4))
+    before = master.solve()
+    calls = []
+    original = np.linalg.inv
+
+    def counted(a):
+        calls.append(1)
+        return original(a)
+
+    monkeypatch.setattr(np.linalg, "inv", counted)
+    master.add_cut(np.zeros(5), np.ones(4))
+    after = master.solve()
+    assert calls == []
+    assert [v.tobytes() for v in after[1:]] == [v.tobytes() for v in before[1:]]
+    assert after[0].tobytes() == np.append(before[0], 0.0).tobytes()
+
+
+def test_entering_skips_nan_and_takes_the_first_largest_gain():
+    names = np.array([0, 1, 2, 3, 7, 5])
+    gains = np.array([np.nan, 0.5, 2.0, 2.0, np.nan, 1e-10])
+    assert _master._entering(gains, names, bland=False) == 2
+    assert _master._entering(gains, names, bland=True) == 1
+    for bland in (False, True):
+        assert _master._entering(np.array([np.nan, 1e-10]), names[:2], bland) is None
+
+
 def test_pivot_cap_raises(monkeypatch):
     monkeypatch.setattr(_master, "_MAX_PIVOTS", 0)
     with pytest.raises(NoConvergenceError, match="0 pivots"):

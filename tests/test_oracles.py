@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings, strategies as st
 
 import statesep as ss
 from statesep.errors import (
@@ -9,7 +12,17 @@ from statesep.errors import (
 )
 from statesep.oracles import _compositions
 
-from conftest import DIST_KET0_PLUS, KET0, KET1, MIXED2, PLUS, random_instance, state_set
+from conftest import (
+    DIST_KET0_PLUS,
+    KET0,
+    KET1,
+    MIXED2,
+    PLUS,
+    qubit_bloch,
+    random_instance,
+    state_set,
+    wolfe_nearest_point,
+)
 
 
 class TestBruteForceQubitOracle:
@@ -125,3 +138,83 @@ class TestOracleSandwich:
             # low never exceeds eps*, high never undershoots it
             assert low <= res.upper_bound + 1e-9
             assert high >= res.lower_bound - 1e-9
+
+
+# The exact reference: for unit-trace qubit states, a mixture difference
+# has eigenvalues +/- half the length of its Bloch vector, so eps* is half
+# the distance between the two sets' Bloch hulls, the nearest point to the
+# origin of the hull of the differences b_i - c_j.  Wolfe's algorithm finds
+# it with neither eigensolver.
+QUBIT_GAP = 1e-9
+QUBIT_CONFIG = ss.SolverConfig(max_rounds=20000, target_gap=QUBIT_GAP)
+# Rounding in the solver's bounds and in the reference's bracket.
+QUBIT_SLACK = 1e-12
+
+
+@st.composite
+def qubit_sets(draw):
+    """Two sets of one to eight qubit states each, of trace exactly 1.
+
+    z is dyadic, so (1 + z)/2 and (1 - z)/2 are exact and sum to 1; the
+    radius in the x-y plane puts a share of the states on the sphere.
+    Unless `split` is None, S0 keeps z >= split / 2^20 and S1 z <=
+    -split / 2^20, so that the hulls are apart more often than not.
+    """
+    split = draw(st.sampled_from([None, 0, 2**18, 2**19]))
+
+    def state(sign):
+        if split is None:
+            z = draw(st.integers(-2**20, 2**20)) / 2**20
+        else:
+            z = sign * draw(st.integers(split, 2**20)) / 2**20
+        r = math.sqrt(1.0 - z * z) * draw(st.integers(0, 4)) / 4
+        angle = 2.0 * math.pi * draw(st.integers(0, 2**16)) / 2**16
+        off = complex(r * math.cos(angle), -r * math.sin(angle)) / 2.0
+        return np.array([[(1.0 + z) / 2.0, off], [off.conjugate(), (1.0 - z) / 2.0]])
+
+    sizes = st.integers(min_value=1, max_value=8)
+    return tuple(ss.StateSet.from_matrices([state(sign) for _ in range(draw(sizes))])
+                 for sign in (1, -1))
+
+
+def assert_within_wolfe(set0, set1, lower, upper):
+    """|bound - eps*| <= QUBIT_GAP on both sides, for every eps* in Wolfe's bracket."""
+    b0, b1 = qubit_bloch(set0), qubit_bloch(set1)
+    lo, hi = wolfe_nearest_point((b0[:, None, :] - b1[None, :, :]).reshape(-1, 3))
+    lo, hi = lo / 2.0, hi / 2.0
+    assert hi - lo <= QUBIT_SLACK
+    assert lower <= hi + QUBIT_SLACK and upper >= lo - QUBIT_SLACK
+    for bound in (lower, upper):
+        assert bound - lo <= QUBIT_GAP + QUBIT_SLACK
+        assert hi - bound <= QUBIT_GAP + QUBIT_SLACK
+
+
+class TestWolfeQubitReference:
+    @settings(max_examples=60)
+    @given(qubit_sets())
+    def test_bounds_meet_the_bloch_hull_distance(self, instance):
+        set0, set1 = instance
+        res = ss.solve_saddle(set0, set1, QUBIT_CONFIG)
+        assert res.converged
+        assert_within_wolfe(set0, set1, res.lower_bound, res.upper_bound)
+
+    def test_a_lowered_upper_bound_fails(self):
+        @settings(max_examples=25, phases=[Phase.generate])
+        @given(qubit_sets())
+        def lowered(instance):
+            set0, set1 = instance
+            res = ss.solve_saddle(set0, set1, QUBIT_CONFIG)
+            assert_within_wolfe(set0, set1, res.lower_bound, res.upper_bound * (1.0 - 1e-8))
+
+        with pytest.raises(AssertionError):
+            lowered()
+
+    def test_reference_on_known_hulls(self):
+        # One point at distance 2; a segment through the origin; the six
+        # axis points around it; a square face at distance 1.
+        assert wolfe_nearest_point(np.array([[2.0, 0.0, 0.0]])) == (2.0, 2.0)
+        assert wolfe_nearest_point(np.array([[1.0, 1.0, 0.0], [-1.0, -1.0, 0.0]])) == (0.0, 0.0)
+        axes = np.concatenate([np.eye(3), -np.eye(3)])
+        assert wolfe_nearest_point(axes) == (0.0, 0.0)
+        lo, hi = wolfe_nearest_point(np.array([[1.0, 1, 1], [1, -1, 1], [1, 1, -1], [1, -1, -1]]))
+        assert lo == pytest.approx(1.0, abs=1e-15) and hi == pytest.approx(1.0, abs=1e-15)

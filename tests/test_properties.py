@@ -83,10 +83,15 @@ def transformed(sset, fn):
 
 
 @EXAMPLES
-@given(seeds)
-def test_weak_duality_at_every_checkpoint(seed):
+@given(seeds, st.sampled_from([saddle._SMOOTHING, 0.0, 0.95]))
+def test_weak_duality_at_every_checkpoint(seed, smoothing):
+    # Smoothed or not (0 queries Kelley's point itself), every query is a
+    # mixture pair, so every checkpoint pairs two certified bounds.
     set0, set1 = small_instance(seed)
-    res = solve(set0, set1)
+    with mock.patch.object(saddle, "_SMOOTHING", smoothing):
+        res = solve(set0, set1)
+    ss.as_mixture_weights(res.mu0, size=len(set0))
+    ss.as_mixture_weights(res.mu1, size=len(set1))
     assert res.trace
     for point in res.trace:
         assert point.lower_bound <= point.upper_bound + 1e-9

@@ -189,6 +189,87 @@ class TestSolveSaddle:
         assert res.gap > 1e-6
 
 
+class TestSmoothedQueries:
+    """Wentges-smoothed queries, and the Kelley step after a mispriced one."""
+
+    def test_queries_follow_the_rule(self, monkeypatch):
+        # Replays the query rule from what the solve records: its cuts, the
+        # master's solutions, its lower bounds and its query matrices.
+        # Criterion-2 instance 12 has mispriced queries at the default
+        # smoothing.
+        set0, set1 = random_instance(12, dims=(2, 3, 4), max_states=4)
+        cuts, solutions, lowers, queries = [], [], [], []
+
+        class Recording(saddle.Master):
+            def add_cut(self, exp0, exp1):
+                cuts.append((exp0, exp1))
+                super().add_cut(exp0, exp1)
+
+            def solve(self):
+                solutions.append(super().solve())
+                return solutions[-1]
+
+        def margin(t, s0, s1, original=saddle.min_separation_gap):
+            lowers.append(original(t, s0, s1))
+            return lowers[-1]
+
+        def eigh(h, original=saddle.eigh):
+            queries.append(h)
+            return original(h)
+
+        monkeypatch.setattr(saddle, "Master", Recording)
+        monkeypatch.setattr(saddle, "min_separation_gap", margin)
+        monkeypatch.setattr(saddle, "eigh", eigh)
+        res = ss.solve_saddle(set0, set1, ss.SolverConfig(target_gap=1e-3))
+
+        d, l0, l1 = set0.dim, len(set0), len(set1)
+        flat0 = set0.stack().reshape(l0, d * d)
+        flat1 = set1.stack().reshape(l1, d * d)
+        mu0, mu1 = np.full(l0, 1.0 / l0), np.full(l1, 1.0 / l1)
+        kelley_steps = 0
+        for t in range(1, res.rounds_used + 1):
+            diff = (mu0 @ flat0 - mu1 @ flat1).reshape(d, d)
+            assert queries[t - 1].tobytes() == ((diff + diff.conj().T) / 2.0).tobytes()
+            if t == 1 or res.trace[t - 1].upper_bound < res.trace[t - 2].upper_bound:
+                best0, best1 = mu0, mu1
+            if t == res.rounds_used:
+                break
+            # Cut 0 is I/2, so round t adds cut t; lowers[0] is I/2's margin.
+            _, next0, next1 = solutions[t - 1]
+            mispriced = False
+            if t > 1:
+                _, m0, m1 = solutions[t - 2]
+                exp0, exp1 = cuts[t]
+                mispriced = float(m0 @ exp0 - m1 @ exp1) <= lowers[t - 1] + 1e-12
+            if mispriced:
+                kelley_steps += 1
+                mu0, mu1 = next0, next1
+            else:
+                mu0 = saddle._SMOOTHING * best0 + (1.0 - saddle._SMOOTHING) * next0
+                mu1 = saddle._SMOOTHING * best1 + (1.0 - saddle._SMOOTHING) * next1
+        assert kelley_steps > 0
+        assert res.mu0.tobytes() == mu0.tobytes() and res.mu1.tobytes() == mu1.tobytes()
+
+    @pytest.mark.parametrize("gap", [1e-3, 1e-6])
+    def test_converges_under_heavy_smoothing(self, monkeypatch, gap):
+        # Queries 95% of the way to the best mixtures so far: the solve
+        # still converges on the criterion-5 instance and on every fifth
+        # criterion-2 instance, each query a mixture.  It is slow, though:
+        # with few mispriced queries, the rate rests on the smoothing, and
+        # some criterion-2 instances take over 100 iterations, past
+        # criterion 2's 50.
+        monkeypatch.setattr(saddle, "_SMOOTHING", 0.95)
+        instances = [(state_set(KET0, KET1), state_set(MIXED2))]
+        instances += [random_instance(k, dims=(2, 3, 4), max_states=4) for k in range(0, 50, 5)]
+        for set0, set1 in instances:
+            res = ss.solve_saddle(set0, set1, ss.SolverConfig(target_gap=gap))
+            assert res.converged
+            for point in res.trace:
+                assert point.lower_bound <= point.upper_bound + 1e-9
+            ss.as_mixture_weights(res.mu0, size=len(set0))
+            ss.as_mixture_weights(res.mu1, size=len(set1))
+
+
 class TestProductForm:
     """The solve never builds an array over the l0 x l1 state pairs."""
 

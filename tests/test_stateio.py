@@ -133,6 +133,16 @@ class TestParsing:
         with pytest.raises(ParseError, match="nested too deeply"):
             stateio.load_state_set(str(p))
 
+    @pytest.mark.parametrize("load", [stateio.load_state_set, stateio.load_measurement])
+    def test_over_long_integer_is_parse_error(self, tmp_path, load):
+        # Past Python's 4,300-digit limit on converting integer strings.
+        p = tmp_path / "s.json"
+        p.write_text('{"dim": 1, "matrix": [[{"re": ' + "1" * 5001 + ', "im": 0}]]}',
+                     encoding="utf-8")
+        with pytest.raises(ParseError, match="integer literal too long") as info:
+            load(str(p))
+        assert str(info.value).startswith(f"{p}: ")
+
     def test_non_utf8_names_path(self, tmp_path):
         p = tmp_path / "s.json"
         p.write_bytes(b'{"dim": 1, "states": [\xff]}')
