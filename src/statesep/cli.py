@@ -2,11 +2,11 @@
 
 Commands: validate | solve | distance | helstrom | certify | random.
 Exit codes: 0 success / converged / certified, 2 solver hit the iteration cap
-without converging, 1 any error.  Stdout carries a human summary; --json
-replaces it with a single deterministic JSON document (no timing fields),
-so repeated runs on identical inputs emit identical bytes.  Payloads carry
-the library's weight vectors and matrices as they are; stateio.dumps
-renders the arrays.
+without converging, 1 any error, a usage error included.  Stdout carries a
+human summary; --json replaces it with a single deterministic JSON document
+(no timing fields), so repeated runs on identical inputs emit identical
+bytes.  Payloads carry the library's weight vectors and matrices as they
+are; stateio.dumps renders the arrays.
 
 The commands check nothing themselves: validate prints the verdicts of
 stateio.load_state_verdicts, which validates as the loaders do.
@@ -105,8 +105,8 @@ def _cmd_solve(args) -> tuple[int, dict, list[str]]:
         f"duality gap: {_fmt(result.gap)} (target {_fmt(config.target_gap)})",
         f"converged: {'yes' if result.converged else 'no'} "
         f"in {result.rounds_used} iterations",
-        f"mu0: {_fmt_weights(result.mu0)}",
-        f"mu1: {_fmt_weights(result.mu1)}",
+        f"mu0: {_fmt_weights(result.best_mu0)}",
+        f"mu1: {_fmt_weights(result.best_mu1)}",
     ]
     if args.out:
         stateio.save_measurement(args.out, result.measurement)
@@ -200,8 +200,16 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    # A usage error exits 1, as every other error does, not argparse's 2,
+    # which solve gives a run that hits its iteration cap.
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="statesep",
         description="Separation margins and witness measurements for two sets "
                     "of quantum states.",

@@ -22,13 +22,22 @@ from .errors import (
     ImaginaryResidueError,
     as_real,
 )
-from .hermitian import hermitian_eig, positive_part_projector
-from .states import DensityMatrix, PovmElement, StateSet
+from .hermitian import HERMITICITY_TOL, hermitian_eig, positive_part_projector
+from .states import EIG_FLOOR, POVM_CEILING, TRACE_TOL, DensityMatrix, PovmElement, StateSet
 
-# Every pair gap must lie in this band; a valid POVM element and valid
-# states keep it inside [-1, 1] up to rounding.
-GAP_BAND = 1.0 + 1e-9
-_IMAG_TOL = 1e-9
+# The gap checks admit what validation admits.  Let delta be the largest of
+# the validators' slacks (each 1e-9), and T and rho a validated measurement
+# and state of dimension d.  In the eigenbasis of rho's Hermitian part
+# (eigenvalues >= -delta, summing to within delta of 1), Tr(T rho) =
+# sum_k lambda_k <k|T|k> with each <k|T|k> in [-delta, 1 + delta].  So, to
+# first order in delta, Re Tr(T rho) lies in [-d delta, 1 + (d + 1) delta]
+# and every |pair gap| <= 1 + (2d + 1) delta.  Stored matrices keep the
+# anti-Hermitian part that the Hermiticity gate admits, entries up to
+# delta / 2; with ||.||_1 <= sqrt(d) ||.||_F, |Im Tr(T rho)| <= (d^1.5 + d)
+# delta / 2.  One more delta per expectation is headroom for second-order
+# terms and rounding: a trace of d^2 products errs by at most about
+# 2 d^2.5 u (u = 2^-53), below 1e-9 up to d = 400.
+_DELTA = max(HERMITICITY_TOL, -EIG_FLOOR, TRACE_TOL, POVM_CEILING - 1.0)
 
 
 @dataclass(frozen=True)
@@ -96,13 +105,14 @@ def helstrom_measurement(rho: DensityMatrix, sigma: DensityMatrix) -> PovmElemen
     return PovmElement(positive_part_projector(_symmetrized_difference(rho, sigma)))
 
 
-def _check_residue(residue: float) -> None:
-    if not residue <= _IMAG_TOL:
+def _check_residue(residue: float, d: int, expectations: int = 1) -> None:
+    # residue is the imaginary part of a sum of `expectations` expectations.
+    if not residue <= expectations * (d ** 1.5 + d + 2) * _DELTA / 2.0:
         raise ImaginaryResidueError(f"imaginary residue {residue:.3e}")
 
 
-def _check_band(largest: float) -> None:
-    if not largest <= GAP_BAND:
+def _check_band(largest: float, d: int) -> None:
+    if not largest <= 1.0 + (2 * d + 2) * _DELTA:
         raise GapOutOfBandError(f"gap magnitude {largest:.12g} outside the [-1, 1] band")
 
 
@@ -110,8 +120,8 @@ def pair_gap(t: PovmElement, rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """Re(Tr(T rho) - Tr(T sigma)), with the same checks as separation_gap."""
     _require_same_dim(t.dim, rho.dim, sigma.dim)
     value = complex(np.einsum("ab,ba->", t.matrix, rho.matrix - sigma.matrix))
-    _check_residue(abs(value.imag))
-    _check_band(abs(value.real))
+    _check_residue(abs(value.imag), t.dim, expectations=2)
+    _check_band(abs(value.real), t.dim)
     return value.real
 
 
@@ -121,7 +131,7 @@ def _expectations(t: PovmElement, set0: StateSet, set1: StateSet):
     exp0 = np.einsum("ab,iba->i", t.matrix, set0.stack())
     exp1 = np.einsum("ab,jba->j", t.matrix, set1.stack())
     # np.maximum, unlike max(), keeps a NaN from either side.
-    _check_residue(float(np.maximum(np.abs(exp0.imag).max(), np.abs(exp1.imag).max())))
+    _check_residue(float(np.maximum(np.abs(exp0.imag).max(), np.abs(exp1.imag).max())), t.dim)
     return exp0.real, exp1.real
 
 
@@ -129,7 +139,7 @@ def separation_gap(t: PovmElement, set0: StateSet, set1: StateSet) -> GapReport:
     """Expectation gaps of T for every pair in set0 x set1, and their minimum."""
     exp0, exp1 = _expectations(t, set0, set1)
     gaps = exp0[:, None] - exp1[None, :]
-    _check_band(float(np.abs(gaps).max()))
+    _check_band(float(np.abs(gaps).max()), t.dim)
     flat = int(np.argmin(gaps))  # first minimum in C order = lexicographic (i, j)
     i, j = divmod(flat, gaps.shape[1])
     return GapReport(min_gap=float(gaps[i, j]), argmin_pair=(i, j), per_pair_gaps=gaps)
@@ -145,7 +155,7 @@ def min_separation_gap(t: PovmElement, set0: StateSet, set1: StateSet) -> float:
     """
     exp0, exp1 = _expectations(t, set0, set1)
     lowest = exp0.min() - exp1.max()
-    _check_band(float(np.maximum(exp0.max() - exp1.min(), -lowest)))
+    _check_band(float(np.maximum(exp0.max() - exp1.min(), -lowest)), t.dim)
     return float(lowest)
 
 

@@ -1,10 +1,10 @@
 """Exhaustive grid oracles for small instances.
 
 Both oracles avoid the package's own eigensolver on purpose: the qubit
-computations use closed-form Bloch algebra and anything larger falls back
-to numpy's LAPACK-backed eigvalsh, so agreement with the solver is a check
-between two independent code paths.  They are brute force and meant for
-tests at dimension 2 and tiny set sizes.
+grid uses closed-form Bloch algebra and the mixture grid numpy's
+LAPACK-backed eigvalsh, so agreement with the solver is a check between
+two independent code paths.  They are brute force and meant for tests at
+small dimension and tiny set sizes.
 """
 
 from __future__ import annotations
@@ -116,24 +116,8 @@ def mixture_grid_oracle(set0: StateSet, set1: StateSet, grid_step: float) -> flo
     n = int(round(1.0 / grid_step))
     w0 = _compositions(n, len(set0)).astype(np.float64) / n
     w1 = _compositions(n, len(set1)).astype(np.float64) / n
-    stack0 = set0.stack()
-    stack1 = set1.stack()
-
-    if set0.dim == 2:
-        # Qubit closed form: distance = |bloch(rho) - bloch(sigma)|_2 / 2
-        # (exact for unit traces; trace slack of validated states only
-        # perturbs this below 1e-9, far under the grid resolution).
-        g0 = w0 @ _bloch_rows(stack0)
-        g1 = w1 @ _bloch_rows(stack1)
-        sq = (
-            np.einsum("ma,ma->m", g0, g0)[:, None]
-            + np.einsum("na,na->n", g1, g1)[None, :]
-            - 2.0 * (g0 @ g1.T)
-        )
-        return float(0.5 * np.sqrt(max(float(sq.min()), 0.0)))
-
-    mixtures0 = np.einsum("mi,iab->mab", w0, stack0)
-    mixtures1 = np.einsum("nj,jab->nab", w1, stack1)
+    mixtures0 = np.einsum("mi,iab->mab", w0, set0.stack())
+    mixtures1 = np.einsum("nj,jab->nab", w1, set1.stack())
     best = np.inf
     for row in mixtures0:
         diffs = row[None, :, :] - mixtures1

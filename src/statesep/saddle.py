@@ -75,18 +75,12 @@ from .errors import (
     as_int,
     as_real,
 )
-from .hermitian import POSITIVE_CUTOFF, hermitian_eig
+from .hermitian import EIGENVALUE_TOL, POSITIVE_CUTOFF, hermitian_eig
 from .states import WEIGHT_SUM_TOL, PovmElement, StateSet, mixture_state
 
 # certify_forward draws and screens its trials in blocks of this many
 # weights, or matrix entries where a trial's matrix has more of them.
 _CERTIFY_BLOCK = 1 << 14
-# Screened distances within _screen_slack(d, l0 + l1) of the smallest are
-# recomputed exactly; this is the share of eigvalsh and hermitian_eig in
-# it per unit of d.  solve_saddle screens each query's distance with the
-# kernel term alone, d * _SCREEN_SLACK: its screen and hermitian_eig see
-# the same matrix.
-_SCREEN_SLACK = 8e-13
 # The relative error allowed to each of the screen's exponentials -log(U)
 # against math.log's.  numpy's log is not correctly rounded, but it was
 # seen within 1 ulp (relative 2^-52) of math.log, 256 times inside this;
@@ -106,19 +100,18 @@ def _screen_slack(d: int, states: int) -> float:
     Tr(T H).  So moving each eigenvalue by e_i moves f by at most
     sum_i |e_i|, and a change E of H moves f by at most ||E||_1: twice what
     the same errors move half the trace norm by.
-    - The kernels.  Each keeps every eigenvalue within 1e-13 * max(1,
-      ||H||_F) of the exact ones of the matrix it is given.  Both are a
-      Householder tridiagonalization followed by a QL or QR iteration,
-      hermitian_eig in Python and eigvalsh in LAPACK, and both are
-      backward stable, with eigenvalues within p(d) u ||H||_2, p a
+    - The kernels.  Each keeps every eigenvalue within EIGENVALUE_TOL *
+      max(1, ||H||_F) of the exact ones of the matrix it is given.  Both
+      are a Householder tridiagonalization followed by a QL or QR
+      iteration, hermitian_eig in Python and eigvalsh in LAPACK, and both
+      are backward stable, with eigenvalues within p(d) u ||H||_2, p a
       modestly growing function of d (LAPACK Users' Guide, 3rd ed., 1999,
-      section 4.7); property tests pin the two within 1e-13 * max(1,
-      ||H||_F) of each other.  (eigvalsh falls short of that bound on
-      some matrices that mix entries near 1e-160 with entries of order 1:
-      on a 4 x 4 it missed +/-0.375 by 1.5e-7, where eigh did not.)  A
-      mixture difference has
-      ||H||_F <= 2, so each distance is within d * 2e-13 of that matrix's
-      exact one.
+      section 4.7); property tests pin the two within EIGENVALUE_TOL *
+      max(1, ||H||_F) of each other.  (eigvalsh falls short of that bound
+      on some matrices that mix entries near 1e-160 with entries of order
+      1: on a 4 x 4 it missed +/-0.375 by 1.5e-7, where eigh did not.)  A
+      mixture difference has ||H||_F <= 2, so each distance is within
+      2d * EIGENVALUE_TOL of that matrix's exact one.
     - The matrices.  The screen sums a block's mixtures by real matmuls on
       the stacks' float64 view, mixture_state by an einsum.  Each real
       component of a mixture sums `states` products of weights (summing
@@ -138,18 +131,18 @@ def _screen_slack(d: int, states: int) -> float:
       relative w = 2 eta + 2 states u (to first order) of the reported
       one.  A mixture then moves by at most w max_i ||rho_i||_1 in trace
       norm, and the difference, and so the distance, by twice that.
-    With e = 4d * 1e-13 + 2 sqrt(2) d^1.5 (states + 1) u + 2w, the trial
-    with the least exact distance screens within 2e of the least screened
-    distance.  The slack is 2e, with 6 in place of 4 sqrt(2) and 10 in
-    place of 8 to spare for second-order terms, and for weights, entries
-    and trace norms that exceed 1 by validation's 1e-9 tolerances.
+    With e = 4d * EIGENVALUE_TOL + 2 sqrt(2) d^1.5 (states + 1) u + 2w, the
+    trial with the least exact distance screens within 2e of the least
+    screened distance.  The slack is 2e, with 6 in place of 4 sqrt(2) and
+    10 in place of 8 to spare for second-order terms, and for weights,
+    entries and trace norms that exceed 1 by validation's 1e-9 tolerances.
 
-    solve_saddle uses the kernel term alone, d * _SCREEN_SLACK: it gives
-    eigh and hermitian_eig the same matrix, so only the kernels' errors
-    separate a query's screened distance from its hermitian_eig one.
+    solve_saddle uses the kernel term alone, d * 8 * EIGENVALUE_TOL: it
+    gives eigh and hermitian_eig the same matrix, so only the kernels'
+    errors separate a query's screened distance from its hermitian_eig one.
     """
     u = 2.0 ** -53
-    return (d * (_SCREEN_SLACK + 6.0 * math.sqrt(d) * (states + 1) * u)
+    return (d * (8 * EIGENVALUE_TOL + 6.0 * math.sqrt(d) * (states + 1) * u)
             + 10.0 * (_SCREEN_LOG_ETA + states * u))
 
 
@@ -305,7 +298,7 @@ def solve_saddle(
         diff = (mu0 @ flat0 - mu1 @ flat1).reshape(d, d)
         h = (diff + diff.conj().T) / 2.0
         lam, vecs = eigh(h)
-        if np.maximum(lam, 0.0).sum() <= best_upper + d * _SCREEN_SLACK:
+        if np.maximum(lam, 0.0).sum() <= best_upper + d * (8 * EIGENVALUE_TOL):
             value = float(np.maximum(hermitian_eig(h).eigenvalues, 0.0).sum())
             if value < best_upper:
                 best_upper = value

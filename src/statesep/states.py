@@ -26,7 +26,8 @@ from .errors import (
     StatesepError,
     as_int,
 )
-from .hermitian import _SCALE_ABOVE, HERMITICITY_TOL, check_hermitian, hermitian_eig, trace
+from .hermitian import (_SCALE_ABOVE, EIGENVALUE_TOL, HERMITICITY_TOL, as_matrix,
+                        hermitian_eig, trace)
 
 EIG_FLOOR = -1e-9
 TRACE_TOL = 1e-9
@@ -142,13 +143,13 @@ def validate_density(m) -> DensityMatrix:
     NotHermitianError, then NotPositiveError (minimum eigenvalue quoted),
     then BadTraceError (deviation quoted).
 
-    From d = 5 up, a Hermitian matrix first goes through screen_densities,
-    and one it passes is returned with no spectrum computed.  A matrix of
-    d <= 4, or one the screen cannot clear, is decomposed by hermitian_eig;
-    the screen passes only matrices that clear all three checks, so the
-    result and every error are the same either way.
+    From d = 5 up, the matrix first goes through screen_densities, and one
+    it passes is returned with no spectrum computed.  Any other is
+    decomposed by hermitian_eig, whose gate raises NotHermitianError; the
+    screen passes only matrices that clear all three checks, so the result
+    and every error are the same either way.
     """
-    a = check_hermitian(m)
+    a = as_matrix(m)
     # Decompose at d <= 4, where it costs less than the screen (0.066
     # against 0.074 ms a call at d = 4; at d = 5 the screen costs less,
     # 0.081 against 0.101 ms, and 0.18 against 0.78 ms at d = 16; see
@@ -246,10 +247,10 @@ def _screen_parts(matrices):
     hermitian_eig decomposes.  hermitian marks the matrices within
     HERMITICITY_TOL * (1 - 2^-50) of Hermitian, all of them finite (a
     non-finite entry makes the asymmetry NaN or infinite).  margin is
-    1e-13 * max(1, ||M||_F), the pinned bound on how far hermitian_eig's
-    eigenvalues lie from h's.  Ragged, non-square, non-numeric and
-    huge-integer input (TypeError, ValueError, OverflowError from
-    np.asarray) is no stack.
+    EIGENVALUE_TOL * max(1, ||M||_F), the pinned bound on how far
+    hermitian_eig's eigenvalues lie from h's.  Ragged, non-square,
+    non-numeric and huge-integer input (TypeError, ValueError,
+    OverflowError from np.asarray) is no stack.
     """
     try:
         a = np.asarray(matrices, dtype=np.complex128, order="C")
@@ -261,7 +262,7 @@ def _screen_parts(matrices):
     parts = a.view(np.float64).reshape(a.shape[0], -1)
     with np.errstate(over="ignore", invalid="ignore"):
         hermitian = np.abs(a - adjoint).max(axis=(1, 2)) <= HERMITICITY_TOL * (1.0 - 2.0 ** -50)
-        margin = 1e-13 * np.maximum(1.0, np.sqrt((parts * parts).sum(axis=1)))
+        margin = EIGENVALUE_TOL * np.maximum(1.0, np.sqrt((parts * parts).sum(axis=1)))
         return a, (a + adjoint) / 2.0, hermitian, margin
 
 
@@ -271,7 +272,7 @@ def screen_densities(matrices) -> np.ndarray:
     validate_density's three checks run on the whole stack at once.  A
     matrix is passed only when each clears its threshold by a rounding
     slack: asymmetry up to HERMITICITY_TOL * (1 - 2^-50); no eigenvalue
-    below EIG_FLOOR + 1e-13 * max(1, ||M||_F), proved by one shifted
+    below EIG_FLOOR + EIGENVALUE_TOL * max(1, ||M||_F), proved by one shifted
     Cholesky factorization of the stack (_lowest_above), with no spectrum
     computed; and the trace's real and imaginary deviations inside
     TRACE_TOL and TRACE_IMAG_TOL by d * 2^-51 * sum_i |M_ii|, more than two
@@ -327,9 +328,9 @@ def screen_povm_element(m) -> bool:
     It must be Hermitian within HERMITICITY_TOL * (1 - 2^-50), and one
     _lowest_above call on the pair (h, -h) must prove h >= (EIG_FLOOR +
     margin) I and h <= (POVM_CEILING - margin) I, with h = (M + M^dag) / 2
-    and margin = 1e-13 * max(1, ||M||_F).  Negating h is exact, so the
-    upper side costs no rounding.  False leaves m to validate_povm_element,
-    which alone words an error.
+    and margin = EIGENVALUE_TOL * max(1, ||M||_F).  Negating h is exact,
+    so the upper side costs no rounding.  False leaves m to
+    validate_povm_element, which alone words an error.
     """
     parts = _screen_parts([m])
     if parts is None:
@@ -342,12 +343,12 @@ def screen_povm_element(m) -> bool:
 def validate_povm_element(m) -> PovmElement:
     """Check Hermiticity and spectrum within [-1e-9, 1 + 1e-9].
 
-    A Hermitian matrix first goes through screen_povm_element, and one it
-    passes is returned with no spectrum computed; any other is decomposed
-    by hermitian_eig.  The screen passes only matrices that clear both
-    checks, so the result and every error are the same either way.
+    The matrix first goes through screen_povm_element, and one it passes
+    is returned with no spectrum computed; any other is decomposed by
+    hermitian_eig, whose gate raises NotHermitianError.  The result and
+    every error are the same either way.
     """
-    a = check_hermitian(m)
+    a = as_matrix(m)
     if screen_povm_element(a):
         return PovmElement(a)
     dec = hermitian_eig(a)
@@ -424,10 +425,10 @@ def random_density(dim: int, rank: int, seed: int) -> DensityMatrix:
     g = np.array(SplitMix64(seed).normals(2 * dim * rank)).view(np.complex128).reshape(dim, rank)
     gram = g @ g.conj().T
     rho = gram / gram.diagonal().real.sum()
-    # hermitian_eig's eigenvalues lie within 1e-13 * max(1, ||rho||_F) of the
-    # symmetrized rho's, and ||rho||_F <= 1 up to rounding: a draw proved to
-    # have none below 1.2e-12 cannot warn.
-    if rank == dim and not _lowest_above(((rho + rho.conj().T) / 2.0)[None], 1.2e-12)[0]:
+    # hermitian_eig errs by at most EIGENVALUE_TOL * max(1, ||rho||_F), and
+    # ||rho||_F <= 1 to rounding: a draw proved above this floor cannot warn.
+    floor = 1e-12 + 2 * EIGENVALUE_TOL
+    if rank == dim and not _lowest_above(((rho + rho.conj().T) / 2.0)[None], floor)[0]:
         lo = float(hermitian_eig(rho).eigenvalues[0])
         if lo <= 1e-12:
             warnings.warn(

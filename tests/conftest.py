@@ -1,6 +1,7 @@
 """Shared fixtures and instance builders."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -113,6 +114,47 @@ def wolfe_nearest_point(points: np.ndarray) -> tuple[float, float]:
     norm = float(np.sqrt(x @ x))
     lo = max(0.0, float((p @ x).min()) / norm) if norm > 0.0 else 0.0
     return lo, norm
+
+
+def commuting_eps(p, q) -> Fraction:
+    """eps* of two sets of commuting states, exactly.
+
+    The rows of p and q are the states' spectra in one common basis, as
+    nonnegative Fractions, ints or floats (each read exactly).  Pinching a
+    measurement to that basis keeps every expectation, so eps* is the value
+    of the linear program max over t in [0, 1]^d of min_i t.p_i -
+    max_j t.q_j: with a = min_i t.p_i and b = max_j t.q_j, maximize a - b
+    over t, a, b >= 0 subject to a - t.p_i <= 0, t.q_j - b <= 0 and
+    t_k <= 1.  Every right-hand side is 0 or 1, so the slack basis is
+    feasible, and a dense tableau simplex on Fractions runs from it.
+    Bland's rule (Bland 1977), the least entering index and the least
+    leaving basic index among tied ratios, keeps it from cycling.
+    """
+    p = [[Fraction(x) for x in row] for row in p]
+    q = [[Fraction(x) for x in row] for row in q]
+    d = len(p[0])
+    rows = ([[-x for x in pi] + [1, 0] for pi in p] + [qj + [0, -1] for qj in q]
+            + [[int(c == k) for c in range(d)] + [0, 0] for k in range(d)])
+    m, n = len(rows), d + 2
+    rhs = [0] * (len(p) + len(q)) + [1] * d
+    tableau = [[Fraction(x) for x in row] + [Fraction(int(r == k)) for k in range(m)]
+               + [Fraction(rhs[r])] for r, row in enumerate(rows)]
+    # Reduced costs of (t, a, b, slacks), and minus the objective's value last.
+    cost = [Fraction(0)] * d + [Fraction(1), Fraction(-1)] + [Fraction(0)] * (m + 1)
+    basis = list(range(n, n + m))
+    while True:
+        enter = next((c for c in range(n + m) if cost[c] > 0), None)
+        if enter is None:
+            return -cost[-1]
+        _, _, leave = min((row[-1] / row[enter], basis[r], r)
+                          for r, row in enumerate(tableau) if row[enter] > 0)
+        pivot = tableau[leave]
+        pivot[:] = [x / pivot[enter] for x in pivot]
+        for row in (*(row for r, row in enumerate(tableau) if r != leave), cost):
+            factor = row[enter]
+            if factor:
+                row[:] = [x - factor * y for x, y in zip(row, pivot)]
+        basis[leave] = enter
 
 
 def qubit_bloch(sset: ss.StateSet) -> np.ndarray:

@@ -10,7 +10,7 @@ import pytest
 import statesep as ss
 from statesep import cli, stateio
 
-from conftest import KET0, KET1, MIXED2, PLUS, set_document, state_set
+from conftest import KET0, KET1, MIXED2, PLUS, random_instance, set_document, state_set
 
 
 def run_cli(*argv):
@@ -159,6 +159,35 @@ class TestSolve:
         run_cli("solve", files["basis"], files["mixed"], "--json")
         second = capsys.readouterr().out
         assert first == second
+
+    def test_summary_prints_the_mixtures_of_the_upper_bound(self, capsys, tmp_path):
+        # The last query's mixtures differ from the best ones here; the
+        # summary prints those that attain the upper bound it reports.
+        paths = []
+        for k, sset in enumerate(random_instance(1, dims=(2, 3, 4), max_states=4)):
+            paths.append(str(tmp_path / f"s{k}.json"))
+            stateio.save_state_set(paths[-1], sset)
+        assert run_cli("solve", *paths, "--gap", "1e-3", "--json") == 0
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert result["mu0"] != result["best_mu0"] or result["mu1"] != result["best_mu1"]
+        assert run_cli("solve", *paths, "--gap", "1e-3") == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert f"mu0: {cli._fmt_weights(result['best_mu0'])}" in lines
+        assert f"mu1: {cli._fmt_weights(result['best_mu1'])}" in lines
+
+    def test_orthogonal_supports_at_the_validators_limits(self, tmp_path, capsys):
+        # Both states lie inside the validators' 1e-9 slack, and eps* =
+        # 1 + 1.4e-9: no gap check may reject what validation accepted.
+        s0 = tmp_path / "s0.json"
+        s1 = tmp_path / "s1.json"
+        for path, diag in ((s0, [1 + 0.9e-9, -0.5e-9]), (s1, [-0.5e-9, 1 + 0.9e-9])):
+            stateio.save_state_set(str(path), ss.StateSet(2, (ss.DensityMatrix(np.diag(diag)),)))
+        assert run_cli("validate", str(s0), str(s1)) == 0
+        capsys.readouterr()
+        assert run_cli("solve", str(s0), str(s1), "--gap", "1e-9", "--json") == 0
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert 0.0 <= result["upper_bound"] - result["lower_bound"] <= 1e-9
+        assert result["upper_bound"] == pytest.approx(1 + 1.4e-9, abs=1e-15)
 
 
 class TestDistance:
@@ -353,6 +382,26 @@ def test_console_entry_point():
     assert "validate" in proc.stdout and "solve" in proc.stdout
 
 
+@pytest.mark.parametrize("argv,argument", [
+    (["solve", "a.json", "b.json", "--rounds", "1e3"], "argument --rounds"),
+    (["certify", "a.json", "b.json", "T.json", "--trials", "x"], "argument --trials"),
+    (["solve", "a.json"], "set1"),
+    (["bogus"], "argument command"),
+])
+def test_usage_error_exits_1(argv, argument, capsys):
+    # argparse's own code, 2, is solve's "iteration cap hit first".
+    with pytest.raises(SystemExit) as exc:
+        cli.run(argv)
+    assert exc.value.code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1].startswith("error: ") and argument in err[-1]
+    assert sum(line.startswith("error: ") for line in err) == 1
+    proc = subprocess.run([sys.executable, "-m", "statesep.cli", *argv],
+                          capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines()[-1] == err[-1]
+
+
 def test_parser_reused_across_runs_matches_fresh_processes(files, capsys, tmp_path):
     # run() builds its parser once per process; a bad argv in between must
     # leave nothing behind that changes a later run.
@@ -369,7 +418,7 @@ def test_parser_reused_across_runs_matches_fresh_processes(files, capsys, tmp_pa
         except SystemExit as exc:
             code = exc.code
         in_process.append((code, capsys.readouterr().out))
-    assert in_process[2][0] == 2
+    assert in_process[2][0] == 1
     assert in_process[0] == in_process[3]
     for argv, (code, out) in zip((certify, solve), in_process):
         proc = subprocess.run([sys.executable, "-m", "statesep.cli", *argv],

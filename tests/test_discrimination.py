@@ -283,6 +283,29 @@ class TestTypedChecks:
         with pytest.raises(GapOutOfBandError):
             ss.min_separation_gap(t, set0, set1)
 
+    @pytest.mark.parametrize("case", ["band", "residue"])
+    def test_validated_operators_pass_both_checks(self, case):
+        # Each operator lies inside the validators' 1e-9 slack.  "band":
+        # the pair gap is 1 + 3.38e-9.  "residue": T's anti-Hermitian part,
+        # entries 0.49e-9, gives Tr(T rho) an imaginary part of 1.47e-9.
+        if case == "band":
+            t = np.diag([1.0 + 0.99e-9, -0.99e-9])
+            rho, sigma = np.diag([1.0 + 0.9e-9, -0.5e-9]), np.diag([-0.5e-9, 1.0 + 0.9e-9])
+            expected = 1.0 + 3.38e-9
+        else:
+            off = np.ones((4, 4)) - np.eye(4)
+            t = np.eye(4) / 2.0 + 0.49e-9j * off
+            rho, sigma = np.full((4, 4), 0.25), np.eye(4) / 4.0
+            expected = 0.0
+        t = ss.validate_povm_element(t)
+        rho, sigma = ss.validate_density(rho), ss.validate_density(sigma)
+        set0, set1 = ss.StateSet(t.dim, (rho,)), ss.StateSet(t.dim, (sigma,))
+        assert ss.pair_gap(t, rho, sigma) == pytest.approx(expected, abs=1e-15)
+        assert ss.min_separation_gap(t, set0, set1) == pytest.approx(expected, abs=1e-15)
+        assert ss.separation_gap(t, set0, set1).min_gap == ss.min_separation_gap(t, set0, set1)
+        assert ss.certify_forward(t, set0, set1, trials=20, seed=1).margin == (
+            ss.min_separation_gap(t, set0, set1))
+
     def test_errors_are_statesep_errors(self):
         assert issubclass(ImaginaryResidueError, ss.StatesepError)
         assert issubclass(GapOutOfBandError, ss.StatesepError)

@@ -149,7 +149,8 @@ class TestKernel:
     @given(hermitian_matrices())
     def test_agrees_with_eigvalsh(self, h):
         lam = hm.hermitian_eig(h).eigenvalues
-        assert np.abs(lam - np.linalg.eigvalsh(h)).max() <= 1e-13 * max(1.0, np.linalg.norm(h))
+        bound = hm.EIGENVALUE_TOL * max(1.0, np.linalg.norm(h))
+        assert np.abs(lam - np.linalg.eigvalsh(h)).max() <= bound
 
     @given(kernel_inputs())
     def test_kernel_inputs(self, h):
@@ -161,8 +162,9 @@ class TestKernel:
         scaled, e = exactly_scaled(h)
         norm = np.linalg.norm(scaled)
         ref = np.ldexp(np.linalg.eigvalsh(scaled), e)
-        assert np.abs(dec.eigenvalues - ref).max() <= np.ldexp(1e-13 * norm, e) + 2.0 ** -1073
-        assert np.abs(dec.eigenvalues - ref).max() <= 1e-13 * max(1.0, np.ldexp(norm, e))
+        err = np.abs(dec.eigenvalues - ref).max()
+        assert err <= np.ldexp(hm.EIGENVALUE_TOL * norm, e) + 2.0 ** -1073
+        assert err <= hm.EIGENVALUE_TOL * max(1.0, np.ldexp(norm, e))
         vecs = dec.eigenvectors
         assert np.linalg.norm(vecs.conj().T @ vecs - np.eye(dec.dim)) <= 1e-12
         if e > -1000:
@@ -231,7 +233,7 @@ class TestKernel:
         h = np.full((5, 5), 1.37562487e-224, dtype=complex)
         h[0, 1] = h[1, 0] = 5e-9
         lam = hm.hermitian_eig(h).eigenvalues
-        assert np.abs(lam - np.linalg.eigvalsh(h)).max() <= 1e-13 * 5e-9
+        assert np.abs(lam - np.linalg.eigvalsh(h)).max() <= hm.EIGENVALUE_TOL * 5e-9
 
 
 class TestHugeEntries:
@@ -245,7 +247,7 @@ class TestHugeEntries:
         m = sign * 1e160 * self.SWAP
         expected = np.array([-1e160, 1e160])
         for lam in (hm.hermitian_eig(m).eigenvalues, np.linalg.eigvalsh(m)):
-            assert np.abs(lam - expected).max() <= 1e-13 * 1e160
+            assert np.abs(lam - expected).max() <= hm.EIGENVALUE_TOL * 1e160
 
     def test_scaling_commutes_bit_for_bit(self):
         h = random_hermitian(np.random.RandomState(5), 5)

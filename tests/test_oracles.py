@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from conftest import (
     PLUS,
     qubit_bloch,
     random_instance,
+    commuting_eps,
     state_set,
     wolfe_nearest_point,
 )
@@ -84,22 +86,6 @@ class TestMixtureGridOracle:
         pair0 = state_set(np.diag([1.0, 0.0, 0.0]), np.diag([0.0, 1.0, 0.0]))
         value = ss.mixture_grid_oracle(pair0, set1, 0.25)
         assert value == pytest.approx(1.0, abs=1e-12)  # disjoint supports
-
-    def test_generic_matches_qubit_path(self):
-        set0, set1 = random_instance(60, dims=(2,), max_states=2)
-        fast = ss.mixture_grid_oracle(set0, set1, 0.125)
-        # run the generic path on the same qubit instance by faking dim > 2:
-        # embed the states into 3x3 blocks (distance is unchanged)
-        def embed(sset):
-            states = []
-            for rho in sset.states:
-                m = np.zeros((3, 3), dtype=complex)
-                m[:2, :2] = rho.matrix
-                states.append(ss.validate_density(m))
-            return ss.StateSet(dim=3, states=tuple(states))
-
-        slow = ss.mixture_grid_oracle(embed(set0), embed(set1), 0.125)
-        assert fast == pytest.approx(slow, abs=1e-9)
 
     def test_set_too_large(self):
         states = tuple(ss.random_density(2, 2, s) for s in range(5))
@@ -218,3 +204,107 @@ class TestWolfeQubitReference:
         assert wolfe_nearest_point(axes) == (0.0, 0.0)
         lo, hi = wolfe_nearest_point(np.array([[1.0, 1, 1], [1, -1, 1], [1, 1, -1], [1, -1, -1]]))
         assert lo == pytest.approx(1.0, abs=1e-15) and hi == pytest.approx(1.0, abs=1e-15)
+
+
+# The exact reference at any d: states diagonal in one basis give eps* as
+# the value of a linear program, which conftest.commuting_eps solves on
+# Fractions.  Spectra are dyadic, so each state's floats are its exact
+# spectrum and sum to 1 exactly.
+COMMUTING_GAP = 1e-9
+COMMUTING_CONFIG = ss.SolverConfig(max_rounds=20000, target_gap=COMMUTING_GAP)
+
+
+@st.composite
+def commuting_spectra(draw):
+    """Spectra of one to eight states a side at d = 2-8, as rows of Fractions.
+
+    Each set draws a support, a nonempty subset of the basis, and each of
+    its states spreads 32 units of 1/32 over it, some parts empty, so the
+    sets' supports range from disjoint (eps* = 1) to shared.  One draw in
+    four makes S1's last state a dyadic mixture of S0's, which puts eps* at
+    0 exactly.
+    """
+    dim = draw(st.integers(min_value=2, max_value=8))
+    subsets = st.lists(st.integers(0, dim - 1), min_size=1, unique=True)
+
+    def composition(total, parts):
+        cuts = sorted(draw(st.lists(st.integers(0, total), min_size=parts - 1,
+                                    max_size=parts - 1)))
+        return [b - a for a, b in zip([0, *cuts], [*cuts, total])]
+
+    def spectra():
+        support = draw(subsets)
+        out = []
+        for _ in range(draw(st.integers(min_value=1, max_value=8))):
+            row = [Fraction(0)] * dim
+            for k, units in zip(support, composition(32, len(support))):
+                row[k] = Fraction(units, 32)
+            out.append(row)
+        return out
+
+    p, q = spectra(), spectra()
+    if draw(st.integers(0, 3)) == 0:
+        weights = [Fraction(k, 16) for k in composition(16, len(p))]
+        q[-1] = [sum(w * row[k] for w, row in zip(weights, p)) for k in range(dim)]
+    return p, q
+
+
+def commuting_sets(p, q, u):
+    """The two state sets, each spectrum rotated to u diag(p) u^dag."""
+    return tuple(ss.StateSet.from_matrices([(u * [float(x) for x in row]) @ u.conj().T
+                                            for row in rows]) for rows in (p, q))
+
+
+def assert_within_lp(lower, upper, eps, slack):
+    """|bound - eps*| <= COMMUTING_GAP + slack on both sides."""
+    for bound in (lower, upper):
+        assert abs(Fraction(bound) - eps) <= Fraction(COMMUTING_GAP + slack)
+
+
+class TestCommutingReference:
+    @settings(max_examples=40)
+    @given(commuting_spectra())
+    def test_bounds_meet_the_lp_value_on_diagonal_sets(self, spectra):
+        p, q = spectra
+        eps = commuting_eps(p, q)
+        res = ss.solve_saddle(*commuting_sets(p, q, np.eye(len(p[0]))), COMMUTING_CONFIG)
+        assert res.converged
+        assert_within_lp(res.lower_bound, res.upper_bound, eps, 0.0)
+
+    @settings(max_examples=40)
+    @given(commuting_spectra(), st.integers(0, 2**31 - 1))
+    def test_bounds_meet_the_lp_value_under_a_common_unitary(self, spectra, seed):
+        # Rotated, the states are no longer diagonal in floats: d
+        # EIGENVALUE_TOL more for rounding.
+        p, q = spectra
+        dim = len(p[0])
+        rng = np.random.RandomState(seed)
+        u = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))[0]
+        res = ss.solve_saddle(*commuting_sets(p, q, u), COMMUTING_CONFIG)
+        assert res.converged
+        slack = dim * ss.hermitian.EIGENVALUE_TOL
+        assert_within_lp(res.lower_bound, res.upper_bound, commuting_eps(p, q), slack)
+
+    def test_a_raised_lower_bound_fails(self):
+        @settings(max_examples=20, phases=[Phase.generate])
+        @given(commuting_spectra())
+        def raised(spectra):
+            p, q = spectra
+            res = ss.solve_saddle(*commuting_sets(p, q, np.eye(len(p[0]))), COMMUTING_CONFIG)
+            assert_within_lp(res.lower_bound + 2 * COMMUTING_GAP, res.upper_bound,
+                             commuting_eps(p, q), 0.0)
+
+        with pytest.raises(AssertionError):
+            raised()
+
+    def test_reference_on_known_sets(self):
+        half = Fraction(1, 2)
+        assert commuting_eps([[1, 0]], [[0, 1]]) == 1
+        assert commuting_eps([[1, 0], [0, 1]], [[half, half]]) == 0
+        assert commuting_eps([[Fraction(3, 4), Fraction(1, 4)]],
+                             [[Fraction(1, 4), Fraction(3, 4)]]) == half
+        # Orthogonal supports, two states a side, at d = 4.
+        assert commuting_eps([[1, 0, 0, 0], [0, half, half, 0]],
+                             [[0, 0, 0, 1], [0, 0, 0, 1]]) == 1
+        # At t = (1, 1, 0) each pair gap is 1/2; no t does better.
+        assert commuting_eps([[half, half, 0]], [[0, half, half], [half, 0, half]]) == half

@@ -5,7 +5,8 @@ with upper_bound - lower_bound <= TARGET.  So two solves of instances
 with the same eps* agree within TARGET on each bound, whatever algorithm
 produced them, and the exact cases below pin eps* itself.  The two
 bounds stay ordered up to rounding even for states at the validator's
-trace and eigenvalue limits.  Hypothesis draws small instances (d = 2-4,
+trace, eigenvalue and Hermiticity limits, where no gap check may reject a
+validated measurement either.  Hypothesis draws small instances (d = 2-4,
 one to three states a side) from seeds, in the conftest's
 random_instance convention.
 
@@ -106,48 +107,87 @@ def kernel_distance(h):
     return float(np.maximum(hermitian.hermitian_eig(h).eigenvalues, 0.0).sum())
 
 
-# Inside validation's limits: |Tr rho - 1| <= 1e-9, eigenvalues >= -1e-9.
+# Inside validation's limits: |Tr rho - 1| <= 1e-9, eigenvalues of a state
+# >= -1e-9 and of a measurement in [-1e-9, 1 + 1e-9], asymmetry <= 1e-9.
 LIMIT = 0.99e-9
 
 
 @st.composite
 def instances_at_the_limits(draw):
-    """One to three states a side at d = 2-4, each trace 1 or 1 +/- LIMIT,
-    and the least eigenvalue of each 0 or -LIMIT, in a random basis."""
+    """Two sets of one to three states at d = 2-4, and a measurement, all at
+    the validators' limits.
+
+    Each state's eigenvalues off its support are 0 or -LIMIT, any number of
+    them at once, and its trace is 1 or 1 +/- LIMIT.  The measurement's
+    eigenvalues are -LIMIT, 0, 1/2, 1 or 1 + LIMIT.  Each operator is
+    written in a basis, Haar-random, the identity or the Fourier basis
+    (whose first vector is uniform), and then gets the anti-Hermitian part
+    i s (J - I), |s| <= LIMIT / 2, which the Hermiticity gate admits and
+    validation keeps.  When the sets get orthogonal supports, they share
+    one basis and split its vectors, and the measurement may use it too.
+    """
     dim = draw(st.integers(min_value=2, max_value=4))
+    off_diagonal = np.ones((dim, dim)) - np.eye(dim)
 
-    def state():
-        weights = np.array(draw(st.lists(st.integers(1, 100), min_size=dim - 1,
-                                         max_size=dim - 1)), dtype=float)
-        low = draw(st.sampled_from((0.0, -LIMIT)))
-        p = np.append(weights / weights.sum(), low)
-        p[0] += draw(st.sampled_from((-LIMIT, 0.0, LIMIT))) - low
-        u = haar_unitary(dim, draw(seeds))
+    def basis():
+        kind = draw(st.sampled_from(("haar", "identity", "fourier")))
+        if kind == "haar":
+            return haar_unitary(dim, draw(seeds))
+        if kind == "identity":
+            return np.eye(dim)
+        k = np.arange(dim)
+        return np.exp(2j * np.pi * np.outer(k, k) / dim) / np.sqrt(dim)
+
+    def operator(p, u):
         m = (u * p) @ u.conj().T
-        return ss.validate_density((m + m.conj().T) / 2.0)
+        skew = draw(st.sampled_from((0.0, LIMIT / 2, -LIMIT / 2)))
+        return (m + m.conj().T) / 2.0 + 1j * skew * off_diagonal
 
-    sizes = st.integers(min_value=1, max_value=3)
-    return tuple(ss.StateSet(dim=dim, states=tuple(state() for _ in range(draw(sizes))))
-                 for _ in range(2))
+    def state(support, u):
+        p = np.array([draw(st.sampled_from((0.0, -LIMIT))) for _ in range(dim)])
+        weights = np.array(draw(st.lists(st.integers(1, 100), min_size=len(support),
+                                         max_size=len(support))), dtype=float)
+        p[support] = 0.0
+        p[support] = weights / weights.sum() * (1.0 - p.sum())
+        p[support[0]] += draw(st.sampled_from((-LIMIT, 0.0, LIMIT)))
+        return ss.validate_density(operator(p, u if u is not None else basis()))
+
+    split = draw(st.integers(min_value=0, max_value=dim - 1))
+    common = basis() if split else None
+    supports = ([*range(split)], [*range(split, dim)]) if split else ([*range(dim)],) * 2
+    sets = tuple(ss.StateSet(dim=dim, states=tuple(state(support, common) for _ in range(
+        draw(st.integers(min_value=1, max_value=3))))) for support in supports)
+    spectrum = np.array([draw(st.sampled_from((-LIMIT, 0.0, 0.5, 1.0, 1.0 + LIMIT)))
+                         for _ in range(dim)])
+    own = common is None or draw(st.booleans())
+    t = ss.validate_povm_element(operator(spectrum, basis() if own else common))
+    return (*sets, t)
 
 
 @settings(max_examples=30)
 @given(instances_at_the_limits())
 def test_bounds_hold_at_the_validators_limits(instance):
     # Both sides bound the same max over 0 <= T <= I, so only rounding may
-    # part them, not traces that differ by up to 2e-9.
-    set0, set1 = instance
-    slack = set0.dim * 1e-13
+    # part them, not traces that differ by up to 2e-9.  No gap check may
+    # reject operators that validation accepted.
+    set0, set1, t = instance
+    slack = set0.dim * hermitian.EIGENVALUE_TOL
     res = ss.solve_saddle(set0, set1, ss.SolverConfig(max_rounds=300, target_gap=1e-9))
     for point in res.trace:
         assert point.lower_bound <= point.upper_bound + slack
     report = ss.certify_forward(res.measurement, set0, set1, trials=50, seed=1)
     assert report.max_violation <= slack
+    for rho in set0.states:
+        for sigma in set1.states:
+            ss.pair_gap(t, rho, sigma)
+            ss.pair_gap(ss.helstrom_measurement(rho, sigma), rho, sigma)
+    assert ss.separation_gap(t, set0, set1).min_gap == ss.min_separation_gap(t, set0, set1)
+    assert ss.certify_forward(t, set0, set1, trials=50, seed=1).max_violation <= cli.CERT_TOL
 
 
 @EXAMPLES
 @given(seeds)
-def test_upper_bound_is_the_least_jacobi_distance_of_all_queries(seed):
+def test_upper_bound_is_the_least_kernel_distance_of_all_queries(seed):
     # LAPACK's eigh sees every query; the screen may skip hermitian_eig only
     # where it cannot lower the bound, so every reported upper bound is the
     # least hermitian_eig distance of the queries up to its round.  The
@@ -298,12 +338,13 @@ def hermitian_stacks(draw):
 @settings(max_examples=60)
 @given(hermitian_stacks())
 def test_batched_eigenvalues_agree_with_both_references(stack):
-    # Within 1e-13 * max(1, ||H||_F): each kernel's share of the screen slack.
-    # certify screens with the batched eigvalsh, the solver with one eigh
-    # per query, whose eigenvector path is another LAPACK driver.
+    # Within EIGENVALUE_TOL * max(1, ||H||_F): each kernel's share of the
+    # screen slack.  certify screens with the batched eigvalsh, the solver
+    # with one eigh per query, whose eigenvector path is another LAPACK
+    # driver.
     lam = np.linalg.eigvalsh(stack)
     for h, row in zip(stack, lam):
-        bound = 1e-13 * max(1.0, np.linalg.norm(h))
+        bound = hermitian.EIGENVALUE_TOL * max(1.0, np.linalg.norm(h))
         kernel = hermitian.hermitian_eig(h).eigenvalues
         assert np.abs(row - kernel).max() <= bound
         assert np.abs(row - np.linalg.eigvalsh(h)).max() <= bound

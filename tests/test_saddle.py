@@ -344,7 +344,7 @@ class TestMinMixtureDistance:
         )
         assert dist == pytest.approx(res.upper_bound, abs=1e-9)
 
-    def test_jacobi_runs_only_on_queries_that_can_lower_the_bound(self, monkeypatch):
+    def test_kernel_runs_only_on_queries_that_can_lower_the_bound(self, monkeypatch):
         # The deep benchmark's base instances (d = 9, 12, 16).  LAPACK's eigh
         # chooses every cut; hermitian_eig runs only on the queries that can
         # lower the upper bound, fewer than there are iterations.
