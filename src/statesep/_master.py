@@ -37,7 +37,8 @@ import numpy as np
 
 from .errors import NoConvergenceError
 
-# Reduced costs and pivot entries at or below this count as zero.
+# Reduced costs at or below _COST_TOL count as zero, and so do steps at or below
+# _PIVOT_TOL * max(1, max |u_i|): rounding in a step grows with u.
 _COST_TOL = 1e-9
 _PIVOT_TOL = 1e-9
 # Basic values at or below this count as zero, and step ratios this close
@@ -122,7 +123,7 @@ class Master:
             steps = np.concatenate([u, column[f.loose_rows] - f.loose_cols @ u])
 
             # Ratio test over the bounded basic variables; a and b are free.
-            candidates = np.flatnonzero(f.bounded & (steps > _PIVOT_TOL))
+            candidates = np.flatnonzero(f.bounded & (steps > _PIVOT_TOL * max(1.0, abs(u).max())))
             if candidates.size == 0:
                 raise NoConvergenceError("master LP found no pivot row for its entering variable")
             ratios = f.values[candidates] / steps[candidates]

@@ -92,6 +92,15 @@ class TestAgainstHighs:
     def test_all_equal_cuts(self):
         check_against_highs(np.full((3, 4), 0.5), np.full((2, 4), 0.5), False)
 
+    def test_rows_apart_by_the_validators_slack(self):
+        # Two identical S0 states, and S1 states whose expectations differ
+        # by 0.99e-9, as states at the validators' limits give.  A pivot on
+        # the 1.5e-9 step between the S1 rows leaves an ill-conditioned
+        # basis; the next ratio test must not take its rounding on the
+        # identical rows for a step, which made the basis singular.
+        check_against_highs(np.array([[0.5, 1.00000000099], [0.5, 1.00000000099]]),
+                            np.array([[0.499999999505, 0.0], [0.5, -0.99e-9]]), False)
+
 
 class TestBlandFromFirstPivot(TestAgainstHighs):
     """The same LPs with Bland's rule pricing from the first pivot.

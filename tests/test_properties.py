@@ -117,14 +117,17 @@ def instances_at_the_limits(draw):
     """Two sets of one to three states at d = 2-4, and a measurement, all at
     the validators' limits.
 
-    Each state's eigenvalues off its support are 0 or -LIMIT, any number of
-    them at once, and its trace is 1 or 1 +/- LIMIT.  The measurement's
-    eigenvalues are -LIMIT, 0, 1/2, 1 or 1 + LIMIT.  Each operator is
-    written in a basis, Haar-random, the identity or the Fourier basis
-    (whose first vector is uniform), and then gets the anti-Hermitian part
-    i s (J - I), |s| <= LIMIT / 2, which the Hermiticity gate admits and
-    validation keeps.  When the sets get orthogonal supports, they share
-    one basis and split its vectors, and the measurement may use it too.
+    Each state is supported on one or more vectors of a basis, and each of
+    its eigenvalues off the support is 0 or -LIMIT, any number of them at
+    once; its trace is 1 or 1 +/- LIMIT.  The measurement's eigenvalues are
+    -LIMIT, 0, 1/2, 1 or 1 + LIMIT.  Each operator is written in a basis,
+    Haar-random, the identity or the Fourier basis (whose first vector is
+    uniform), and then gets the anti-Hermitian part i s (J - I),
+    |s| <= LIMIT / 2, which the Hermiticity gate admits and validation
+    keeps.  Half the draws give each state a basis of its own, so rank-
+    deficient states need not commute; the other half give the sets
+    orthogonal supports: they share one basis and split its vectors, and
+    the measurement may use it too.
     """
     dim = draw(st.integers(min_value=2, max_value=4))
     off_diagonal = np.ones((dim, dim)) - np.eye(dim)
@@ -143,20 +146,21 @@ def instances_at_the_limits(draw):
         skew = draw(st.sampled_from((0.0, LIMIT / 2, -LIMIT / 2)))
         return (m + m.conj().T) / 2.0 + 1j * skew * off_diagonal
 
-    def state(support, u):
+    def state(pool, u):
+        support = pool[:draw(st.integers(min_value=1, max_value=len(pool)))]
         p = np.array([draw(st.sampled_from((0.0, -LIMIT))) for _ in range(dim)])
+        low = p.sum() - p[support].sum()
         weights = np.array(draw(st.lists(st.integers(1, 100), min_size=len(support),
                                          max_size=len(support))), dtype=float)
-        p[support] = 0.0
-        p[support] = weights / weights.sum() * (1.0 - p.sum())
-        p[support[0]] += draw(st.sampled_from((-LIMIT, 0.0, LIMIT)))
+        p[support] = weights / weights.sum()
+        p[support[0]] += draw(st.sampled_from((-LIMIT, 0.0, LIMIT))) - low
         return ss.validate_density(operator(p, u if u is not None else basis()))
 
-    split = draw(st.integers(min_value=0, max_value=dim - 1))
+    split = draw(st.integers(min_value=1, max_value=dim - 1)) if draw(st.booleans()) else 0
     common = basis() if split else None
-    supports = ([*range(split)], [*range(split, dim)]) if split else ([*range(dim)],) * 2
-    sets = tuple(ss.StateSet(dim=dim, states=tuple(state(support, common) for _ in range(
-        draw(st.integers(min_value=1, max_value=3))))) for support in supports)
+    pools = ([*range(split)], [*range(split, dim)]) if split else ([*range(dim)],) * 2
+    sets = tuple(ss.StateSet(dim=dim, states=tuple(state(pool, common) for _ in range(
+        draw(st.integers(min_value=1, max_value=3))))) for pool in pools)
     spectrum = np.array([draw(st.sampled_from((-LIMIT, 0.0, 0.5, 1.0, 1.0 + LIMIT)))
                          for _ in range(dim)])
     own = common is None or draw(st.booleans())
