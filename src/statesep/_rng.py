@@ -9,17 +9,17 @@ uniforms built from the top 53 bits k of one 64-bit output as
 below k = 2**52 and rounds to even above it; the top output, k = 2**53 - 1,
 gives exactly 1.0 and an exponential of 0.
 
-Simplex points (normalized exponentials) are drawn in blocks: the counter
-is affine in the call count, so uniform_block computes a whole block of
-outputs in one uint64 array operation, with the same bits and in the
-same order as repeated next_uint64 calls, and simplex_points turns rows
-of them into points.  Its logarithms are math.log mapped over the rows,
-not np.log: numpy's vectorized log is not correctly rounded (numpy 2.4.6
-on an AVX-512 machine differed from math.log on 14,013 of the 4,000,000
+Uniforms are drawn in blocks: the counter is affine in the call count,
+so uniform_block computes a whole block of outputs in one uint64 array
+operation, with the same bits and in the same order as repeated
+next_uint64 calls.  normals takes its pairs from one block, and
+simplex_points turns rows of a block into simplex points (normalized
+exponentials).  The logarithms of both are math.log's, not np.log's:
+numpy's vectorized log is not correctly rounded (numpy 2.4.6 on an
+AVX-512 machine differed from math.log on 14,013 of the 4,000,000
 uniforms of seed 0, by 1 ulp each), and the stream must not depend on
-the CPU.
-Each point is divided by its left-to-right sum, the order in which a
-plain Python loop adds (and sum() did, up to Python 3.11).
+the CPU.  Each point is divided by its left-to-right sum, the order in
+which a plain Python loop adds (and sum() did, up to Python 3.11).
 saddle.certify_forward screens its trials with np.log of the same
 uniforms and LAPACK's eigvalsh, and calls simplex_points only on the
 rows it reports from, so its reported bytes depend on neither.
@@ -60,25 +60,22 @@ class SplitMix64:
         z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
         return z ^ (z >> 31)
 
-    def uniform(self) -> float:
-        """Uniform double in (0, 1]: (k + 0.5) * 2**-53, k the output's top 53 bits."""
-        return ((self.next_uint64() >> 11) + 0.5) * 2.0 ** -53
-
-    def normal_pair(self) -> tuple[float, float]:
-        """One Box-Muller pair of independent standard normals."""
-        u1 = self.uniform()
-        u2 = self.uniform()
-        r = math.sqrt(-2.0 * math.log(u1))
-        a = 2.0 * math.pi * u2
-        return r * math.cos(a), r * math.sin(a)
-
     def normals(self, count: int) -> list[float]:
-        """`count` standard normals, drawn as Box-Muller pairs in order."""
+        """`count` standard normals, drawn as Box-Muller pairs in order.
+
+        Each pair takes the next two uniforms u1, u2 from uniform_block and
+        gives sqrt(-2 log u1) times the cosine, then the sine, of 2 pi u2,
+        each with math's functions, not numpy's (see the module docstring).
+        An odd count drops the last sine, but its uniforms are drawn.
+        """
+        pairs = max(0, (operator.index(count) + 1) // 2)
+        uniforms = self.uniform_block(2 * pairs).tolist()
         out: list[float] = []
-        while len(out) < count:
-            z0, z1 = self.normal_pair()
-            out.append(z0)
-            out.append(z1)
+        for u1, u2 in zip(uniforms[0::2], uniforms[1::2]):
+            r = math.sqrt(-2.0 * math.log(u1))
+            a = 2.0 * math.pi * u2
+            out.append(r * math.cos(a))
+            out.append(r * math.sin(a))
         return out[:count]
 
     def uniform_block(self, count: int) -> np.ndarray:

@@ -87,8 +87,6 @@ def _cmd_solve(args) -> tuple[int, dict, list[str]]:
         "gap": result.gap,
         "converged": result.converged,
         "rounds_used": result.rounds_used,
-        "mu0": result.mu0,
-        "mu1": result.mu1,
         "best_mu0": result.best_mu0,
         "best_mu1": result.best_mu1,
         "trace": [

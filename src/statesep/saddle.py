@@ -76,7 +76,7 @@ from .errors import (
     as_real,
 )
 from .hermitian import EIGENVALUE_TOL, POSITIVE_CUTOFF, hermitian_eig
-from .states import WEIGHT_SUM_TOL, PovmElement, StateSet, mixture_state
+from .states import WEIGHT_SUM_TOL, PovmElement, StateSet, _mixed, mixture_state
 
 # certify_forward draws and screens its trials in blocks of this many
 # weights, or matrix entries where a trial's matrix has more of them.
@@ -205,19 +205,17 @@ class CertReport:
 class SaddleResult:
     """Solver output.
 
-    measurement is the best certified combination of cuts; lower_bound is
-    its worst pair gap (an achievable margin), upper_bound the smallest
-    max_pair_gap of the mixture pairs queried (no measurement can beat
-    it).  mu0/mu1 are the mixtures of the last query: the uniform pair at
-    the first iteration, a smoothed pair or the master's optimal mixtures
-    after.  best_mu0/best_mu1 are the mixtures attaining upper_bound.
-    rounds_used counts iterations, and trace holds one checkpoint per
-    iteration.
+    Each bound comes with its certificate, and re-checks bit for bit with
+    the public evaluator.  measurement is the best certified combination
+    of cuts, and lower_bound = min_separation_gap(measurement, S0, S1), an
+    achievable margin.  best_mu0/best_mu1 are the mixture pair with the
+    smallest max_pair_gap of those queried, and upper_bound =
+    max_pair_gap(mixture_state(best_mu0, S0), mixture_state(best_mu1, S1)):
+    no measurement can beat it.  rounds_used counts iterations, and trace
+    holds one checkpoint per iteration.
     """
 
     measurement: PovmElement
-    mu0: np.ndarray
-    mu1: np.ndarray
     lower_bound: float
     upper_bound: float
     gap: float
@@ -255,9 +253,7 @@ def solve_saddle(
     stack1 = set1.stack()
     l0, l1 = len(set0), len(set1)
 
-    # Flattened views: mixture matrices and Tr(T rho_i) as single matmuls.
-    flat0 = stack0.reshape(l0, d * d)
-    flat1 = stack1.reshape(l1, d * d)
+    # Transposed flat views: Tr(T rho_i) for every state as one matmul.
     flat0_t = np.ascontiguousarray(stack0.transpose(0, 2, 1).reshape(l0, d * d))
     flat1_t = np.ascontiguousarray(stack1.transpose(0, 2, 1).reshape(l1, d * d))
 
@@ -294,8 +290,9 @@ def solve_saddle(
         # chooses the new cut, its positive-part projector.  The sum of its
         # positive eigenvalues, an upper bound, is recomputed with
         # hermitian_eig only where the screened one leaves room to beat the
-        # best so far.
-        diff = (mu0 @ flat0 - mu1 @ flat1).reshape(d, d)
+        # best so far.  The mixtures are summed as mixture_state sums them,
+        # so the bound is max_pair_gap of the best pair's mixture states.
+        diff = _mixed(mu0, stack0) - _mixed(mu1, stack1)
         h = (diff + diff.conj().T) / 2.0
         lam, vecs = eigh(h)
         if np.maximum(lam, 0.0).sum() <= best_upper + d * (8 * EIGENVALUE_TOL):
@@ -341,8 +338,6 @@ def solve_saddle(
 
     return SaddleResult(
         measurement=best_t,
-        mu0=mu0,
-        mu1=mu1,
         lower_bound=best_lower,
         upper_bound=best_upper,
         gap=best_upper - best_lower,

@@ -395,7 +395,16 @@ def mixture_state(mu, state_set: StateSet) -> DensityMatrix:
     which would cost an eigendecomposition per mixture.
     """
     w = as_mixture_weights(mu, size=len(state_set))
-    return DensityMatrix(np.einsum("i,iab->ab", w, state_set.stack()))
+    return DensityMatrix(_mixed(w, state_set.stack()))
+
+
+def _mixed(w: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """sum_i w_i stack_i, unchecked: the one summation of a mixture.
+
+    mixture_state and solve_saddle's queries both sum through here, so a
+    solve's upper bound is max_pair_gap of its mixture states bit for bit.
+    """
+    return np.einsum("i,iab->ab", w, stack)
 
 
 def random_density(dim: int, rank: int, seed: int) -> DensityMatrix:

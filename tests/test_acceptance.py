@@ -145,7 +145,7 @@ def test_criterion_5_degenerate_overlap():
     set1 = state_set(MIXED2)
     result = ss.solve_saddle(set0, set1, ss.SolverConfig(target_gap=1e-4))
     assert result.upper_bound <= 1e-4
-    tv = 0.5 * float(np.abs(result.mu0 - np.array([0.5, 0.5])).sum())
+    tv = 0.5 * float(np.abs(result.best_mu0 - np.array([0.5, 0.5])).sum())
     assert tv <= 0.05
     print(
         f"\n[criterion 5] PASS - upper bound {result.upper_bound:.2e} (<= 1e-4), "

@@ -130,7 +130,7 @@ class TestSolve:
         assert run_cli("solve", files["basis"], files["mixed"], "--json") == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["result"]["upper_bound"] <= 1e-4
-        np.testing.assert_allclose(doc["result"]["mu0"], [0.5, 0.5], atol=1e-9)
+        np.testing.assert_allclose(doc["result"]["best_mu0"], [0.5, 0.5], atol=1e-9)
 
     def test_round_cap_exit_2(self, files, capsys, tmp_path):
         a = tmp_path / "a.json"
@@ -161,15 +161,15 @@ class TestSolve:
         assert first == second
 
     def test_summary_prints_the_mixtures_of_the_upper_bound(self, capsys, tmp_path):
-        # The last query's mixtures differ from the best ones here; the
-        # summary prints those that attain the upper bound it reports.
+        # The document's one mixture pair is the upper bound's certificate,
+        # and the summary prints it.
         paths = []
         for k, sset in enumerate(random_instance(1, dims=(2, 3, 4), max_states=4)):
             paths.append(str(tmp_path / f"s{k}.json"))
             stateio.save_state_set(paths[-1], sset)
         assert run_cli("solve", *paths, "--gap", "1e-3", "--json") == 0
         result = json.loads(capsys.readouterr().out)["result"]
-        assert result["mu0"] != result["best_mu0"] or result["mu1"] != result["best_mu1"]
+        assert "mu0" not in result and "mu1" not in result
         assert run_cli("solve", *paths, "--gap", "1e-3") == 0
         lines = capsys.readouterr().out.splitlines()
         assert f"mu0: {cli._fmt_weights(result['best_mu0'])}" in lines

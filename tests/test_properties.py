@@ -91,15 +91,17 @@ def test_weak_duality_at_every_checkpoint(seed, smoothing):
     set0, set1 = small_instance(seed)
     with mock.patch.object(saddle, "_SMOOTHING", smoothing):
         res = solve(set0, set1)
-    ss.as_mixture_weights(res.mu0, size=len(set0))
-    ss.as_mixture_weights(res.mu1, size=len(set1))
+    ss.as_mixture_weights(res.best_mu0, size=len(set0))
+    ss.as_mixture_weights(res.best_mu1, size=len(set1))
     assert res.trace
     for point in res.trace:
         assert point.lower_bound <= point.upper_bound + 1e-9
-    # Both reported bounds are the exact values of their certificates.
+    # Both reported bounds are the exact values of their certificates, as
+    # the public evaluators give them.
     assert res.lower_bound == ss.min_separation_gap(res.measurement, set0, set1)
     rho = ss.mixture_state(res.best_mu0, set0)
     sigma = ss.mixture_state(res.best_mu1, set1)
+    assert res.upper_bound == ss.max_pair_gap(rho, sigma)
     assert abs(ss.trace_distance(rho, sigma) - res.upper_bound) <= 1e-9
 
 
@@ -211,10 +213,8 @@ def test_upper_bound_is_the_least_kernel_distance_of_all_queries(seed):
     assert res.upper_bound == min(values)
     for point in res.trace:
         assert point.upper_bound == min(values[:point.round])
-    d = set0.dim
-    diff = (res.best_mu0 @ set0.stack().reshape(len(set0), d * d)
-            - res.best_mu1 @ set1.stack().reshape(len(set1), d * d)).reshape(d, d)
-    assert kernel_distance((diff + diff.conj().T) / 2.0) == res.upper_bound
+    assert res.upper_bound == ss.max_pair_gap(ss.mixture_state(res.best_mu0, set0),
+                                              ss.mixture_state(res.best_mu1, set1))
 
 
 @EXAMPLES

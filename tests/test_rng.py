@@ -1,5 +1,6 @@
-"""The array simplex draw reproduces the documented scalar stream, and numpy's
-log, which certify screens with, stays within the screen's error bound."""
+"""The array simplex and normal draws reproduce the documented scalar stream,
+and numpy's log, which certify screens with, stays within the screen's
+error bound."""
 
 import math
 
@@ -20,6 +21,18 @@ def reference_simplex(rng: SplitMix64, size: int) -> list[float]:
     for e in draws:
         total += e
     return [e / total for e in draws]
+
+
+def reference_normals(rng: SplitMix64, count: int) -> list[float]:
+    """`count` normals from next_uint64 and math: Box-Muller pairs, in order."""
+    out = []
+    while len(out) < count:
+        u1 = ((rng.next_uint64() >> 11) + 0.5) * 2.0 ** -53
+        u2 = ((rng.next_uint64() >> 11) + 0.5) * 2.0 ** -53
+        r = math.sqrt(-2.0 * math.log(u1))
+        a = 2.0 * math.pi * u2
+        out += [r * math.cos(a), r * math.sin(a)]
+    return out[:count]
 
 
 def stream_pairs(rng: SplitMix64, count: int, size0: int, size1: int):
@@ -62,6 +75,18 @@ def test_state_wraps_modulo_two_to_the_64():
         assert mu0.tobytes() == np.array(reference_simplex(ref, 3)).tobytes()
         assert mu1.tobytes() == np.array(reference_simplex(ref, 1)).tobytes()
     assert fast._state == ref._state
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 7, 8, 33, 512])
+@pytest.mark.parametrize("seed", [9, 2 ** 64 - 1])
+def test_normals_match_scalar_stream(count, seed):
+    # Two calls, so the second starts where the first one stopped, an odd
+    # count included: it draws the pair's second uniform and drops its sine.
+    ref, fast = SplitMix64(seed), SplitMix64(seed)
+    for _ in range(2):
+        want = np.array(reference_normals(ref, count), dtype=np.float64)
+        assert np.array(fast.normals(count), dtype=np.float64).tobytes() == want.tobytes()
+        assert fast._state == ref._state
 
 
 @pytest.mark.parametrize("integer", [np.int64, np.uint64, np.int32])

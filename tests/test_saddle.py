@@ -8,6 +8,7 @@ import statesep as ss
 from statesep import saddle
 from statesep._rng import SplitMix64
 from statesep.errors import BadConfigError, DimensionMismatchError, EmptySetError
+from statesep.states import _mixed
 
 from conftest import (
     DIST_KET0_PLUS,
@@ -109,7 +110,7 @@ class TestSolveSaddle:
         assert res.converged
         assert res.upper_bound <= 1e-4
         assert res.lower_bound >= -1e-9
-        np.testing.assert_allclose(res.mu0, [0.5, 0.5], atol=1e-12)
+        np.testing.assert_allclose(res.best_mu0, [0.5, 0.5], atol=1e-12)
 
     def test_ket0_vs_plus(self):
         res = ss.solve_saddle(state_set(KET0), state_set(PLUS), FAST)
@@ -130,7 +131,7 @@ class TestSolveSaddle:
             rep = ss.separation_gap(res.measurement, set0, set1)
             assert rep.min_gap == pytest.approx(res.lower_bound, abs=0)
             # marginals are distributions
-            for mu, size in ((res.mu0, len(set0)), (res.mu1, len(set1))):
+            for mu, size in ((res.best_mu0, len(set0)), (res.best_mu1, len(set1))):
                 ss.as_mixture_weights(mu, size=size)
 
     def test_weak_duality_every_checkpoint(self):
@@ -152,8 +153,8 @@ class TestSolveSaddle:
         a = ss.solve_saddle(set0, set1, FAST)
         b = ss.solve_saddle(set0, set1, FAST)
         assert a.measurement.matrix.tobytes() == b.measurement.matrix.tobytes()
-        assert a.mu0.tobytes() == b.mu0.tobytes()
-        assert a.mu1.tobytes() == b.mu1.tobytes()
+        assert a.best_mu0.tobytes() == b.best_mu0.tobytes()
+        assert a.best_mu1.tobytes() == b.best_mu1.tobytes()
         assert (a.lower_bound, a.upper_bound, a.rounds_used) == (
             b.lower_bound,
             b.upper_bound,
@@ -222,13 +223,11 @@ class TestSmoothedQueries:
         monkeypatch.setattr(saddle, "eigh", eigh)
         res = ss.solve_saddle(set0, set1, ss.SolverConfig(target_gap=1e-3))
 
-        d, l0, l1 = set0.dim, len(set0), len(set1)
-        flat0 = set0.stack().reshape(l0, d * d)
-        flat1 = set1.stack().reshape(l1, d * d)
+        l0, l1 = len(set0), len(set1)
         mu0, mu1 = np.full(l0, 1.0 / l0), np.full(l1, 1.0 / l1)
         kelley_steps = 0
         for t in range(1, res.rounds_used + 1):
-            diff = (mu0 @ flat0 - mu1 @ flat1).reshape(d, d)
+            diff = _mixed(mu0, set0.stack()) - _mixed(mu1, set1.stack())
             assert queries[t - 1].tobytes() == ((diff + diff.conj().T) / 2.0).tobytes()
             if t == 1 or res.trace[t - 1].upper_bound < res.trace[t - 2].upper_bound:
                 best0, best1 = mu0, mu1
@@ -248,7 +247,8 @@ class TestSmoothedQueries:
                 mu0 = saddle._SMOOTHING * best0 + (1.0 - saddle._SMOOTHING) * next0
                 mu1 = saddle._SMOOTHING * best1 + (1.0 - saddle._SMOOTHING) * next1
         assert kelley_steps > 0
-        assert res.mu0.tobytes() == mu0.tobytes() and res.mu1.tobytes() == mu1.tobytes()
+        assert res.best_mu0.tobytes() == best0.tobytes()
+        assert res.best_mu1.tobytes() == best1.tobytes()
 
     @pytest.mark.parametrize("gap", [1e-3, 1e-6])
     def test_converges_under_heavy_smoothing(self, monkeypatch, gap):
@@ -266,8 +266,8 @@ class TestSmoothedQueries:
             assert res.converged
             for point in res.trace:
                 assert point.lower_bound <= point.upper_bound + 1e-9
-            ss.as_mixture_weights(res.mu0, size=len(set0))
-            ss.as_mixture_weights(res.mu1, size=len(set1))
+            ss.as_mixture_weights(res.best_mu0, size=len(set0))
+            ss.as_mixture_weights(res.best_mu1, size=len(set1))
 
 
 class TestProductForm:
