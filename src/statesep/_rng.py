@@ -40,6 +40,9 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+# The same constants, and the shifts, as numpy scalars for uniform_block.
+_U_GOLDEN, _U_MIX1, _U_MIX2 = np.uint64(_GOLDEN), np.uint64(_MIX1), np.uint64(_MIX2)
+_U11, _U27, _U30, _U31 = np.uint64(11), np.uint64(27), np.uint64(30), np.uint64(31)
 
 
 class SplitMix64:
@@ -85,13 +88,20 @@ class SplitMix64:
         and the state advances by exactly `count` outputs.
         """
         count = operator.index(count)
-        steps = np.arange(1, count + 1, dtype=np.uint64)
-        z = np.uint64(self._state) + steps * np.uint64(_GOLDEN)
+        z = np.arange(1, count + 1, dtype=np.uint64)
+        z *= _U_GOLDEN
+        z += np.uint64(self._state)
         self._state = (self._state + count * _GOLDEN) & _MASK64
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-        z ^= z >> np.uint64(31)
-        return ((z >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
+        z ^= z >> _U30
+        z *= _U_MIX1
+        z ^= z >> _U27
+        z *= _U_MIX2
+        z ^= z >> _U31
+        z >>= _U11
+        u = z.astype(np.float64)
+        u += 0.5
+        u *= 2.0 ** -53
+        return u
 
 
 def simplex_points(uniforms: np.ndarray) -> np.ndarray:

@@ -11,13 +11,10 @@ A measurement file carries a single "matrix" instead of "states".  Floats
 are written as decimal with 17 significant digits, so every file written
 here re-parses to bit-identical matrices.
 
-dumps renders numpy arrays itself: a weight vector as one inline list, a
-matrix as rows of {re, im} objects, each row by _row_lines' one template.
-So a document goes to dumps with its arrays as they are, and
-save_measurement is dumps of {"dim", "matrix"}.  save_state_set keeps its
-own one-pass template over the whole stack, for speed: through dumps, the
-recursion costs about 7 us a state (crit2's 100 files rendered in 4.7-5.2
-ms against 3.3 ms), and a crit2 set-up took 13.5% longer.
+dumps is the one renderer, and it renders numpy arrays itself: a weight
+vector as one inline list, a matrix as rows of {re, im} objects.  So a
+document goes to dumps with its arrays as they are; save_state_set writes
+dumps of {"dim", "states"} and save_measurement dumps of {"dim", "matrix"}.
 
 Reading parses every matrix of a file in one array pass: check each
 matrix's shape, gather every entry's re and im into one list, check their
@@ -79,9 +76,8 @@ def _is_leaf_dict(obj) -> bool:
 
 
 def _is_inline_list(obj) -> bool:
-    # A one-line list: every item a scalar or a flat object.  No matrix of
-    # the program comes here (arrays take _row_lines); only lists of trace
-    # checkpoints and of weights, and the rows of parsed documents.
+    # A one-line list: every item a scalar or a flat object, as in lists of
+    # trace checkpoints and the rows of parsed documents.
     return isinstance(obj, (list, tuple)) and all(
         _is_leaf_dict(v) or not isinstance(v, _NESTED) for v in obj
     )
@@ -91,38 +87,52 @@ def dumps(obj: Any, indent: int = 0) -> str:
     """Serialize to JSON with deterministic float formatting.
 
     Dicts keep insertion order; dicts of scalars render on one line so a
-    matrix row stays on one line.  The floats of each one-line list or
-    dict are formatted together by one _float_texts call.
-
-    Arrays render as the lists they hold: a 1-D float64 array as one
+    matrix row stays on one line.  A 1-D float64 array renders as one
     inline list of floats, a 2-D complex128 array as a matrix, one row of
-    {"re", "im"} objects per line at indent + 2, by _row_lines.  Any other
-    array raises TypeError, as any other type does.
+    {"re", "im"} objects per line at indent + 2.  Any other array raises
+    TypeError, as any other type does.
+
+    The document is laid out once, as text with "%s" for each float (and
+    every other "%" doubled), and one _float_texts call formats the floats,
+    collected in document order, for one "%" fill.  So the first
+    non-finite float raises ValueError, but only after the whole layout:
+    an unserializable value anywhere raises TypeError first.  No document
+    the program builds holds both.
     """
+    floats: list = []
+    text = _layout(obj, indent, floats)
+    return text % tuple(_float_texts(floats))
+
+
+def _layout(obj: Any, indent: int, floats: list) -> str:
+    """dumps' text of obj with "%s" in place of each float, appended in order to floats."""
     pad = " " * indent
     inner = " " * (indent + 2)
     if isinstance(obj, np.ndarray):
         if obj.ndim == 1 and obj.dtype == np.float64:
-            return "[" + ", ".join(_float_texts(obj.tolist())) + "]"
+            floats += obj.tolist()
+            return "[" + ", ".join(["%s"] * len(obj)) + "]"
         if obj.ndim == 2 and obj.dtype == np.complex128:
             if not len(obj):
                 return "[]"
-            return "[\n" + ",\n".join(_row_lines(obj[None], indent + 2)) + f"\n{pad}]"
+            floats += obj.ravel().view(np.float64).tolist()
+            row = inner + "[" + ", ".join(['{"re": %s, "im": %s}'] * obj.shape[1]) + "]"
+            return "[\n" + ",\n".join([row] * len(obj)) + f"\n{pad}]"
         raise TypeError(f"cannot serialize a {obj.ndim}-D {obj.dtype} array")
     if isinstance(obj, dict):
         if not obj:
             return "{}"
         if _is_leaf_dict(obj):
-            texts = _scalar_texts(list(obj.values()))
-            return "{" + ", ".join([f"{json.dumps(k)}: {t}" for k, t in zip(obj, texts)]) + "}"
-        lines = [f"{inner}{json.dumps(k)}: {dumps(v, indent + 2)}" for k, v in obj.items()]
+            return "{" + ", ".join([f"{_quoted(k)}: {_layout(v, 0, floats)}"
+                                    for k, v in obj.items()]) + "}"
+        lines = [f"{inner}{_quoted(k)}: {_layout(v, indent + 2, floats)}" for k, v in obj.items()]
         return "{\n" + ",\n".join(lines) + f"\n{pad}}}"
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
         if _is_inline_list(obj):
-            return "[" + ", ".join(_scalar_texts(obj)) + "]"
-        lines = [f"{inner}{dumps(v, indent + 2)}" for v in obj]
+            return "[" + ", ".join([_layout(v, 0, floats) for v in obj]) + "]"
+        lines = [f"{inner}{_layout(v, indent + 2, floats)}" for v in obj]
         return "[\n" + ",\n".join(lines) + f"\n{pad}]"
     if isinstance(obj, bool):
         return "true" if obj else "false"
@@ -131,16 +141,16 @@ def dumps(obj: Any, indent: int = 0) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return format_float(obj)
+        floats.append(obj)
+        return "%s"
     if isinstance(obj, str):
-        return json.dumps(obj)
+        return _quoted(obj)
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _scalar_texts(values) -> list[str]:
-    """dumps of each value, the floats among them by one _float_texts call."""
-    texts = iter(_float_texts([v for v in values if isinstance(v, (float, np.floating))]))
-    return [next(texts) if isinstance(v, (float, np.floating)) else dumps(v) for v in values]
+def _quoted(s) -> str:
+    """json.dumps of a key or string, its "%" doubled for dumps' one fill."""
+    return json.dumps(s).replace("%", "%%")
 
 
 def _float_texts(values: list) -> list[str]:
@@ -162,52 +172,31 @@ def matrix_to_jsonable(matrix: np.ndarray) -> list:
     ]
 
 
-def _row_lines(stack: np.ndarray, indent: int) -> list[str]:
-    """Every row of an (n, rows, cols) complex stack, in order, as dumps writes it at `indent`.
-
-    _float_texts formats all the entries at once, raising dumps' ValueError
-    at the first non-finite one, and one template per row fills them in.
-    This is the package's one renderer of a matrix: dumps calls it for a
-    matrix, and save_state_set for a whole set.
-    """
-    n, rows, cols = stack.shape
-    texts = _float_texts(stack.ravel().view(np.float64).tolist())
-    template = " " * indent + "[" + ", ".join(['{"re": %s, "im": %s}'] * cols) + "]"
-    return ("\n".join([template] * (n * rows)) % tuple(texts)).split("\n")
+def _write(path: str, doc: dict) -> None:
+    # Rendered before the file is opened: an error leaves no file behind.
+    text = dumps(doc) + "\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 def save_state_set(path: str, sset: StateSet) -> None:
-    """Write the bytes dumps gives for {"dim", "states": [{"label", "matrix"}, ...]}.
+    """Write dumps({"dim", "states": [{"label", "matrix"}, ...]}) and a newline.
 
     A state has "label" only when the set has labels, and "matrix" is the
-    state's array.  The file is filled from one _row_lines pass over the
-    whole stack rather than through dumps, whose recursion costs about
-    7 us a state: rendering crit2's 100 files took 4.7-5.2 ms through
-    dumps against 3.3 ms here, and in 8 alternating process pairs (each
-    the median of 25 set-ups) a crit2 set-up took 0.0259 s through dumps
-    against 0.0228 s (+13.5%, slower in 7 of the 8).  A non-finite entry
-    raises dumps' ValueError before the file is opened.
+    state's array.  A non-finite entry raises dumps' ValueError and leaves
+    no file behind.
     """
-    d = sset.dim
-    rows = _row_lines(sset.stack(), 8)
-    states = []
-    for k in range(len(sset)):
-        label = "" if sset.labels is None else f'      "label": {json.dumps(sset.labels[k])},\n'
-        matrix = ",\n".join(rows[k * d:(k + 1) * d])
-        states.append(f'    {{\n{label}      "matrix": [\n{matrix}\n      ]\n    }}')
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f'{{\n  "dim": {d},\n  "states": [\n' + ",\n".join(states) + "\n  ]\n}\n")
+    matrices = sset.stack()
+    if sset.labels is None:
+        states = [{"matrix": m} for m in matrices]
+    else:
+        states = [{"label": label, "matrix": m} for label, m in zip(sset.labels, matrices)]
+    _write(path, {"dim": sset.dim, "states": states})
 
 
 def save_measurement(path: str, t: PovmElement) -> None:
-    """Write dumps({"dim": t.dim, "matrix": t.matrix}) and a newline.
-
-    The text is rendered before the file is opened, so a non-finite entry
-    raises dumps' ValueError and leaves no file behind.
-    """
-    text = dumps({"dim": t.dim, "matrix": t.matrix}) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    """Write dumps({"dim": t.dim, "matrix": t.matrix}) and a newline, or no file on an error."""
+    _write(path, {"dim": t.dim, "matrix": t.matrix})
 
 
 # --- reading ---

@@ -931,8 +931,7 @@ def cli_payloads(dim):
     solve_result = st.fixed_dictionaries({
         "lower_bound": written_numbers, "upper_bound": written_numbers,
         "gap": written_numbers, "converged": st.booleans(),
-        "rounds_used": st.integers(1, 20000), "mu0": numbers, "mu1": numbers,
-        "best_mu0": numbers, "best_mu1": numbers,
+        "rounds_used": st.integers(1, 20000), "best_mu0": numbers, "best_mu1": numbers,
         "trace": st.lists(checkpoint, max_size=4),
         "measurement": st.fixed_dictionaries({"dim": st.just(dim), "matrix": matrix}),
     }, optional={"out": paths})
@@ -975,7 +974,7 @@ def test_writers_write_the_bytes_dumps_writes(dim, count, data):
         _, loaded_labels, loaded = stateio._read_states(set_path)
     assert set_bytes == (recursive_dumps(set_document(sset)) + "\n").encode()
     assert t_bytes == (recursive_dumps(measurement_document(t)) + "\n").encode()
-    # The set writer's template gives the bytes dumps gives for the states' arrays.
+    # The set file is dumps of the states' arrays as they are.
     states = [{"matrix": m} if names is None else {"label": name, "matrix": m}
               for name, m in zip(names or [None] * count, sset.stack())]
     assert set_bytes == (stateio.dumps({"dim": dim, "states": states}) + "\n").encode()

@@ -318,6 +318,20 @@ class TestRandomDensity:
             ss.random_density(4, rank, seed=5)
         assert len(kernel_calls) == 1
 
+    def test_near_singular_draw_warns(self, monkeypatch):
+        # Both columns of G are (1, 1): a rank-2 draw that comes out as |+><+|.
+        class Stub:
+            def __init__(self, seed):
+                pass
+
+            def normals(self, count):
+                return [1.0, 0.0] * (count // 2)
+
+        monkeypatch.setattr(ss.states, "SplitMix64", Stub)
+        with pytest.warns(RuntimeWarning, match="near-singular"):
+            rho = ss.random_density(2, 2, seed=1)
+        np.testing.assert_array_equal(rho.matrix, np.full((2, 2), 0.5 + 0.0j))
+
     def test_full_rank_is_positive(self):
         for seed in range(5):
             rho = ss.random_density(3, 3, seed)
