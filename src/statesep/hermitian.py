@@ -16,8 +16,9 @@ closest ones here, from their stream weights (math.log), so its reported
 bytes depend on neither; solve_saddle chooses each cut from numpy's eigh
 of its query and recomputes here the distance of every query that could
 lower the upper bound, so every reported upper bound is a value of this
-kernel; and the LP master (_master.py) inverts its basis with
-np.linalg.inv to choose weights that the solver then evaluates exactly.
+kernel; and the LP master (_master.py) factorizes its first basis with
+np.linalg.inv and updates its tableau with numpy products to choose
+weights that the solver then evaluates exactly.
 The grid oracles (oracles.py) use eigvalsh on purpose, as a reference
 independent of this module.
 

@@ -24,9 +24,10 @@ bound is skipped.  Every cut is a linear minorant of f, so the
 master problem, min over mu of max_k Tr(T_k Delta(mu)), is a linear
 program; its optimal mixtures are Kelley's point m.  The solver works on
 the LP's dual, max over weights w on the cuts of the worst pair gap of
-sum_k w_k T_k, whose duals are those mixtures: a dense revised simplex
-(_master.py) re-solved warm after each cut, with Bland's rule (Bland
-1977) against cycling on degenerate bases.
+sum_k w_k T_k, whose duals are those mixtures: a dense tableau simplex
+(_master.py), factorized once and pivoted in place, re-solved warm after
+each cut, with Bland's rule (Bland 1977) against cycling on degenerate
+bases.
 
 Kelley's method tails off because its query jumps to each new m, far
 from the best mixtures found so far.  So the queries are smoothed

@@ -79,7 +79,9 @@ class StateSet:
     dim: int
     states: tuple[DensityMatrix, ...]
     labels: tuple[str, ...] | None = field(default=None)
-    _stack: np.ndarray = field(init=False, repr=False, compare=False)
+    # Built by the first stack() call, unless from_matrices hands over the
+    # frozen stack its states are views of.
+    _stack: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         states = tuple(self.states)
@@ -98,10 +100,6 @@ class StateSet:
                 raise LengthMismatchError(
                     f"{len(labels)} labels for {len(states)} states"
                 )
-        # Every state's matrix is complex128, so the fresh stack needs no copy.
-        stack = np.stack([r.matrix for r in states])
-        stack.setflags(write=False)
-        object.__setattr__(self, "_stack", stack)
 
     def __len__(self) -> int:
         return len(self.states)
@@ -114,7 +112,9 @@ class StateSet:
         invalid one's error is raised with its index prefixed ("state k:
         ..."), so the set, or the error, is that of a loop of
         validate_density.  An (n, d, d) array is screened as it is; any
-        other iterable is listed first.
+        other iterable is listed first.  Matrices that form one stack are
+        copied once, into the frozen stack that stack() returns, and every
+        state is a read-only view of it (see screened).
         """
         matrices = matrices if isinstance(matrices, np.ndarray) else list(matrices)
         states = []
@@ -124,15 +124,23 @@ class StateSet:
             states.append(state)
         if not states:
             raise EmptySetError("state set must contain at least one state")
-        return cls(dim=states[0].dim, states=tuple(states),
+        sset = cls(dim=states[0].dim, states=tuple(states),
                    labels=tuple(labels) if labels is not None else None)
+        object.__setattr__(sset, "_stack", states[0].matrix.base)  # None unless a stack
+        return sset
 
     def stack(self) -> np.ndarray:
         """All states as one (len, dim, dim) array, in set order.
 
-        The array is built once, with the set, and every call returns that
-        same read-only array: callers share it and must not write to it.
+        The array is built once, by the first call or by from_matrices, and
+        every call returns that same read-only array: callers share it and
+        must not write to it.
         """
+        if self._stack is None:
+            # Every state's matrix is complex128, so the fresh stack needs no copy.
+            stack = np.stack([r.matrix for r in self.states])
+            stack.setflags(write=False)
+            object.__setattr__(self, "_stack", stack)
         return self._stack
 
 
@@ -173,20 +181,34 @@ def validate_density(m) -> DensityMatrix:
 def screened(matrices):
     """Each matrix, in order, as a DensityMatrix or the StatesepError validate_density raises.
 
-    matrices is a sequence of matrices or an (n, d, d) array.  One
-    screen_densities call covers them all; a matrix it passes is wrapped
-    as it is, and each other one goes through validate_density only when
-    the caller asks for it, so stopping at the first error validates no
-    later matrix.  Each item is what validate_density gives on its matrix.
+    matrices is a sequence of matrices or an (n, d, d) array.  Matrices
+    that form one stack are copied once, into a frozen complex128 stack,
+    and each valid one comes as a read-only view of it, uncopied (its
+    matrix.base is that stack).  One screen_densities call covers them
+    all; each matrix it does not pass goes through validate_density only
+    when the caller asks for it, so stopping at the first error validates
+    no later matrix.  Each item is what validate_density gives on its
+    matrix, in value.
     """
-    for matrix, ok in zip(matrices, screen_densities(matrices)):
-        if ok:
-            yield DensityMatrix(matrix)
-            continue
-        try:
-            yield validate_density(matrix)
-        except StatesepError as exc:
-            yield exc
+    stack = _as_stack(matrices)
+    if stack is None:
+        for matrix in matrices:
+            try:
+                yield validate_density(matrix)
+            except StatesepError as exc:
+                yield exc
+        return
+    stack = _freeze(stack)
+    for matrix, ok in zip(stack, screen_densities(stack)):
+        if not ok:
+            try:
+                validate_density(matrix)
+            except StatesepError as exc:
+                yield exc
+                continue
+        state = object.__new__(DensityMatrix)  # past _freeze: the view stays one
+        object.__setattr__(state, "matrix", matrix)
+        yield state
 
 
 def _lowest_above(h, floor) -> np.ndarray:
@@ -240,6 +262,20 @@ def _lowest_above(h, floor) -> np.ndarray:
         return ok & (diag.real > 0.0).all(axis=1)
 
 
+def _as_stack(matrices) -> np.ndarray | None:
+    """The matrices as one (n, d, d) complex128 array, uncopied where they
+    are one, or None.  Ragged, non-square, non-numeric and huge-integer
+    input (TypeError, ValueError, OverflowError from np.asarray) is no
+    stack."""
+    try:
+        a = np.asarray(matrices, dtype=np.complex128, order="C")
+    except (TypeError, ValueError, OverflowError):
+        return None
+    if a.ndim != 3 or a.shape[1] != a.shape[2] or a.shape[1] < 1:
+        return None
+    return a
+
+
 def _screen_parts(matrices):
     """(a, h, hermitian, margin) for the screens, or None if a is no (n, d, d) stack.
 
@@ -248,15 +284,10 @@ def _screen_parts(matrices):
     HERMITICITY_TOL * (1 - 2^-50) of Hermitian, all of them finite (a
     non-finite entry makes the asymmetry NaN or infinite).  margin is
     EIGENVALUE_TOL * max(1, ||M||_F), the pinned bound on how far
-    hermitian_eig's eigenvalues lie from h's.  Ragged, non-square,
-    non-numeric and huge-integer input (TypeError, ValueError,
-    OverflowError from np.asarray) is no stack.
+    hermitian_eig's eigenvalues lie from h's.
     """
-    try:
-        a = np.asarray(matrices, dtype=np.complex128, order="C")
-    except (TypeError, ValueError, OverflowError):
-        return None
-    if a.ndim != 3 or a.shape[1] != a.shape[2] or a.shape[1] < 1:
+    a = _as_stack(matrices)
+    if a is None:
         return None
     adjoint = a.conj().transpose(0, 2, 1)
     parts = a.view(np.float64).reshape(a.shape[0], -1)

@@ -1,4 +1,5 @@
-"""The cutting-plane master LP against scipy's HiGHS, and its limits.
+"""The cutting-plane master LP against scipy's HiGHS and against its own
+basis factorized afresh, and its limits.
 
 HiGHS (through scipy.optimize.linprog) serves only as a test oracle, the
 way numpy's eigvalsh serves for hermitian_eig; scipy is a test extra,
@@ -9,9 +10,11 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import statesep as ss
 from statesep import _master
@@ -138,13 +141,69 @@ def test_optimal_warm_basis_inverts_nothing(monkeypatch):
     assert after[0].tobytes() == np.append(before[0], 0.0).tobytes()
 
 
-def test_entering_skips_nan_and_takes_the_first_largest_gain():
-    names = np.array([0, 1, 2, 3, 7, 5])
-    gains = np.array([np.nan, 0.5, 2.0, 2.0, np.nan, 1e-10])
-    assert _master._entering(gains, names, bland=False) == 2
-    assert _master._entering(gains, names, bland=True) == 1
-    for bland in (False, True):
-        assert _master._entering(np.array([np.nan, 1e-10]), names[:2], bland) is None
+def test_cut_with_a_nan_expectation_never_enters():
+    # The NaN cut would otherwise be the best one (every S0 expectation 1,
+    # every S1 one 0).  Its NaN sits in a tight or a loose row, depending
+    # on the row, and either way it must neither enter nor move a bit.
+    rng = np.random.RandomState(5)
+    a0, a1 = rng.uniform(size=(5, 6)), rng.uniform(size=(4, 6))
+    for row in range(9):
+        exp = np.r_[np.ones(5), np.zeros(4)]
+        exp[row] = np.nan
+        plain, spoiled = _master.Master(5, 4), _master.Master(5, 4)
+        for k in range(6):
+            plain.add_cut(a0[:, k], a1[:, k])
+            spoiled.add_cut(a0[:, k], a1[:, k])
+            if k == 2:
+                spoiled.add_cut(exp[:5], exp[5:])
+            want, got = plain.solve(), spoiled.solve()
+            if k >= 2:
+                assert 5 not in spoiled.head  # the NaN cut's column
+                want = (np.insert(want[0], 3, 0.0),) + want[1:]
+            assert [v.tobytes() for v in got] == [v.tobytes() for v in want], row
+
+
+def fresh_factorization(master, a0, a1):
+    """Basic values by position and row duals of master's basis, from B afresh."""
+    (l0, k), l1 = a0.shape, a1.shape[0]
+    m = l0 + l1 + 1
+    structural = np.zeros((m, k + 2))  # the columns a, b, then the cuts
+    structural[:l0, 0], structural[l0:-1, 1] = 1.0, -1.0
+    structural[:, 2:] = np.r_[-a0, a1, np.ones((1, k))]
+    head = master.head
+    basis = np.where(head >= 0, structural[:, np.maximum(head, 0)], np.eye(m)[:, ~np.minimum(head, -1)])
+    cost = np.where(head == 0, 1.0, np.where(head == 1, -1.0, 0.0))
+    return np.linalg.solve(basis, np.eye(m)[-1]), np.linalg.solve(basis.T, cost)
+
+
+@settings(max_examples=60)
+@given(
+    st.integers(1, 40), st.integers(1, 40), st.integers(1, 16),
+    st.sampled_from(["uniform", "coarse", "duplicate"]), st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_tableau_matches_a_fresh_factorization(l0, l1, cuts, kind, bland, seed):
+    rng = np.random.RandomState(seed)
+    if kind == "coarse":
+        a0, a1 = rng.randint(3, size=(l0, cuts)) / 2.0, rng.randint(3, size=(l1, cuts)) / 2.0
+    else:
+        a0, a1 = rng.uniform(size=(l0, cuts)), rng.uniform(size=(l1, cuts))
+        if kind == "duplicate":
+            a0, a1 = np.repeat(a0, 2, axis=1), np.repeat(a1, 2, axis=1)
+    master = _master.Master(l0, l1)
+    with mock.patch.object(_master, "_DEGENERATE_RUN", 0 if bland else _master._DEGENERATE_RUN):
+        for k in range(a0.shape[1]):
+            master.add_cut(a0[:, k], a1[:, k])
+            w, mu0, mu1 = master.solve()
+            values, duals = fresh_factorization(master, a0[:, :k + 1], a1[:, :k + 1])
+            n, end = master.n, master.n + len(master.tight) + 1
+            np.testing.assert_allclose(master.table[end - 1, :-1], values, rtol=0, atol=1e-9)
+            tableau_duals = np.zeros(l0 + l1 + 1)
+            tableau_duals[master.tight + [l0 + l1]] = -master.table[n:end, -1]
+            np.testing.assert_allclose(tableau_duals, duals, rtol=0, atol=1e-9)
+            primal = (a0[:, :k + 1] @ w).min() - (a1[:, :k + 1] @ w).max()
+            dual = (mu0 @ a0[:, :k + 1] - mu1 @ a1[:, :k + 1]).max()
+            assert primal == pytest.approx(dual, abs=1e-9)
 
 
 def test_pivot_cap_raises(monkeypatch):

@@ -7,7 +7,12 @@ import pytest
 import statesep as ss
 from statesep import saddle
 from statesep._rng import SplitMix64
-from statesep.errors import BadConfigError, DimensionMismatchError, EmptySetError
+from statesep.errors import (
+    BadConfigError,
+    BadWeightsError,
+    DimensionMismatchError,
+    EmptySetError,
+)
 from statesep.states import _mixed
 
 from conftest import (
@@ -526,6 +531,26 @@ class TestCertifyForward:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             ss.certify_forward(t, set0, set1, trials=100, seed=1)
+
+    @pytest.mark.parametrize("value", [-0.5, np.nan, 2.0])
+    def test_weights_off_the_simplex_name_their_trial(self, monkeypatch, degenerate_instance,
+                                                      value):
+        # The stream's points are always on the simplex, so only a fault
+        # in normalizing them reaches this check.  Blocks of 4 trials: the
+        # second block's (3 trials) second row is trial 5.
+        set0, set1 = degenerate_instance
+        monkeypatch.setattr(saddle, "_CERTIFY_BLOCK", 4 * max(len(set0) + len(set1), 4))
+        original = saddle.normalized
+
+        def spoiled(rows):
+            rows = original(rows)
+            if rows.shape[0] == 3:
+                rows[1, 0] = value
+            return rows
+
+        monkeypatch.setattr(saddle, "normalized", spoiled)
+        with pytest.raises(BadWeightsError, match="^trial 5: sampled weights are off the simplex$"):
+            ss.certify_forward(ss.PovmElement(np.eye(2) / 2.0), set0, set1, trials=7, seed=0)
 
     def test_trials_validated(self, degenerate_instance):
         set0, set1 = degenerate_instance

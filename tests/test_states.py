@@ -222,6 +222,21 @@ class TestStateSet:
         sset = ss.StateSet.from_matrices(m for m in mats[:2])
         assert sset.stack().tobytes() == np.array(mats[:2], dtype=complex).tobytes()
 
+    @pytest.mark.parametrize("spectrum", [False, True])
+    def test_states_of_a_stack_are_views_of_one_frozen_copy(self, monkeypatch, spectrum):
+        # Screened or validated by their spectrum, the states are rows of
+        # the set's stack, which is the caller's matrices copied once.
+        if spectrum:
+            monkeypatch.setattr(ss.states, "_lowest_above", lambda h, floor: np.zeros(len(h), bool))
+        mats = np.array(valid_matrices(6))
+        want = mats.copy()
+        sset = ss.StateSet.from_matrices(mats)
+        stack = sset.stack()
+        assert all(rho.matrix.base is stack for rho in sset.states)
+        assert not stack.flags.writeable and not np.shares_memory(stack, mats)
+        mats[:] = 0.0
+        assert stack.tobytes() == want.tobytes()
+
     def test_label_count(self):
         with pytest.raises(LengthMismatchError):
             ss.StateSet(dim=2, states=(density(KET0),), labels=("a", "b"))
