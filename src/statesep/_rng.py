@@ -21,8 +21,9 @@ uniforms of seed 0, by 1 ulp each), and the stream must not depend on
 the CPU.  Each point is divided by its left-to-right sum, the order in
 which a plain Python loop adds (and sum() did, up to Python 3.11).
 saddle.certify_forward screens its trials with np.log of the same
-uniforms and LAPACK's eigvalsh, and calls simplex_points only on the
-rows it reports from, so its reported bytes depend on neither.
+uniforms, numpy's sums, BLAS's matmul and LAPACK's eigvalsh, and calls
+simplex_points only on the rows it reports from, so its reported bytes
+depend on none of them.
 
 The choice is frozen: identical seeds must reproduce identical byte
 streams across releases, which rules out delegating to numpy's Generator
@@ -112,10 +113,6 @@ def simplex_points(uniforms: np.ndarray) -> np.ndarray:
     """
     # math.log, not np.log: see the module docstring.
     draws = -np.fromiter(map(math.log, uniforms.ravel().tolist()), np.float64, uniforms.size)
-    return normalized(draws.reshape(uniforms.shape))
-
-
-def normalized(rows: np.ndarray) -> np.ndarray:
-    """Each row (the last axis) divided by its left-to-right sum."""
+    draws = draws.reshape(uniforms.shape)
     # np.add.accumulate adds left to right; its last entry is the total.
-    return rows / np.add.accumulate(rows, axis=-1)[..., -1:]
+    return draws / np.add.accumulate(draws, axis=-1)[..., -1:]

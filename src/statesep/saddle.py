@@ -63,7 +63,7 @@ from numpy import log
 from numpy.linalg import eigh, eigvalsh
 
 from ._master import Master
-from ._rng import SplitMix64, normalized, simplex_points
+from ._rng import SplitMix64, simplex_points
 # separation_gap and trace_distance are not called here; they stay bound
 # because the benchmark's tracer (perfbench/tracing.py) wraps
 # statesep.saddle.separation_gap and statesep.saddle.trace_distance.
@@ -72,12 +72,11 @@ from .errors import (
     BadConfigError,
     BadWeightsError,
     DimensionMismatchError,
-    EmptySetError,
     as_int,
     as_real,
 )
 from .hermitian import EIGENVALUE_TOL, POSITIVE_CUTOFF, hermitian_eig
-from .states import WEIGHT_SUM_TOL, PovmElement, StateSet, _mixed, mixture_state
+from .states import PovmElement, StateSet, _mixed, mixture_state
 
 # certify_forward draws and screens its trials in blocks of this many
 # weights, or matrix entries where a trial's matrix has more of them.
@@ -113,30 +112,43 @@ def _screen_slack(d: int, states: int) -> float:
       1: on a 4 x 4 it missed +/-0.375 by 1.5e-7, where eigh did not.)  A
       mixture difference has ||H||_F <= 2, so each distance is within
       2d * EIGENVALUE_TOL of that matrix's exact one.
-    - The matrices.  The screen sums a block's mixtures by real matmuls on
-      the stacks' float64 view, mixture_state by an einsum.  Each real
-      component of a mixture sums `states` products of weights (summing
-      to 1) and entries of modulus at most 1, in some order, so it is
-      within gamma_states (Higham 2002, eq. 3.5) of exact, and each entry
-      of a difference within (states + 1) u.  The two differences then
-      differ by at most 2 sqrt(2) (states + 1) u per entry, d times that
-      in Frobenius norm, and their exact distances by at most sqrt(d)
-      times the Frobenius norm of that (||E||_1 <= sqrt(d) ||E||_F):
-      2 sqrt(2) d^1.5 (states + 1) u.
-    - The weights.  The screen normalizes numpy's -log(U), the reported
-      weights math.log's (_rng.simplex_points), in the same way: a
-      left-to-right sum of at most `states` positive terms, within
-      relative gamma_states of exact, then one division, within u.  With
-      each screened exponential within relative eta = _SCREEN_LOG_ETA of
-      the stream's, so is their sum, and each screened weight is within
-      relative w = 2 eta + 2 states u (to first order) of the reported
-      one.  A mixture then moves by at most w max_i ||rho_i||_1 in trace
-      norm, and the difference, and so the distance, by twice that.
-    With e = 4d * EIGENVALUE_TOL + 2 sqrt(2) d^1.5 (states + 1) u + 2w, the
-    trial with the least exact distance screens within 2e of the least
-    screened distance.  The slack is 2e, with 6 in place of 4 sqrt(2) and
-    10 in place of 8 to spare for second-order terms, and for weights,
-    entries and trace norms that exceed 1 by validation's 1e-9 tolerances.
+    - The matrices.  The screen sums each side's mixture, scaled by the
+      sum of its exponentials, by one real matmul of its raw exponentials
+      and the stack's float64 view; mixture_state sums the reported
+      weights (summing to 1) by an einsum.  Each real component sums
+      `states` products of positive factors and entries of modulus at
+      most 1, in some order, so it is within gamma_states (Higham 2002,
+      eq. 3.5) of exact relative to the factors' sum: after the screen's
+      division by that sum (below), within gamma_states of exact in both.
+      Each entry of a difference is then within (states + 1) u.  The two
+      differences differ by at most 2 sqrt(2) (states + 1) u per entry, d
+      times that in Frobenius norm, and their exact distances by at most
+      sqrt(d) times the Frobenius norm of that (||E||_1 <= sqrt(d)
+      ||E||_F): 2 sqrt(2) d^1.5 (states + 1) u.
+    - The weights.  Let e_i be a side's exponentials -log(U) with
+      math.log, the stream's, and e~_i = e_i (1 + eta_i), |eta_i| <= eta
+      = _SCREEN_LOG_ETA, the screen's with numpy's log; the side has l <=
+      `states` of them.  The reported weights (_rng.simplex_points)
+      divide each e_i by the left-to-right sum of the e_j, within
+      relative gamma_(l-1) of exact, so each is within relative l u of
+      e_i / sum_j e_j.  The screen forms no weights: it sums the e~_i in
+      numpy's order, within relative gamma_(l-1) + eta of sum_j e_j, and
+      divides the matmul's summed matrix by that sum.  Its exact quotient
+      is the mixture whose weight on state i, e~_i over the computed sum,
+      is within relative 2 eta + (l - 1) u of e_i / sum_j e_j, and so
+      within relative w = 2 eta + 2 states u of the reported weight (to
+      first order).  A mixture then moves by at most w max_i ||rho_i||_1
+      in trace norm.  The division rounds each real component of the
+      mixture M by relative u, a change E with ||E||_1 <= sqrt(d) ||E||_F
+      <= sqrt(d) u ||M||_F <= sqrt(d) u, as ||M||_F <= Tr M = 1 for a
+      mixture of states.  The difference, and so the distance, moves by
+      at most twice the sum, 2w + 2 sqrt(d) u.
+    With e = 4d * EIGENVALUE_TOL + 2 sqrt(2) d^1.5 (states + 1) u + 2w + 2
+    sqrt(d) u, the trial with the least exact distance screens within 2e
+    of the least screened distance.  The slack is 2e, with 6 in place of 4
+    sqrt(2) and 10 in place of 8 to spare for second-order terms, and for
+    weights, entries and trace norms that exceed 1 by validation's 1e-9
+    tolerances.
 
     solve_saddle uses the kernel term alone, d * 8 * EIGENVALUE_TOL: it
     gives eigh and hermitian_eig the same matrix, so only the kernels'
@@ -144,7 +156,7 @@ def _screen_slack(d: int, states: int) -> float:
     """
     u = 2.0 ** -53
     return (d * (8 * EIGENVALUE_TOL + 6.0 * math.sqrt(d) * (states + 1) * u)
-            + 10.0 * (_SCREEN_LOG_ETA + states * u))
+            + 10.0 * (_SCREEN_LOG_ETA + states * u) + 4.0 * math.sqrt(d) * u)
 
 
 @dataclass(frozen=True)
@@ -228,8 +240,6 @@ class SaddleResult:
 
 
 def _check_instance(set0: StateSet, set1: StateSet) -> None:
-    if len(set0) == 0 or len(set1) == 0:
-        raise EmptySetError("both state sets must be non-empty")
     if set0.dim != set1.dim:
         raise DimensionMismatchError(
             f"set dimensions differ: {set0.dim} vs {set1.dim}"
@@ -350,15 +360,17 @@ def solve_saddle(
     )
 
 
-def _check_weight_rows(rows: np.ndarray, first_trial: int) -> None:
-    # as_mixture_weights' rules, one row per sampled mixture.
-    bad = (
-        ~np.isfinite(rows).all(axis=1)
-        | (rows.min(axis=1) < 0.0)
-        | (np.abs(rows.sum(axis=1) - 1.0) > WEIGHT_SUM_TOL)
-    )
-    if bad.any():
-        trial = first_trial + int(np.flatnonzero(bad)[0])
+def _check_draws(draws: np.ndarray, s0: np.ndarray, s1: np.ndarray, first_trial: int) -> None:
+    # A block's raw exponentials, one row per trial, and each side's row
+    # sums: a draw that is negative or NaN, or a sum that is not finite and
+    # positive, leaves a trial's screened mixtures off the simplex.  The
+    # stream's uniforms lie in (0, 1], so only a fault, or a singleton side
+    # whose uniform is exactly 1.0, gets here.
+    ok = ((draws.min(axis=1) >= 0.0)
+          & (s0[:, 0] > 0.0) & (s0[:, 0] < np.inf)
+          & (s1[:, 0] > 0.0) & (s1[:, 0] < np.inf))
+    if not ok.all():
+        trial = first_trial + int(np.flatnonzero(~ok)[0])
         raise BadWeightsError(f"trial {trial}: sampled weights are off the simplex")
 
 
@@ -380,19 +392,23 @@ def certify_forward(
     (cli.CERT_TOL; see below on measurements at the validator's limits).
 
     The trials are screened, then the closest pair is computed exactly.
-    Each block of trials takes one array draw of uniforms.  The screen's
-    weights normalize their numpy log, and its mixture differences (two
-    real matmuls on the stacks' float64 view) go through one batched
-    LAPACK eigvalsh call.  Every trial whose screened distance lies within
-    a rounding slack of the smallest gets its stream weights
-    (_rng.simplex_points, with math.log) and is recomputed with
-    mixture_state and max_pair_gap, in trial order, and the first strict
-    minimum of those values is reported, so no reported number comes from
-    numpy's log or eigvalsh.  The slack covers eigvalsh's backward error
-    (LAPACK Users' Guide, section 4.7) and hermitian_eig's stopping rule,
-    the two ways of summing a mixture, and the screened weights' error
+    Each block of trials takes one array draw of uniforms.  The screen
+    forms no weights: it sums each side's exponentials (numpy's log),
+    multiplies them into the stack's float64 view by one real matmul,
+    divides each side's summed matrix by its sum, and puts the mixture
+    differences through one batched LAPACK eigvalsh call.  Every trial
+    whose screened distance lies within a rounding slack of the smallest
+    gets its stream weights (_rng.simplex_points, with math.log) and is
+    recomputed with mixture_state and max_pair_gap, in trial order, and
+    the first strict minimum of those values is reported, so no reported
+    number comes from numpy's log, its sums, BLAS's matmul or eigvalsh.
+    The slack covers eigvalsh's backward error (LAPACK Users' Guide,
+    section 4.7) and hermitian_eig's stopping rule, the two ways of
+    summing a mixture, and the screened mixtures' weights and division
     (_screen_slack), so the report is the one a trial-by-trial loop with
-    max_pair_gap gives; normally a single trial is recomputed.
+    max_pair_gap gives; normally a single trial is recomputed.  A raw
+    draw that is negative or NaN, or a side whose draws do not sum to a
+    finite positive number, raises BadWeightsError naming its trial.
 
     The margin is T's worst pair gap as given, not that of T clipped to
     [0, I].  Validation accepts a measurement whose spectrum lies within
@@ -437,10 +453,10 @@ def certify_forward(
         count = min(per_block, trials - start)
         uniforms = rng.uniform_block(count * (l0 + l1)).reshape(count, l0 + l1)
         draws = -log(uniforms)
-        w0, w1 = normalized(draws[:, :l0]), normalized(draws[:, l0:])
-        _check_weight_rows(w0, start)
-        _check_weight_rows(w1, start)
-        diff = (w0 @ real0 - w1 @ real1).view(np.complex128).reshape(-1, d, d)
+        d0, d1 = draws[:, :l0], draws[:, l0:]
+        s0, s1 = d0.sum(axis=1, keepdims=True), d1.sum(axis=1, keepdims=True)
+        _check_draws(draws, s0, s1, start)
+        diff = ((d0 @ real0) / s0 - (d1 @ real1) / s1).view(np.complex128).reshape(-1, d, d)
         lam = eigvalsh((diff + diff.conj().transpose(0, 2, 1)) / 2.0)
         screened = np.maximum(lam, 0.0).sum(axis=1)
         best = min(best, float(screened.min()))

@@ -36,6 +36,7 @@ from hypothesis.extra import numpy as hnp
 
 import statesep as ss
 from statesep import cli, hermitian, saddle, stateio
+from statesep._rng import SplitMix64
 from statesep.errors import ParseError
 
 from conftest import (
@@ -361,6 +362,26 @@ def test_certify_matches_trial_by_trial_reference(seed, trials, certify_seed):
     set0, set1 = small_instance(seed)
     t = solve(set0, set1).measurement
     report = ss.certify_forward(t, set0, set1, trials=trials, seed=certify_seed)
+    assert_same_report(report, reference_certify(t, set0, set1, trials, certify_seed))
+
+
+@EXAMPLES
+@given(seeds, st.integers(2, 4), st.integers(16, 96), st.integers(16, 96),
+       st.integers(20, 60), st.sampled_from([None, 1, 7]), seeds)
+def test_certify_matches_reference_on_many_states(seed, dim, l0, l1, trials, per_block,
+                                                  certify_seed):
+    # l >> d^2: the screen divides each side's summed matrix by a sum of
+    # many exponentials, so its rounding lies furthest from that of the
+    # reported weights.  Blocks of the default size, or of 1 or 7 trials.
+    rng = SplitMix64(seed)
+    states = [ss.random_density(dim, 1 + rng.next_uint64() % dim, rng.next_uint64())
+              for _ in range(l0 + l1)]
+    set0 = ss.StateSet(dim=dim, states=tuple(states[:l0]))
+    set1 = ss.StateSet(dim=dim, states=tuple(states[l0:]))
+    t = ss.PovmElement(np.diag(np.eye(dim)[0]).astype(complex))
+    block = saddle._CERTIFY_BLOCK if per_block is None else per_block * max(l0 + l1, dim * dim)
+    with mock.patch.object(saddle, "_CERTIFY_BLOCK", block):
+        report = ss.certify_forward(t, set0, set1, trials=trials, seed=certify_seed)
     assert_same_report(report, reference_certify(t, set0, set1, trials, certify_seed))
 
 

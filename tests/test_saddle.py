@@ -147,6 +147,33 @@ class TestSolveSaddle:
             assert c.lower_bound <= c.upper_bound + 1e-9
             assert c.gap == c.upper_bound - c.lower_bound
 
+    @pytest.mark.parametrize("orientation", range(6))
+    def test_converges_with_headroom_on_larger_sets(self, orientation):
+        # 24 + 24 states at d = 6, drawn from SplitMix64(77) with rank 1 +
+        # next % d, S0's states first; at its base (0) and under the Haar
+        # unitaries of SplitMix64(1..5), which move every input bit but
+        # leave eps* in place.  Each took 273-296 rounds to 1e-6, so the cap
+        # of 400 leaves about 35% headroom: a regression in convergence on
+        # larger sets fails here.
+        dim, count = 6, 24
+        rng = SplitMix64(77)
+        matrices = [ss.random_density(dim, 1 + rng.next_uint64() % dim, rng.next_uint64()).matrix
+                    for _ in range(2 * count)]
+        if orientation:
+            rng = SplitMix64(orientation)
+            z = np.array(rng.normals(2 * dim * dim)).reshape(dim, dim, 2)
+            q, r = np.linalg.qr(z[..., 0] + 1j * z[..., 1])
+            diag = r.diagonal()
+            u = q * (diag / np.abs(diag))
+            matrices = [u @ m @ u.conj().T for m in matrices]
+            matrices = [(m + m.conj().T) / 2.0 for m in matrices]
+        set0 = ss.StateSet.from_matrices(matrices[:count])
+        set1 = ss.StateSet.from_matrices(matrices[count:])
+        res = ss.solve_saddle(set0, set1, ss.SolverConfig(max_rounds=400, target_gap=1e-6))
+        assert res.converged, f"gap {res.gap:.3e} after {res.rounds_used} rounds"
+        for c in res.trace:
+            assert c.lower_bound <= c.upper_bound + 1e-9
+
     def test_witness_is_povm(self):
         for seed in (42, 43, 44):
             set0, set1 = random_instance(seed)
@@ -532,23 +559,27 @@ class TestCertifyForward:
             warnings.simplefilter("error")
             ss.certify_forward(t, set0, set1, trials=100, seed=1)
 
-    @pytest.mark.parametrize("value", [-0.5, np.nan, 2.0])
+    @pytest.mark.parametrize("value", [-0.5, np.nan, np.inf, "zero-row"])
     def test_weights_off_the_simplex_name_their_trial(self, monkeypatch, degenerate_instance,
                                                       value):
-        # The stream's points are always on the simplex, so only a fault
-        # in normalizing them reaches this check.  Blocks of 4 trials: the
+        # The stream's exponentials are finite and non-negative, and a
+        # side's sum is positive unless a singleton side draws a uniform of
+        # exactly 1.0, so only a fault reaches this check: here one raw
+        # draw, or all of S1's draws in one row.  Blocks of 4 trials: the
         # second block's (3 trials) second row is trial 5.
         set0, set1 = degenerate_instance
         monkeypatch.setattr(saddle, "_CERTIFY_BLOCK", 4 * max(len(set0) + len(set1), 4))
-        original = saddle.normalized
 
-        def spoiled(rows):
-            rows = original(rows)
-            if rows.shape[0] == 3:
-                rows[1, 0] = value
-            return rows
+        def spoiled(uniforms):
+            logs = np.log(uniforms)
+            if logs.shape[0] == 3:
+                if isinstance(value, str):
+                    logs[1, len(set0):] = 0.0
+                else:
+                    logs[1, 0] = -value
+            return logs
 
-        monkeypatch.setattr(saddle, "normalized", spoiled)
+        monkeypatch.setattr(saddle, "log", spoiled)
         with pytest.raises(BadWeightsError, match="^trial 5: sampled weights are off the simplex$"):
             ss.certify_forward(ss.PovmElement(np.eye(2) / 2.0), set0, set1, trials=7, seed=0)
 
