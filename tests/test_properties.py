@@ -13,9 +13,12 @@ random_instance convention.
 The later properties cover the layers under the solver: certify's
 batched eigvalsh screen against hermitian_eig and against eigvalsh of
 each matrix alone, certify_forward against a trial-by-trial reference
-loop, screened set loading and validate_density's own screen against
-validating each state by its spectrum, the shifted Cholesky certificate
-against eigvalsh, validate_povm_element's screen and screened
+loop (also on states whose diagonals mix entries near 1e-160 with
+order-one ones), screened set loading and validate_density's own screen
+against validating each state by its spectrum, on sets on both sides of
+the screen's branch between Python numbers and numpy, the shifted
+Cholesky certificate on both branches against eigvalsh and exact
+rational elimination, validate_povm_element's screen and screened
 measurement loading against validating the measurement by its spectrum,
 and the CLI's typed exit, naming the bad file
 once, on every kind of malformed input file.
@@ -385,6 +388,70 @@ def test_certify_matches_reference_on_many_states(seed, dim, l0, l1, trials, per
     assert_same_report(report, reference_certify(t, set0, set1, trials, certify_seed))
 
 
+# certify's eigvalsh screen on the family where eigvalsh can miss: entries
+# near 1e-160 beside order-one ones (_screen_slack's docstring).
+
+def tiny_diagonal_state(rng, dim, tiny):
+    """A valid state whose diagonal is 1e-170 to 1e-140 on the indices in
+    tiny and of order one on the rest, coupled as strongly as validation's
+    1e-9 floor admits.
+
+    With A the order-one block (trace 1, any rank), D the tiny diagonal
+    plus couplings E among the tiny indices, and couplings
+    C = (A + f I)^(1/2) Y to the rest, where f = 0.9e-9 and
+    ||Y||_2^2 + ||E||_2 = f, the Schur complement of A + f I in the state
+    plus f I is D + f I - Y^dag Y, positive semidefinite; so no eigenvalue
+    lies below -f, and the lowest lies near it.
+    """
+    f = 0.9e-9
+    big = [i for i in range(dim) if i not in tiny]
+    tiny = sorted(tiny)
+
+    def normal(rows, cols):
+        return rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
+
+    g = normal(len(big), int(rng.integers(1, len(big) + 1)))
+    a = g @ g.conj().T
+    a /= np.trace(a).real
+    lam, v = np.linalg.eigh(a)
+    share = rng.uniform(0.5, 1.0) if len(tiny) > 1 else 1.0
+    y = normal(len(big), len(tiny))
+    y *= np.sqrt(share * f) / np.linalg.norm(y, 2)
+    e = normal(len(tiny), len(tiny))
+    e = (e + e.conj().T) - np.diag(2.0 * e.diagonal().real)
+    if len(tiny) > 1:
+        e *= (1.0 - share) * f / np.linalg.norm(e, 2)
+    m = np.zeros((dim, dim), dtype=complex)
+    m[np.ix_(big, big)] = a
+    m[np.ix_(big, tiny)] = c = (v * np.sqrt(np.maximum(lam, 0.0) + f)) @ v.conj().T @ y
+    m[np.ix_(tiny, big)] = c.conj().T
+    m[np.ix_(tiny, tiny)] = e + np.diag(10.0 ** rng.uniform(-170.0, -140.0, len(tiny)))
+    return (m + m.conj().T) / 2.0
+
+
+@settings(max_examples=20)
+@given(seeds, st.integers(2, 4), st.integers(1, 4), st.integers(1, 4), st.booleans(),
+       st.integers(20, 60), seeds)
+def test_certify_matches_reference_on_tiny_diagonal_states(seed, dim, l0, l1, shared, trials,
+                                                          certify_seed):
+    # Every state of the set is validated; with one tiny pattern for all,
+    # the mixture differences keep tiny diagonal entries beside couplings
+    # of up to about 3e-5.
+    rng = np.random.default_rng(seed)
+
+    def pattern():
+        return set(rng.choice(dim, int(rng.integers(1, dim)), replace=False).tolist())
+
+    common = pattern()
+    matrices = [tiny_diagonal_state(rng, dim, common if shared else pattern())
+                for _ in range(l0 + l1)]
+    set0 = ss.StateSet.from_matrices(matrices[:l0])
+    set1 = ss.StateSet.from_matrices(matrices[l0:])
+    t = ss.validate_povm_element(np.diag(rng.integers(0, 2, dim)).astype(complex))
+    report = ss.certify_forward(t, set0, set1, trials=trials, seed=certify_seed)
+    assert_same_report(report, reference_certify(t, set0, set1, trials, certify_seed))
+
+
 # --- screened set loading: the per-state validate_density loop's result ---
 # Sets of every size go through the screen; edge matrices sit within 1e-15
 # of a validation threshold.
@@ -518,6 +585,49 @@ def test_screen_changes_no_validation_outcome(case):
     assert outcome(ss.validate_density, m) == outcome(decomposed, m)
 
 
+# Sets just under and just over _LISTED_MAX entries (n d^2), which the
+# screen takes on Python numbers and with numpy.  Each edge matrix fails
+# validation in one way, by 2e-9 past a tolerance or by an entry that is
+# not finite or above 2^500.
+SET_EDGES = ("valid", "NaN", "+inf", "-inf", "above 2^500", "non-Hermitian", "trace", "floor")
+
+
+def set_edge_matrix(dim, kind, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "floor":  # lowest eigenvalue -2e-9, trace 1
+        rest = rng.uniform(0.01, 1.0, dim - 1)
+        lam = np.concatenate([[-2e-9], rest / rest.sum() * (1.0 + 2e-9)]) if dim > 1 else [-2e-9]
+        u = haar_unitary(dim, seed % 2**31)
+        m = u @ np.diag(lam) @ u.conj().T
+        return (m + m.conj().T) / 2.0
+    m = ss.random_density(dim, int(rng.integers(1, dim + 1)), seed).matrix.copy()
+    i, j = rng.integers(0, dim, 2)
+    if kind == "trace":
+        return m * (1.0 + 2e-9)
+    if kind == "non-Hermitian":  # asymmetry 2e-9
+        m[i, j] += 2e-9 if i != j else 1e-9j
+    elif kind == "above 2^500":
+        m[i, j] = m[j, i] = 2.0 ** 501
+    elif kind != "valid":
+        m[i, j] = {"NaN": np.nan, "+inf": np.inf, "-inf": -np.inf}[kind]
+    return m
+
+
+@settings(max_examples=200)
+@given(st.integers(min_value=1, max_value=8), st.booleans(), st.sampled_from(SET_EDGES), st.data())
+def test_screen_branch_changes_no_set_outcome(dim, over, kind, data):
+    count = ss.states._LISTED_MAX // (dim * dim) + over
+    if count == 0:
+        return  # no set of this dimension fits under the bound
+    assert (count * dim * dim > ss.states._LISTED_MAX) is over
+    matrices = [ss.random_density(dim, 1 + k % dim, data.draw(seeds)).matrix for k in range(count)]
+    matrices[data.draw(st.integers(0, count - 1))] = set_edge_matrix(dim, kind, data.draw(seeds))
+    stack, failure = validated_one_by_one(matrices)
+    assert (failure is None) is (kind == "valid")
+    assert_same_outcome(lambda: ss.StateSet.from_matrices(matrices), stack, failure,
+                        lambda k, exc: f"state {k}: {exc}")
+
+
 # --- the shifted Cholesky certificate: a pass is a proof ---
 
 @st.composite
@@ -545,11 +655,31 @@ def near_floor_stacks(draw, max_dim=16):
     return np.array(mats), np.array(floors)
 
 
+def certified_three_ways(stack, floors):
+    """(h, floor, ok) for each matrix, from three _lowest_above passes.
+
+    The stack goes through as drawn, then one matrix at a time as lists
+    (the Python-number branch at every d), then padded past _LISTED_MAX
+    entries with copies of the identity (the numpy branch at every d).
+    """
+    d = stack.shape[1]
+    pad = ss.states._LISTED_MAX // (d * d) + 1
+    padded = np.concatenate([stack, np.broadcast_to(np.eye(d), (pad, d, d))])
+    assert padded.size > ss.states._LISTED_MAX
+    through_numpy = ss.states._lowest_above(padded, np.concatenate([floors, np.zeros(pad)]))
+    assert through_numpy[len(stack):].all()  # the identity clears floor 0
+    passes = [ss.states._lowest_above(stack, floors),
+              [ss.states._lowest_above([h.tolist()], floor)[0] for h, floor in zip(stack, floors)],
+              through_numpy]
+    for passed in passes:
+        yield from zip(stack, floors, passed)  # zip stops at the drawn matrices
+
+
 @settings(max_examples=300)
 @given(near_floor_stacks())
 def test_certificate_passes_no_matrix_below_its_floor(case):
     stack, floors = case
-    for h, floor, ok in zip(stack, floors, ss.states._lowest_above(stack, floors)):
+    for h, floor, ok in certified_three_ways(stack, floors):
         if ok:
             bound = 1e-15 * max(1.0, np.linalg.norm(h))
             assert np.linalg.eigvalsh(h)[0] >= floor - bound
@@ -581,7 +711,7 @@ def exactly_positive_definite(h, floor):
 def test_certificate_passes_only_exactly_positive_definite_shifts(case):
     # No eigensolver's rounding to allow for: a pass must be a proof.
     stack, floors = case
-    for h, floor, ok in zip(stack, floors, ss.states._lowest_above(stack, floors)):
+    for h, floor, ok in certified_three_ways(stack, floors):
         if ok:
             assert exactly_positive_definite(h, floor)
 
