@@ -42,23 +42,27 @@ reflectors, phases and rotations (0.35 ms more at d = 9, 1.5 ms at
 d = 16).
 
 Validating a state or measurement needs no spectrum, only a proof that
-no eigenvalue lies below a floor.  states._lowest_above gives one by a
-shifted Cholesky factorization, and screen_densities and
-screen_povm_element use it.  A small input, at most states._LISTED_MAX
-entries (n d^2), is screened on Python numbers, where numpy's cost per
-call would outweigh the arithmetic, and a larger one with numpy; the
-branch depends only on the input's size.  hermitian_eig decomposes a
-state in validate_density only at d <= 4, where the benchmark's tracer
-test counts that decomposition, or when the proof cannot clear it.
-validate_povm_element screens a measurement itself, at every d, and
-decomposes it only when the proof cannot clear it; building a set with
-StateSet.from_matrices, and so loading one, decomposes only the states
-the screen rejects.
+no eigenvalue lies below a floor.  states proves it by a shifted
+Cholesky factorization, in one of two representations: _lowest_above
+factors an (n, d, d) numpy stack, _factors_above one matrix as rows of
+Python numbers.  screen_densities and screen_povm_element take the rows
+for an input of at most states._LISTED_MAX entries (n d^2), where
+numpy's cost per call would outweigh the arithmetic, and the stack for
+a larger one; the branch depends only on the input's size.
+random_density clears its lone draw on the rows at every d.
+hermitian_eig decomposes a state in validate_density only at d <= 4,
+where the benchmark's tracer test counts that decomposition, or when
+the proof cannot clear it.  validate_povm_element screens a measurement
+itself, at every d, and decomposes it only when the proof cannot clear
+it; building a set with StateSet.from_matrices, and so loading one,
+decomposes only the states the screen rejects.
 
-hermitian_eig scales a matrix with an entry above 2^500, or a nonzero one
-with every entry below 2^-500, by an exact power of two before reducing
-it, and its eigenvalues back, so that no norm overflows and the largest
-entry is never subnormal.
+hermitian_eig scales a matrix with a real or imaginary part above 2^500,
+or a nonzero one with every part below 2^-500, by an exact power of two
+before reducing it, and its eigenvalues back, so that no norm overflows
+and the largest entry is never subnormal.  The parts, unlike the moduli,
+are finite for every finite matrix; an eigenvalue past the largest float
+comes back infinite.
 """
 
 from __future__ import annotations
@@ -87,14 +91,14 @@ _U = 2.0 ** -53
 _NORMAL = 2.0 ** -1022
 # QL iterations allowed in all, per unit of dimension (LAPACK: 30 n).
 _QL_ITERATIONS_PER_DIM = 30
-# A matrix with an entry above _SCALE_ABOVE, or a nonzero one whose entries
-# are all below _SCALE_BELOW, is decomposed scaled by 2^-e, e the binary
-# exponent of its largest entry modulus, so that its largest entry lies in
-# [1/2, 1), and its eigenvalues are scaled back by 2^e.  Above, the squares
-# in a norm could overflow; below, they underflow, and subnormal entries
-# carry too few bits for the kernel's reflectors and rotations to stay
-# unitary (unscaled, a 3 x 3 of equal entries 2^-1070 gave eigenvectors
-# 1.8 from orthonormal).  Scaling by a power of two is exact for every
+# A matrix with a real or imaginary part above _SCALE_ABOVE, or a nonzero
+# one whose parts are all below _SCALE_BELOW, is decomposed scaled by 2^-e,
+# e the binary exponent of its largest part, so that its largest part lies
+# in [1/2, 1), and its eigenvalues are scaled back by 2^e.  Above, the
+# squares in a norm could overflow; below, they underflow, and subnormal
+# entries carry too few bits for the kernel's reflectors and rotations to
+# stay unitary (unscaled, a 3 x 3 of equal entries 2^-1070 gave
+# eigenvectors 1.8 from orthonormal).  Scaling by a power of two is exact for every
 # entry that stays normal, and the kernel commutes with it.
 _SCALE_ABOVE = 2.0 ** 500
 _SCALE_BELOW = 2.0 ** -500
@@ -130,7 +134,10 @@ def as_matrix(m) -> np.ndarray:
 def check_hermitian(m) -> np.ndarray:
     """Return the input as a matrix, raising NotHermitianError beyond HERMITICITY_TOL."""
     a = as_matrix(m)
-    asym = float(np.abs(a - a.conj().T).max())
+    # An infinite entry, or an asymmetry past the largest float, makes it NaN
+    # or infinite: the error says so, with no warning.
+    with np.errstate(invalid="ignore", over="ignore"):
+        asym = float(np.abs(a - a.conj().T).max())
     if not asym <= HERMITICITY_TOL:
         raise NotHermitianError(
             f"max entry asymmetry {asym:.3e} exceeds tolerance {HERMITICITY_TOL:.1e}"
@@ -322,14 +329,15 @@ def hermitian_eig(m) -> EigenDecomposition:
 
     The input is checked against HERMITICITY_TOL, the package's one
     Hermiticity gate (the validators leave it to this call), and
-    symmetrized to (M + M^dag)/2; a matrix whose largest entry is above
-    2^500 or below 2^-500 (and not zero) is first scaled by an exact power
-    of two, and its eigenvalues back.  More than 30 n QL iterations raise
-    NoConvergenceError.  Output is deterministic for identical input bits:
+    symmetrized to (M + M^dag)/2; a matrix whose largest real or imaginary
+    part is above 2^500 or below 2^-500 (and not zero) is first scaled by
+    an exact power of two, and its eigenvalues back.  More than 30 n QL
+    iterations raise NoConvergenceError.  Output is deterministic for identical input bits:
     eigenvalues ascending, ties kept in the kernel's output order.
     """
     a = check_hermitian(m)
-    big = float(np.abs(a).max())
+    # The largest real or imaginary part, finite where a modulus could overflow.
+    big = float(np.abs(a.view(np.float64)).max())
     exponent = math.frexp(big)[1] if big > _SCALE_ABOVE or 0.0 < big < _SCALE_BELOW else 0
     if exponent:
         a = np.ldexp(a.view(np.float64), -exponent).view(np.complex128)
@@ -337,7 +345,8 @@ def hermitian_eig(m) -> EigenDecomposition:
     eigenvalues, log = _householder_ql(h)
     eigenvalues = np.array(eigenvalues)
     if exponent:
-        eigenvalues = np.ldexp(eigenvalues, exponent)
+        with np.errstate(over="ignore"):  # past the largest float: infinite
+            eigenvalues = np.ldexp(eigenvalues, exponent)
     order = np.argsort(eigenvalues, kind="stable")
     return EigenDecomposition(np.ascontiguousarray(eigenvalues[order]), log, order)
 

@@ -219,21 +219,20 @@ def screened(matrices):
         yield state
 
 
-def _lowest_above(h, floor) -> np.ndarray:
-    """Mask of the matrices of an (n, d, d) stack proved to have no eigenvalue below floor.
+def _lowest_above(h: np.ndarray, floor) -> np.ndarray:
+    """Mask of the matrices of an (n, d, d) array proved to have no eigenvalue below floor.
 
-    floor is one number or one per matrix.  h is an array, or n matrices
-    as nested lists of Python numbers, as ndarray.tolist() gives them.  A
-    matrix passes only if it is exactly Hermitian (as a symmetrized
-    (M + M^dag)/2 is), every entry is at most 2^500 in modulus, and a
-    Cholesky factorization of h - (floor + delta) I completes with every
-    pivot positive.  Lists, and a stack of at most _LISTED_MAX entries
-    (n d^2), are factored on Python numbers, one matrix at a time, and a
-    matrix stops at its first pivot that is not positive.  A larger stack
-    is factored column by column with numpy, the matrices never mixing;
-    there a NaN or infinity arising in one's factorization (the root of a
-    negative pivot, say) reaches one of its later pivots, which then
-    fails.  On Python numbers a NaN or infinity in a row of the factor
+    floor is one number or one per matrix.  This is the certificate of a
+    numpy stack; _factors_above is the same certificate of one matrix on
+    Python numbers, and the proof below covers both.  A matrix passes only
+    if it is exactly Hermitian (as a symmetrized (M + M^dag)/2 is), every
+    entry is at most 2^500 in modulus, and a Cholesky factorization of
+    h - (floor + delta) I completes with every pivot positive.  Here the
+    stack is factored column by column, the matrices never mixing, and a
+    NaN or infinity arising in one's factorization (the root of a negative
+    pivot, say) reaches one of its later pivots, which then fails.
+    _factors_above builds the factor row by row and stops at the first
+    pivot that is not positive; a NaN or infinity in a row of its factor
     reaches that row's pivot, which fails.
 
     Why that is a proof (Higham, Accuracy and Stability of Numerical
@@ -263,17 +262,6 @@ def _lowest_above(h, floor) -> np.ndarray:
       (d + 3) u B.  8 (d + 2) u B is more than 5 times that for d < 10^6,
       rounding of B and delta included, in whichever order B is summed.
     """
-    if isinstance(h, list):
-        if isinstance(floor, (int, float)):
-            floors = [float(floor)] * len(h)
-        elif isinstance(floor, list):
-            floors = floor
-        else:
-            floors = np.broadcast_to(floor, len(h)).tolist()
-        return np.array([_factors_above(m, f) for m, f in zip(h, floors)], dtype=bool)
-    h = np.asarray(h, dtype=np.complex128)
-    if h.size <= _LISTED_MAX:
-        return _lowest_above(h.tolist(), floor)
     n, d = h.shape[0], h.shape[1]
     ok = ((np.abs(h) <= _SCALE_ABOVE) & (h == h.conj().transpose(0, 2, 1))).all(axis=(1, 2))
     a = h.reshape(n, d * d).copy()
@@ -289,10 +277,11 @@ def _lowest_above(h, floor) -> np.ndarray:
         return ok & (diag.real > 0.0).all(axis=1)
 
 
-def _factors_above(rows, floor) -> bool:
-    """_lowest_above's test of one matrix, d rows of Python numbers, on Python numbers.
+def _factors_above(rows, floor: float) -> bool:
+    """Whether one matrix, d rows of Python numbers, is proved to have no eigenvalue below floor.
 
-    The factor is built row by row, each entry its inner product with an
+    _lowest_above's certificate on Python numbers, with its proof: the
+    factor is built row by row, each entry its inner product with an
     earlier row subtracted term by term, as the column-by-column numpy
     factorization subtracts it, then divided by that row's root pivot.
     Only the lower triangle is read: the upper is its conjugate, as the
@@ -398,24 +387,26 @@ def screen_densities(matrices) -> np.ndarray:
     validate_density's three checks run on the whole stack at once.  A
     matrix is passed only when each clears its threshold by a rounding
     slack: asymmetry up to HERMITICITY_TOL * (1 - 2^-50); no eigenvalue
-    below EIG_FLOOR + EIGENVALUE_TOL * max(1, ||M||_F), proved by one shifted
-    Cholesky factorization of the stack (_lowest_above), with no spectrum
-    computed; and the trace's real and imaginary deviations inside
-    TRACE_TOL and TRACE_IMAG_TOL by d * 2^-51 * sum_i |M_ii|, more than two
-    orders of summing the diagonal can differ by.  Every other matrix is
+    below EIG_FLOOR + EIGENVALUE_TOL * max(1, ||M||_F), proved by a
+    shifted Cholesky factorization, with no spectrum computed; and the
+    trace's real and imaginary deviations inside TRACE_TOL and
+    TRACE_IMAG_TOL by d * 2^-51 * sum_i |M_ii|, more than two orders of
+    summing the diagonal can differ by.  Every other matrix is
     left to validate_density, which alone words an error; nothing is
     passed if the input is not a stack of square matrices.
 
     A stack of at most _LISTED_MAX entries (n d^2) is screened on Python
-    numbers, one matrix at a time (_listed_parts, then _lowest_above on the
-    rows); a larger one with numpy, all matrices at once.  The branch
-    depends only on the input's size.
+    numbers, one matrix at a time (_listed_parts, the trace check, then
+    _factors_above on the rows); a larger one with numpy, all matrices at
+    once (_screen_parts, the trace check, then one _lowest_above call).
+    The branch depends only on the input's size.
 
     Its time per call in ms, each branch with its certificate's share
-    (_lowest_above on the symmetrized stack), against a loop over the
-    states of hermitian_eig and of validate_density's two paths,
-    decomposing every state and screening every state, each on the branch
-    a lone matrix takes (all states valid and full rank, median of 9
+    (_factors_above on each symmetrized matrix's rows, _lowest_above on
+    the symmetrized stack), against a loop over the states of
+    hermitian_eig and of validate_density's two paths, decomposing every
+    state and screening every state, each on the branch a lone matrix
+    takes (all states valid and full rank, median of 9
     interleaved runs of 1-2,000 calls; 2-core shared machine, Python
     3.11.7, numpy 2.4.6):
 
@@ -460,7 +451,17 @@ def screen_densities(matrices) -> np.ndarray:
     if a is None:
         return np.zeros(len(matrices), dtype=bool)
     if a.size <= _LISTED_MAX:
-        return _screen_listed(a.tolist())
+        passed = []
+        for m in a.tolist():
+            parts = _listed_parts(m)
+            if parts is None:
+                passed.append(False)
+                continue
+            h, margin, tr, tr_slack = parts
+            passed.append(abs(tr.real - 1.0) <= TRACE_TOL - tr_slack
+                          and abs(tr.imag) <= TRACE_IMAG_TOL - tr_slack
+                          and _factors_above(h, EIG_FLOOR + margin))
+        return np.array(passed, dtype=bool)
     h, hermitian, margin = _screen_parts(a)
     # A trace that overflows is infinite, and its matrix not passed.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -475,40 +476,18 @@ def screen_densities(matrices) -> np.ndarray:
         )
 
 
-def _screen_listed(matrices) -> np.ndarray:
-    """screen_densities of a stack given as ndarray.tolist()'s rows, on Python numbers.
-
-    The matrices that clear the asymmetry and trace checks go to one
-    _lowest_above call, as rows.
-    """
-    candidate, hs, floors = [], [], []
-    for m in matrices:
-        parts = _listed_parts(m)
-        if parts is None:
-            candidate.append(False)
-            continue
-        h, margin, tr, tr_slack = parts
-        ok = abs(tr.real - 1.0) <= TRACE_TOL - tr_slack and abs(tr.imag) <= TRACE_IMAG_TOL - tr_slack
-        if ok:
-            hs.append(h)
-            floors.append(EIG_FLOOR + margin)
-        candidate.append(ok)
-    passed = np.array(candidate, dtype=bool)
-    passed[passed] = _lowest_above(hs, floors)
-    return passed
-
-
 def screen_povm_element(m) -> bool:
     """Whether the matrix m certainly passes validate_povm_element.
 
-    It must be Hermitian within HERMITICITY_TOL * (1 - 2^-50), and one
-    _lowest_above call on the pair (h, -h) must prove h >= (EIG_FLOOR +
-    margin) I and h <= (POVM_CEILING - margin) I, with h = (M + M^dag) / 2
-    and margin = EIGENVALUE_TOL * max(1, ||M||_F).  Negating h is exact,
-    so the upper side costs no rounding.  A matrix of at most _LISTED_MAX
-    entries is screened on Python numbers, as screen_densities screens a
-    small stack.  False leaves m to validate_povm_element, which alone
-    words an error.
+    It must be Hermitian within HERMITICITY_TOL * (1 - 2^-50), and the
+    certificate of h and of -h must prove h >= (EIG_FLOOR + margin) I and
+    h <= (POVM_CEILING - margin) I, with h = (M + M^dag) / 2 and margin =
+    EIGENVALUE_TOL * max(1, ||M||_F).  Negating h is exact, so the upper
+    side costs no rounding.  A matrix of at most _LISTED_MAX entries is
+    screened on Python numbers (_factors_above on each), as
+    screen_densities screens a small stack, and a larger one with numpy
+    (one _lowest_above call on the pair).  False leaves m to
+    validate_povm_element, which alone words an error.
     """
     a = _as_stack([m])
     if a is None:
@@ -518,8 +497,8 @@ def screen_povm_element(m) -> bool:
         if parts is None:
             return False
         h, margin, _, _ = parts
-        pair = [h, [[-z for z in row] for row in h]]
-        return bool(_lowest_above(pair, [EIG_FLOOR + margin, margin - POVM_CEILING]).all())
+        return (_factors_above(h, EIG_FLOOR + margin)
+                and _factors_above([[-z for z in row] for row in h], margin - POVM_CEILING))
     h, hermitian, margin = _screen_parts(a)
     floors = np.concatenate([EIG_FLOOR + margin, margin - POVM_CEILING])
     return bool(hermitian[0] and _lowest_above(np.concatenate([h, -h]), floors).all())
@@ -602,11 +581,16 @@ def random_density(dim: int, rank: int, seed: int) -> DensityMatrix:
     construction, so the result is not validated.  With rank == dim it is
     full rank with overwhelming probability; a near-singular draw, minimum
     eigenvalue at most 1e-12, is flagged with a warning rather than
-    rejected.  A shifted Cholesky certificate (_lowest_above) rules the
-    warning out for almost every draw; only a draw it cannot clear costs
-    an eigendecomposition, the only one this function spends.  Up to
-    d = 6 the certificate runs on Python numbers, 0.010-0.023 ms a draw
-    at d = 2-6, where numpy's took 0.023-0.048 ms (see screen_densities).
+    rejected.  A shifted Cholesky certificate on the draw's rows of Python
+    numbers (_factors_above) rules the warning out for almost every draw;
+    only a draw it cannot clear costs an eigendecomposition, the only one
+    this function spends.  The certificate takes the rows at every d.  A
+    whole full-rank draw took, in ms, 0.028-0.062 at d = 2-6, 0.074-0.077
+    at d = 7, 0.10-0.11 at d = 9, 0.16-0.17 at d = 12 and 0.27-0.28 at
+    d = 16, against 0.11, 0.14, 0.18-0.20 and 0.27-0.28 with the
+    certificate on a one-matrix numpy stack from d = 7 up (least and
+    median of 5 interleaved runs, each the best of 7 repeats of 300 calls;
+    2-core shared machine, Python 3.11.7, numpy 2.4.6).
 
     A dimension or rank that is not an integer, or not 1 <= rank <= dim,
     raises BadRankError; a seed that is not an integer BadConfigError.
@@ -624,7 +608,7 @@ def random_density(dim: int, rank: int, seed: int) -> DensityMatrix:
     # hermitian_eig errs by at most EIGENVALUE_TOL * max(1, ||rho||_F), and
     # ||rho||_F <= 1 to rounding: a draw proved above this floor cannot warn.
     floor = 1e-12 + 2 * EIGENVALUE_TOL
-    if rank == dim and not _lowest_above(((rho + rho.conj().T) / 2.0)[None], floor)[0]:
+    if rank == dim and not _factors_above(((rho + rho.conj().T) / 2.0).tolist(), floor):
         lo = float(hermitian_eig(rho).eigenvalues[0])
         if lo <= 1e-12:
             warnings.warn(

@@ -51,6 +51,14 @@ def measurement_document(t: ss.PovmElement) -> dict:
     return {"dim": t.dim, "matrix": stateio.matrix_to_jsonable(t.matrix)}
 
 
+def huge_state(dim: int) -> np.ndarray:
+    """I/d with one off-diagonal pair whose parts, 1.5e308, are finite and
+    whose modulus is not: eigenvalues 1/d +/- 2.1e308, past the largest float."""
+    m = np.eye(dim, dtype=complex) / dim
+    m[0, 1], m[1, 0] = 1.5e308 + 1.5e308j, 1.5e308 - 1.5e308j
+    return m
+
+
 def random_hermitian(rng: np.random.RandomState, dim: int) -> np.ndarray:
     m = rng.uniform(-1.0, 1.0, (dim, dim)) + 1j * rng.uniform(-1.0, 1.0, (dim, dim))
     return (m + m.conj().T) / 2.0

@@ -9,8 +9,10 @@ import pytest
 
 import statesep as ss
 from statesep import cli, stateio
+from statesep.errors import NotPositiveError
 
-from conftest import KET0, KET1, MIXED2, PLUS, random_instance, set_document, state_set
+from conftest import (KET0, KET1, MIXED2, PLUS, huge_state, random_instance, set_document,
+                      state_set)
 
 
 def run_cli(*argv):
@@ -69,6 +71,19 @@ class TestValidate:
         assert run_cli("validate", str(big), files["orth1"]) == 1
         out = capsys.readouterr().out
         assert "state 3: BadTraceError" in out and "state 8: NotPositiveError" in out
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_huge_complex_entry_is_not_positive(self, files, capsys, tmp_path):
+        # Finite parts, whose modulus overflows: a legal file.
+        huge = tmp_path / "huge.json"
+        unchecked = ss.StateSet(dim=2, states=(ss.DensityMatrix(huge_state(2)),))
+        stateio.save_state_set(str(huge), unchecked)
+        message = "minimum eigenvalue -inf below -1.0e-09"
+        with pytest.raises(NotPositiveError) as err:
+            stateio.load_state_set(str(huge))
+        assert str(err.value) == f"{huge}: state 0: {message}"
+        assert run_cli("validate", str(huge), files["orth1"]) == 1
+        assert f"{huge}: state 0: NotPositiveError: {message}\n" in capsys.readouterr().out
 
     def test_dim_mismatch(self, files, capsys, tmp_path):
         three = tmp_path / "three.json"

@@ -9,7 +9,7 @@ import statesep as ss
 import statesep.hermitian as hm
 from statesep.errors import NoConvergenceError, NotHermitianError, NotPositiveError
 
-from conftest import random_hermitian, random_instance
+from conftest import huge_state, random_hermitian, random_instance
 
 
 @st.composite
@@ -249,6 +249,12 @@ class TestHugeEntries:
         for lam in (hm.hermitian_eig(m).eigenvalues, np.linalg.eigvalsh(m)):
             assert np.abs(lam - expected).max() <= hm.EIGENVALUE_TOL * 1e160
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_entry_whose_modulus_overflows_gives_infinite_eigenvalues(self):
+        # The scaling exponent comes from the finite parts, and the
+        # spectrum is past the largest float on both sides.
+        assert hm.hermitian_eig(huge_state(2)).eigenvalues.tolist() == [-np.inf, np.inf]
+
     def test_scaling_commutes_bit_for_bit(self):
         h = random_hermitian(np.random.RandomState(5), 5)
         dec = hm.hermitian_eig(h)
@@ -398,6 +404,20 @@ def test_check_hermitian_tolerance():
     hm.check_hermitian(good)
     with pytest.raises(NotHermitianError):
         hm.check_hermitian(np.array([[1.0, 1e-8j], [0.0, 1.0]]))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("pair,asym", [
+    ((np.inf, 0.0), "inf"),
+    ((np.inf, np.inf), "nan"),  # inf - inf
+    ((1e308 + 1e308j, -0.5e308 + 0.5e308j), "inf"),  # finite, its asymmetry not
+])
+def test_check_hermitian_words_an_overflowing_asymmetry_without_warning(pair, asym):
+    m = np.eye(2, dtype=complex) / 2
+    m[0, 1], m[1, 0] = pair
+    with pytest.raises(NotHermitianError,
+                       match=f"^max entry asymmetry {asym} exceeds tolerance 1.0e-09$"):
+        hm.check_hermitian(m)
 
 
 def test_as_matrix_rejects_bad_shapes():

@@ -34,7 +34,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import statesep as ss
@@ -587,9 +587,13 @@ def test_screen_changes_no_validation_outcome(case):
 
 # Sets just under and just over _LISTED_MAX entries (n d^2), which the
 # screen takes on Python numbers and with numpy.  Each edge matrix fails
-# validation in one way, by 2e-9 past a tolerance or by an entry that is
-# not finite or above 2^500.
-SET_EDGES = ("valid", "NaN", "+inf", "-inf", "above 2^500", "non-Hermitian", "trace", "floor")
+# validation in one way, by 2e-9 past a tolerance, by an entry that is
+# not finite or above 2^500, or by a pair of finite entries whose modulus
+# or asymmetry is past the largest float.
+SET_EDGES = ("valid", "NaN", "+inf", "-inf", "above 2^500", "non-Hermitian", "trace", "floor",
+             "huge modulus", "huge asymmetry")
+HUGE_PAIRS = {"huge modulus": (1.5e308 + 1.5e308j, 1.5e308 - 1.5e308j),
+              "huge asymmetry": (1e308 + 1e308j, -0.5e308 + 0.5e308j)}
 
 
 def set_edge_matrix(dim, kind, seed):
@@ -608,11 +612,15 @@ def set_edge_matrix(dim, kind, seed):
         m[i, j] += 2e-9 if i != j else 1e-9j
     elif kind == "above 2^500":
         m[i, j] = m[j, i] = 2.0 ** 501
+    elif kind in HUGE_PAIRS:  # off the diagonal, but for d = 1
+        i, j = rng.permutation(dim)[:2] if dim > 1 else (0, 0)
+        m[i, j], m[j, i] = HUGE_PAIRS[kind]
     elif kind != "valid":
         m[i, j] = {"NaN": np.nan, "+inf": np.inf, "-inf": -np.inf}[kind]
     return m
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=200)
 @given(st.integers(min_value=1, max_value=8), st.booleans(), st.sampled_from(SET_EDGES), st.data())
 def test_screen_branch_changes_no_set_outcome(dim, over, kind, data):
@@ -655,31 +663,22 @@ def near_floor_stacks(draw, max_dim=16):
     return np.array(mats), np.array(floors)
 
 
-def certified_three_ways(stack, floors):
-    """(h, floor, ok) for each matrix, from three _lowest_above passes.
+def certified_both_ways(stack, floors):
+    """(h, floor, ok) for each matrix, from both certificates.
 
-    The stack goes through as drawn, then one matrix at a time as lists
-    (the Python-number branch at every d), then padded past _LISTED_MAX
-    entries with copies of the identity (the numpy branch at every d).
+    The stack goes through _lowest_above as drawn (numpy), then each
+    matrix through _factors_above as rows (Python numbers).
     """
-    d = stack.shape[1]
-    pad = ss.states._LISTED_MAX // (d * d) + 1
-    padded = np.concatenate([stack, np.broadcast_to(np.eye(d), (pad, d, d))])
-    assert padded.size > ss.states._LISTED_MAX
-    through_numpy = ss.states._lowest_above(padded, np.concatenate([floors, np.zeros(pad)]))
-    assert through_numpy[len(stack):].all()  # the identity clears floor 0
-    passes = [ss.states._lowest_above(stack, floors),
-              [ss.states._lowest_above([h.tolist()], floor)[0] for h, floor in zip(stack, floors)],
-              through_numpy]
-    for passed in passes:
-        yield from zip(stack, floors, passed)  # zip stops at the drawn matrices
+    yield from zip(stack, floors, ss.states._lowest_above(stack, floors))
+    for h, floor in zip(stack, floors):
+        yield h, floor, ss.states._factors_above(h.tolist(), float(floor))
 
 
 @settings(max_examples=300)
 @given(near_floor_stacks())
 def test_certificate_passes_no_matrix_below_its_floor(case):
     stack, floors = case
-    for h, floor, ok in certified_three_ways(stack, floors):
+    for h, floor, ok in certified_both_ways(stack, floors):
         if ok:
             bound = 1e-15 * max(1.0, np.linalg.norm(h))
             assert np.linalg.eigvalsh(h)[0] >= floor - bound
@@ -711,14 +710,16 @@ def exactly_positive_definite(h, floor):
 def test_certificate_passes_only_exactly_positive_definite_shifts(case):
     # No eigensolver's rounding to allow for: a pass must be a proof.
     stack, floors = case
-    for h, floor, ok in certified_three_ways(stack, floors):
+    for h, floor, ok in certified_both_ways(stack, floors):
         if ok:
             assert exactly_positive_definite(h, floor)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=100)
 @given(st.integers(min_value=1, max_value=16),
-       st.sampled_from(["NaN", "infinity", "above 2^500", "non-Hermitian"]), st.data())
+       st.sampled_from(["NaN", "infinity", "above 2^500", "huge modulus", "non-Hermitian"]),
+       st.data())
 def test_certificate_passes_no_non_finite_huge_or_non_hermitian_matrix(dim, kind, data):
     rho = ss.random_density(dim, dim, data.draw(seeds)).matrix
     good = (rho + rho.conj().T) / 2.0
@@ -733,17 +734,24 @@ def test_certificate_passes_no_non_finite_huge_or_non_hermitian_matrix(dim, kind
         # Positive definite still, but an entry too large to factor safely.
         bad[i, i] = data.draw(st.floats(min_value=np.nextafter(2.0 ** 500, np.inf),
                                         max_value=1e308))
+    elif kind == "huge modulus":
+        # Finite parts, but a modulus past the largest float.
+        assume(i != j)
+        bad[i, j], bad[j, i] = HUGE_PAIRS[kind]
     else:
         tiny = data.draw(st.floats(min_value=5e-324, max_value=1e-3))
         bad[i, j] += tiny if i != j else 1j * tiny
     passed = ss.states._lowest_above(np.array([good, bad, good]), -0.5)
     assert passed.tolist() == [True, False, True]
+    assert [ss.states._factors_above(m.tolist(), -0.5) for m in (good, bad, good)] == \
+        [True, False, True]
 
 
 @st.composite
 def edge_measurements(draw):
-    """A measurement well inside [0, I], or within 1e-15 of a threshold."""
-    dim = draw(st.integers(min_value=1, max_value=4))
+    """A measurement well inside [0, I], or within 1e-15 of a threshold, at d = 1-9:
+    on both of screen_povm_element's branches."""
+    dim = draw(st.integers(min_value=1, max_value=9))
     kind = draw(st.sampled_from(["inside", "floor", "ceiling", "non-Hermitian"]))
     lam = draw(hnp.arrays(np.float64, dim, elements=st.floats(0.01, 0.99)))
     if kind == "floor":

@@ -18,7 +18,7 @@ from statesep.errors import (
     SpectrumOutOfRangeError,
 )
 
-from conftest import KET0, KET1, MIXED2, density, state_set
+from conftest import KET0, KET1, MIXED2, density, huge_state, state_set
 
 
 class TestValidateDensity:
@@ -134,10 +134,16 @@ class TestScreenDensities:
 
 
 class TestLowestAbove:
+    """The certificate on a numpy stack (_lowest_above) and on rows of Python
+    numbers (_factors_above), each checked on its own representation."""
+
     def test_floor_is_per_matrix(self):
         h = np.array([np.diag([0.25, 1.0]), np.diag([0.25, 1.0]), np.diag([-0.25, 1.0])])
         assert ss.states._lowest_above(h, 0.2).tolist() == [True, True, False]
         assert ss.states._lowest_above(h, [0.2, 0.3, -0.3]).tolist() == [True, False, True]
+        rows = h.astype(complex).tolist()
+        assert [ss.states._factors_above(m, f) for m, f in zip(rows, [0.2, 0.3, -0.3])] == \
+            [True, False, True]
 
     def test_eigenvalue_on_the_floor_is_not_passed(self):
         # Proof needs the floor cleared by the rounding shift.
@@ -145,6 +151,9 @@ class TestLowestAbove:
             h = np.diag(np.linspace(0.1, 1.0, dim))
             assert ss.states._lowest_above(h[None], 0.1 - 1e-12)[0]
             assert not ss.states._lowest_above(h[None], 0.1)[0]
+            rows = h.astype(complex).tolist()
+            assert ss.states._factors_above(rows, 0.1 - 1e-12)
+            assert not ss.states._factors_above(rows, 0.1)
 
     def test_rotated_states_pass_and_rows_are_independent(self):
         stack = np.array([ss.random_density(6, 6, seed).matrix for seed in range(40)])
@@ -155,6 +164,7 @@ class TestLowestAbove:
         assert passed.tolist() == [k % 2 == 1 for k in range(40)]
         for k in range(40):
             assert ss.states._lowest_above(stack[k:k + 1], floors[k])[0] == passed[k]
+            assert ss.states._factors_above(stack[k].tolist(), float(floors[k])) == passed[k]
 
 
 class TestScreenPovmElement:
@@ -201,6 +211,20 @@ class TestValidatePovmElement:
         assert len(kernel_calls) == 1
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("dim", [2, 7])  # each screen on Python numbers, then on numpy
+class TestHugeComplexEntry:
+    def test_state_is_not_positive(self, dim):
+        with pytest.raises(NotPositiveError, match="^minimum eigenvalue -inf below -1.0e-09$"):
+            ss.validate_density(huge_state(dim))
+        with pytest.raises(NotPositiveError, match="^state 1: minimum eigenvalue -inf below"):
+            ss.StateSet.from_matrices([np.eye(dim) / dim, huge_state(dim)])
+
+    def test_measurement_is_out_of_range(self, dim):
+        with pytest.raises(SpectrumOutOfRangeError, match="^eigenvalue -inf outside"):
+            ss.validate_povm_element(huge_state(dim))
+
+
 class TestStateSet:
     def test_uniform_dimension_enforced(self):
         with pytest.raises(DimensionMismatchError):
@@ -211,6 +235,13 @@ class TestStateSet:
             ss.StateSet(dim=2, states=())
         with pytest.raises(EmptySetError, match="^state set must contain at least one state$"):
             ss.StateSet.from_matrices([])
+
+    def test_matrices_that_form_no_stack_are_validated_one_by_one(self):
+        with pytest.raises(DimensionMismatchError,
+                           match="^state 1 has dimension 3, set dimension is 2$"):
+            ss.StateSet.from_matrices([np.eye(2) / 2, np.eye(3) / 3])
+        with pytest.raises(NotPositiveError, match="^state 1: minimum eigenvalue -2.000e-01 below"):
+            ss.StateSet.from_matrices([np.eye(2) / 2, np.diag([1.2, -0.2, 0.0])])
 
     def test_from_matrices_names_the_failing_state(self):
         mats = [np.eye(2) / 2, np.diag([1.0, 0.0]), np.diag([1.2, -0.2]), np.diag([2.0, 0.0])]
@@ -324,7 +355,7 @@ class TestRandomDensity:
         expected = [ss.random_density(4, rank, seed=5).matrix.tobytes() for rank in (1, 2, 3, 4)]
         assert len(kernel_calls) == 0
         # A draw the certificate cannot clear costs one spectrum, same bits.
-        monkeypatch.setattr(ss.states, "_lowest_above", lambda h, floor: np.zeros(len(h), bool))
+        monkeypatch.setattr(ss.states, "_factors_above", lambda rows, floor: False)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert ss.random_density(4, 4, seed=5).matrix.tobytes() == expected[3]
@@ -332,6 +363,15 @@ class TestRandomDensity:
         for rank in (1, 2, 3):
             ss.random_density(4, rank, seed=5)
         assert len(kernel_calls) == 1
+
+    @pytest.mark.parametrize("dim", [2, 7, 16])
+    def test_full_rank_draw_is_cleared_on_python_numbers(self, dim, kernel_calls, monkeypatch):
+        def numpy_certificate(h, floor):
+            raise AssertionError("random_density factored a numpy stack")
+
+        monkeypatch.setattr(ss.states, "_lowest_above", numpy_certificate)
+        ss.random_density(dim, dim, seed=5)
+        assert len(kernel_calls) == 0
 
     def test_near_singular_draw_warns(self, monkeypatch):
         # Both columns of G are (1, 1): a rank-2 draw that comes out as |+><+|.
