@@ -19,11 +19,12 @@ C.  The solver keeps one tableau B^-1 [A | I_R | e], with a row per basic
 variable and a row of reduced costs, and a column per structural, a slot
 per tight row's slack (a loose row's is a unit vector, so needs none) and
 the right-hand side e, which is the slot of the row sum(w) = 1.
-np.linalg.inv factorizes the first cut's basis; after that each pivot is
-one rank-one update of the active columns in place, and no inverse is
-formed again.  Rounding so carries from pivot to pivot; the tests hold
-the tableau to a fresh factorization of its basis.  a and b are basic
-from the first basis on and, being free, never leave it.
+The first cut's basis is triangular, so its tableau is written in closed
+form; after that each pivot is one rank-one update of the active columns
+in place, and no inverse is ever formed.  Rounding so carries from pivot
+to pivot; the tests hold the tableau to a fresh factorization of its
+basis.  a and b are basic from the first basis on and, being free, never
+leave it.
 
 Adding a cut appends its column B^-1 a (the slots times a[R], plus each
 loose row's entry at its slack's position) with its reduced cost, and
@@ -144,21 +145,27 @@ class Master:
 
     def _factorize(self, col: np.ndarray) -> None:
         """The tableau of the first basis: all weight on the first cut, a and
-        b at its extreme rows, so every slack is >= 0."""
-        eq = self.eq
-        rows = [int(np.argmax(col[:self.l0])), self.l0 + int(np.argmax(col[self.l0:eq])), eq]
+        b at its extreme rows r0 and r1, so every slack is >= 0.
+
+        Over a, b and the cut, at rows r0, r1 and sum(w) = 1, the basis is
+        the triangular [[1, 0, c0], [0, -1, c1], [0, 0, 1]], c0 = col[r0]
+        and c1 = col[r1], so each entry of its tableau is an entry of col
+        or one difference: a = -c0, b = c1, and each loose row's slack is
+        c0 or c1 less its own entry."""
+        l0, eq, t = self.l0, self.eq, self.table
+        r0, r1 = int(np.argmax(col[:l0])), l0 + int(np.argmax(col[l0:eq]))
+        rows = [r0, r1, eq]
         self.tight = rows[:2]
         self.head[rows] = [_A, _B, 2]
         self.bounded[rows[:2]] = False  # a and b, free, never leave
-        # [A | I_R | e] over the columns a, b, the cut, then the slots.
-        full = np.zeros((eq + 1, 6))
-        full[:self.l0, _A], full[self.l0:eq, _B], full[:, 2] = 1.0, -1.0, col
-        full[rows, [3, 4, 5]] = 1.0
-        x = np.linalg.inv(full[rows, :3]) @ full[rows]
-        tableau = full - full[:, :3] @ x
-        tableau[rows] = x
-        self.table[:6, :-1] = tableau.T
-        self.table[:6, -1] = np.array([1.0, -1.0, 0, 0, 0, 0]) - (x[0] - x[1])  # c - c_B x
+        c0, c1 = col[r0], col[r1]
+        # The columns a, b, the cut, the slots of r0 and r1, then the
+        # right-hand side; the table starts at zero.
+        t[[_A, _B, 2], rows] = 1.0
+        t[3, :l0], t[3, r0], t[4, l0:eq] = -1.0, 1.0, -1.0
+        t[5, :l0], t[5, l0:eq] = c0 - col[:l0], c1 - col[l0:eq]
+        t[5, rows] = -c0, c1, 1.0
+        t[3:6, -1] = -1.0, -1.0, c0 + c1  # c - c_B B^-1 [A | I_R | e]
 
     def _entering(self, gains: np.ndarray, bland: bool) -> int | None:
         """The entering column, or None at optimality.  A NaN gain never

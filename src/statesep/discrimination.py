@@ -40,7 +40,7 @@ from .states import EIG_FLOOR, POVM_CEILING, TRACE_TOL, DensityMatrix, PovmEleme
 _DELTA = max(HERMITICITY_TOL, -EIG_FLOOR, TRACE_TOL, POVM_CEILING - 1.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GapReport:
     """Per-pair expectation gaps of one measurement against two sets.
 

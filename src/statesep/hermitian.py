@@ -16,9 +16,8 @@ closest ones here, from their stream weights (math.log), so its reported
 bytes depend on neither; solve_saddle chooses each cut from numpy's eigh
 of its query and recomputes here the distance of every query that could
 lower the upper bound, so every reported upper bound is a value of this
-kernel; and the LP master (_master.py) factorizes its first basis with
-np.linalg.inv and updates its tableau with numpy products to choose
-weights that the solver then evaluates exactly.
+kernel; and the LP master (_master.py) updates its tableau with numpy
+products to choose weights that the solver then evaluates exactly.
 The grid oracles (oracles.py) use eigvalsh on purpose, as a reference
 independent of this module.
 
@@ -42,20 +41,8 @@ reflectors, phases and rotations (0.35 ms more at d = 9, 1.5 ms at
 d = 16).
 
 Validating a state or measurement needs no spectrum, only a proof that
-no eigenvalue lies below a floor.  states proves it by a shifted
-Cholesky factorization, in one of two representations: _lowest_above
-factors an (n, d, d) numpy stack, _factors_above one matrix as rows of
-Python numbers.  screen_densities and screen_povm_element take the rows
-for an input of at most states._LISTED_MAX entries (n d^2), where
-numpy's cost per call would outweigh the arithmetic, and the stack for
-a larger one; the branch depends only on the input's size.
-random_density clears its lone draw on the rows at every d.
-hermitian_eig decomposes a state in validate_density only at d <= 4,
-where the benchmark's tracer test counts that decomposition, or when
-the proof cannot clear it.  validate_povm_element screens a measurement
-itself, at every d, and decomposes it only when the proof cannot clear
-it; building a set with StateSet.from_matrices, and so loading one,
-decomposes only the states the screen rejects.
+no eigenvalue lies below a floor; states.screen_densities documents the
+proof and its branches.
 
 hermitian_eig scales a matrix with a real or imaginary part above 2^500,
 or a nonzero one with every part below 2^-500, by an exact power of two
@@ -104,14 +91,14 @@ _SCALE_ABOVE = 2.0 ** 500
 _SCALE_BELOW = 2.0 ** -500
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EigenDecomposition:
     """Eigenvalues sorted ascending; eigenvector k is ``eigenvectors[:, k]``,
     built on first read from the kernel's log (_replay) and kept."""
 
     eigenvalues: np.ndarray
-    _log: tuple = field(repr=False, compare=False)
-    _order: np.ndarray = field(repr=False, compare=False)
+    _log: tuple = field(repr=False)
+    _order: np.ndarray = field(repr=False)
 
     @cached_property
     def eigenvectors(self) -> np.ndarray:

@@ -25,9 +25,9 @@ master problem, min over mu of max_k Tr(T_k Delta(mu)), is a linear
 program; its optimal mixtures are Kelley's point m.  The solver works on
 the LP's dual, max over weights w on the cuts of the worst pair gap of
 sum_k w_k T_k, whose duals are those mixtures: a dense tableau simplex
-(_master.py), factorized once and pivoted in place, re-solved warm after
-each cut, with Bland's rule (Bland 1977) against cycling on degenerate
-bases.
+(_master.py), its first basis triangular and written in closed form, then
+pivoted in place and re-solved warm after each cut, with Bland's rule
+(Bland 1977) against cycling on degenerate bases.
 
 Kelley's method tails off because its query jumps to each new m, far
 from the best mixtures found so far.  So the queries are smoothed
@@ -195,7 +195,7 @@ class Checkpoint:
     gap: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CertReport:
     """Outcome of sampling mixture pairs against a measurement's margin.
 
@@ -214,7 +214,7 @@ class CertReport:
     trials: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SaddleResult:
     """Solver output.
 
@@ -278,10 +278,9 @@ def solve_saddle(
         master.add_cut(exp0, exp1)
         return exp0, exp1
 
-    identity_half = PovmElement(np.eye(d, dtype=np.complex128) / 2.0)
-    add_cut(identity_half.matrix)
-    best_t = identity_half
-    best_lower = min_separation_gap(identity_half, set0, set1)
+    best_t = PovmElement(np.eye(d, dtype=np.complex128) / 2.0)
+    add_cut(best_t.matrix)
+    best_lower = min_separation_gap(best_t, set0, set1)
 
     mu0 = np.full(l0, 1.0 / l0)
     mu1 = np.full(l1, 1.0 / l1)
@@ -292,11 +291,8 @@ def solve_saddle(
     # there, once the master has been solved.
     kelley: tuple[np.ndarray, np.ndarray, float] | None = None
     history: list[Checkpoint] = []
-    rounds_used = 0
-    converged = False
 
     for t in range(1, cfg.max_rounds + 1):
-        rounds_used = t
         # LAPACK's eigendecomposition of the query's mixture difference
         # chooses the new cut, its positive-part projector.  The sum of its
         # positive eigenvalues, an upper bound, is recomputed with
@@ -336,9 +332,6 @@ def solve_saddle(
             Checkpoint(round=t, lower_bound=best_lower, upper_bound=best_upper, gap=gap)
         )
         if gap <= cfg.target_gap:
-            converged = True
-            break
-        if t == cfg.max_rounds:
             break
         kelley = (next_mu0, next_mu1, lower)
         if mispriced:
@@ -351,9 +344,9 @@ def solve_saddle(
         measurement=best_t,
         lower_bound=best_lower,
         upper_bound=best_upper,
-        gap=best_upper - best_lower,
-        rounds_used=rounds_used,
-        converged=converged,
+        gap=gap,
+        rounds_used=len(history),
+        converged=gap <= cfg.target_gap,
         best_mu0=best_mu0,
         best_mu1=best_mu1,
         trace=tuple(history),
@@ -465,20 +458,17 @@ def certify_forward(
             mu0, mu1 = simplex_points(uniforms[k, :l0]), simplex_points(uniforms[k, l0:])
             pool.setdefault(mu0.tobytes() + mu1.tobytes(), (float(screened[k]), mu0, mu1))
 
-    min_distance = np.inf
-    worst_mu0 = None
-    worst_mu1 = None
-    for _, mu0, mu1 in pool.values():
-        dist = max_pair_gap(mixture_state(mu0, set0), mixture_state(mu1, set1))
-        if dist < min_distance:
-            min_distance = dist
-            worst_mu0 = mu0
-            worst_mu1 = mu1
+    # min keeps the first of equal distances: the first in trial order.
+    min_distance, worst_mu0, worst_mu1 = min(
+        ((max_pair_gap(mixture_state(mu0, set0), mixture_state(mu1, set1)), mu0, mu1)
+         for _, mu0, mu1 in pool.values()),
+        key=lambda entry: entry[0],
+    )
     return CertReport(
         margin=margin,
-        max_violation=margin - float(min_distance),
+        max_violation=margin - min_distance,
         worst_mu0=worst_mu0,
         worst_mu1=worst_mu1,
-        min_distance=float(min_distance),
+        min_distance=min_distance,
         trials=trials,
     )

@@ -57,16 +57,6 @@ from .states import (
 
 # --- writing ---
 
-def format_float(x: float) -> str:
-    """Decimal with 17 significant digits; parses back to the identical bits.
-
-    Integral values keep a trailing ".0" so JSON readers produce a float
-    (plain "-0" would come back as integer zero and lose the sign bit).
-    JSON has no infinities or NaN, so those raise ValueError.
-    """
-    return _float_texts([x])[0]
-
-
 # An array is a nested value, as a dict or a list is: dumps lays it out.
 _NESTED = (dict, list, np.ndarray)
 
@@ -83,14 +73,14 @@ def _is_inline_list(obj) -> bool:
     )
 
 
-def dumps(obj: Any, indent: int = 0) -> str:
+def dumps(obj: Any) -> str:
     """Serialize to JSON with deterministic float formatting.
 
     Dicts keep insertion order; dicts of scalars render on one line so a
     matrix row stays on one line.  A 1-D float64 array renders as one
     inline list of floats, a 2-D complex128 array as a matrix, one row of
-    {"re", "im"} objects per line at indent + 2.  Any other array raises
-    TypeError, as any other type does.
+    {"re", "im"} objects per line, two spaces in from its key.  Any other
+    array raises TypeError, as any other type does.
 
     The document is laid out once, as text with "%s" for each float (and
     every other "%" doubled), and one _float_texts call formats the floats,
@@ -100,7 +90,7 @@ def dumps(obj: Any, indent: int = 0) -> str:
     the program builds holds both.
     """
     floats: list = []
-    text = _layout(obj, indent, floats)
+    text = _layout(obj, 0, floats)
     return text % tuple(_float_texts(floats))
 
 
@@ -154,9 +144,13 @@ def _quoted(s) -> str:
 
 
 def _float_texts(values: list) -> list[str]:
-    """format_float of each value: "%.17g", and ".0" where that shows no "." or exponent.
+    """Each value as "%.17g", which parses back to the identical bits, and
+    ".0" where that shows no "." or exponent, so that JSON readers produce
+    a float (plain "-0" would come back as integer zero and lose the sign
+    bit).
 
-    The first non-finite value raises ValueError.
+    JSON has no infinities or NaN: the first non-finite value raises
+    ValueError.
     """
     if not all(map(math.isfinite, values)):
         x = next(float(v) for v in values if not math.isfinite(v))

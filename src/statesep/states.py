@@ -51,7 +51,7 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Operator:
     """A frozen (d, d) complex128 matrix; the dataclass checks nothing else."""
 
@@ -81,7 +81,7 @@ class PovmElement(_Operator):
     """Hermitian operator with spectrum in [0, 1] (a single measurement effect)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateSet:
     """Ordered, non-empty list of density matrices over a common dimension."""
 
@@ -90,7 +90,7 @@ class StateSet:
     labels: tuple[str, ...] | None = field(default=None)
     # Built by the first stack() call, unless from_matrices hands over the
     # frozen stack its states are views of.
-    _stack: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _stack: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         states = tuple(self.states)
@@ -587,10 +587,9 @@ def random_density(dim: int, rank: int, seed: int) -> DensityMatrix:
     this function spends.  The certificate takes the rows at every d.  A
     whole full-rank draw took, in ms, 0.028-0.062 at d = 2-6, 0.074-0.077
     at d = 7, 0.10-0.11 at d = 9, 0.16-0.17 at d = 12 and 0.27-0.28 at
-    d = 16, against 0.11, 0.14, 0.18-0.20 and 0.27-0.28 with the
-    certificate on a one-matrix numpy stack from d = 7 up (least and
-    median of 5 interleaved runs, each the best of 7 repeats of 300 calls;
-    2-core shared machine, Python 3.11.7, numpy 2.4.6).
+    d = 16 (least and median of 5 interleaved runs, each the best of 7
+    repeats of 300 calls; 2-core shared machine, Python 3.11.7, numpy
+    2.4.6).
 
     A dimension or rank that is not an integer, or not 1 <= rank <= dim,
     raises BadRankError; a seed that is not an integer BadConfigError.

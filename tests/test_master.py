@@ -117,15 +117,11 @@ class TestBlandFromFirstPivot(TestAgainstHighs):
         monkeypatch.setattr(_master, "_DEGENERATE_RUN", 0)
 
 
-def test_optimal_warm_basis_inverts_nothing(monkeypatch):
-    # A cut no mixture prefers (every S0 expectation 0, every S1 one 1)
-    # leaves the basis optimal: the re-solve prices it with the kept
-    # factorization and returns the same bits.
-    rng = np.random.RandomState(3)
-    master = _master.Master(5, 4)
-    for _ in range(6):
-        master.add_cut(rng.uniform(size=5), rng.uniform(size=4))
-    before = master.solve()
+def test_master_inverts_nothing(monkeypatch):
+    # The first basis is written in closed form, and a cut no mixture
+    # prefers (every S0 expectation 0, every S1 one 1) leaves the basis
+    # optimal: the re-solve prices it with the kept tableau and returns the
+    # same bits.
     calls = []
     original = np.linalg.inv
 
@@ -134,11 +130,58 @@ def test_optimal_warm_basis_inverts_nothing(monkeypatch):
         return original(a)
 
     monkeypatch.setattr(np.linalg, "inv", counted)
+    rng = np.random.RandomState(3)
+    master = _master.Master(5, 4)
+    for _ in range(6):
+        master.add_cut(rng.uniform(size=5), rng.uniform(size=4))
+    before = master.solve()
     master.add_cut(np.zeros(5), np.ones(4))
     after = master.solve()
     assert calls == []
     assert [v.tobytes() for v in after[1:]] == [v.tobytes() for v in before[1:]]
     assert after[0].tobytes() == np.append(before[0], 0.0).tobytes()
+
+
+def inverse_based_first_tableau(l0, l1, col):
+    """The first cut's tableau, tight rows, head and bounded, by inverting its basis."""
+    master = _master.Master(l0, l1)
+    eq = master.eq
+    rows = [int(np.argmax(col[:l0])), l0 + int(np.argmax(col[l0:eq])), eq]
+    master.tight = rows[:2]
+    master.head[rows] = [_master._A, _master._B, 2]
+    master.bounded[rows[:2]] = False
+    # [A | I_R | e] over the columns a, b, the cut, then the slots.
+    full = np.zeros((eq + 1, 6))
+    full[:l0, _master._A], full[l0:eq, _master._B], full[:, 2] = 1.0, -1.0, col
+    full[rows, [3, 4, 5]] = 1.0
+    x = np.linalg.inv(full[rows, :3]) @ full[rows]
+    tableau = full - full[:, :3] @ x
+    tableau[rows] = x
+    master.table[:6, :-1] = tableau.T
+    master.table[:6, -1] = np.array([1.0, -1.0, 0, 0, 0, 0]) - (x[0] - x[1])
+    return master
+
+
+@settings(max_examples=200)
+@given(
+    st.integers(1, 40), st.integers(1, 40),
+    st.sampled_from(["uniform", "coarse", "near half"]), st.integers(0, 2**32 - 1),
+)
+def test_first_tableau_equals_the_inverse_based_one(l0, l1, kind, seed):
+    rng = np.random.RandomState(seed)
+    if kind == "uniform":
+        exp = rng.uniform(size=l0 + l1)
+    elif kind == "coarse":
+        exp = rng.randint(3, size=l0 + l1) / 2.0
+    else:
+        exp = 0.5 + rng.randint(-1, 2, size=l0 + l1) * 1e-9
+    master = _master.Master(l0, l1)
+    master.add_cut(exp[:l0], exp[l0:])
+    want = inverse_based_first_tableau(l0, l1, np.concatenate([-exp[:l0], exp[l0:], [1.0]]))
+    assert np.array_equal(master.table, want.table)
+    assert master.tight == want.tight
+    assert np.array_equal(master.head, want.head)
+    assert np.array_equal(master.bounded, want.bounded)
 
 
 def test_cut_with_a_nan_expectation_never_enters():

@@ -390,7 +390,7 @@ class TestRoundTrip:
 
     def test_seventeen_digit_floats(self):
         for x in (1 / 3, 0.1, -2.5e-17, 123456.789, 5e-324):
-            assert float(stateio.format_float(x)) == x
+            assert float(stateio.dumps(x)) == x
 
     def test_dumps_is_valid_json(self):
         doc = {"a": [1, 2.5, "x"], "b": {"re": 1 / 3, "im": -0.25}, "c": True, "d": None}

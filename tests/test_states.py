@@ -475,3 +475,29 @@ class TestAnalyticInvariants:
         assert stack.tobytes() == np.stack([rho.matrix for rho in sset.states]).tobytes()
         with pytest.raises(ValueError):
             stack[0, 0, 0] = 0.0
+
+
+
+# Builds one record of each type from S0 = {|0><0|, I/2}, S1 = {|1><1|}.
+RECORDS = {
+    "DensityMatrix": lambda s0, s1: ss.validate_density(np.diag([0.5, 0.5])),
+    "PovmElement": lambda s0, s1: ss.validate_povm_element(np.eye(2) / 2),
+    "StateSet": lambda s0, s1: state_set(KET0, MIXED2),
+    "EigenDecomposition": lambda s0, s1: ss.hermitian_eig(np.eye(2)),
+    "GapReport": lambda s0, s1: ss.separation_gap(ss.validate_povm_element(np.eye(2) / 2), s0, s1),
+    "SaddleResult": lambda s0, s1: ss.solve_saddle(s0, s1),
+    "CertReport": lambda s0, s1: ss.certify_forward(
+        ss.validate_povm_element(np.diag([1.0, 0.0])), s0, s1, trials=4, seed=1),
+}
+
+
+@pytest.mark.parametrize("kind", list(RECORDS))
+def test_records_compare_and_hash_by_identity(kind):
+    # An array field has no single truth value, so a record's equality and
+    # hash go by identity: each works, on every record, without raising.
+    s0, s1 = state_set(KET0, MIXED2), state_set(KET1)
+    a, b = RECORDS[kind](s0, s1), RECORDS[kind](s0, s1)
+    assert a == a and a != b
+    assert a in [b, a] and b not in [a]
+    assert hash(a) == hash(a)
+    assert {a, b, a} == {a, b} and len({a, b}) == 2
