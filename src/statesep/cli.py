@@ -89,11 +89,7 @@ def _cmd_solve(args) -> tuple[int, dict, list[str]]:
         "rounds_used": result.rounds_used,
         "best_mu0": result.best_mu0,
         "best_mu1": result.best_mu1,
-        "trace": [
-            {"round": c.round, "lower_bound": c.lower_bound,
-             "upper_bound": c.upper_bound, "gap": c.gap}
-            for c in result.trace
-        ],
+        "trace": [vars(c) for c in result.trace],
         "measurement": {"dim": result.measurement.dim, "matrix": result.measurement.matrix},
     }
     lines = [
@@ -206,7 +202,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"error: {message}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    # One per process: building the tree costs about 15 parses.
     parser = _Parser(
         prog="statesep",
         description="Separation margins and witness measurements for two sets "
@@ -264,14 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    # One per process: building the tree costs about 15 parses.
-    return build_parser()
-
-
 def run(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     started = time.perf_counter()
     try:
         code, payload, lines = _COMMANDS[args.command](args)
@@ -292,9 +284,5 @@ def run(argv=None) -> int:
     return code
 
 
-def main(argv=None) -> int:
-    return run(argv)
-
-
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -64,6 +64,7 @@ def _require_same_dim(*dims: int) -> None:
 
 
 def _symmetrized_difference(rho: DensityMatrix, sigma: DensityMatrix) -> np.ndarray:
+    _require_same_dim(rho.dim, sigma.dim)
     # Each input is Hermitian within 1e-9; the difference can carry twice
     # that asymmetry, so re-symmetrize before the strict Hermiticity gate.
     diff = rho.matrix - sigma.matrix
@@ -76,7 +77,6 @@ def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     Symmetric in its arguments, zero exactly when the states coincide, and
     equal to the largest achievable expectation gap between the two states.
     """
-    _require_same_dim(rho.dim, sigma.dim)
     lam = hermitian_eig(_symmetrized_difference(rho, sigma)).eigenvalues
     return float(0.5 * np.abs(lam).sum())
 
@@ -90,7 +90,6 @@ def max_pair_gap(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     sigma) / 2, so the two agree only for states of equal trace, and
     validation lets a state's trace stray 1e-9 from 1.
     """
-    _require_same_dim(rho.dim, sigma.dim)
     lam = hermitian_eig(_symmetrized_difference(rho, sigma)).eigenvalues
     return float(np.maximum(lam, 0.0).sum())
 
@@ -101,7 +100,6 @@ def helstrom_measurement(rho: DensityMatrix, sigma: DensityMatrix) -> PovmElemen
     Achieves pair_gap(T, rho, sigma) == trace_distance(rho, sigma); a
     projector is a valid POVM element by construction.
     """
-    _require_same_dim(rho.dim, sigma.dim)
     return PovmElement(positive_part_projector(_symmetrized_difference(rho, sigma)))
 
 

@@ -15,6 +15,11 @@ class StatesepError(Exception):
 
 # --- linear algebra ---
 
+class BadMatrixError(StatesepError, ValueError):
+    """An operand that is not a square numeric matrix: a wrong shape, an
+    empty matrix, or input numpy cannot read as complex numbers."""
+
+
 class NotHermitianError(StatesepError):
     """Matrix asymmetry max |M - M^dag| exceeds the Hermiticity tolerance."""
 
@@ -55,7 +60,7 @@ class DimensionMismatchError(StatesepError):
 
 
 class EmptySetError(StatesepError):
-    """A state set with no states was passed to the solver."""
+    """A StateSet was built with no states."""
 
 
 # --- expectation gaps ---
@@ -86,7 +91,8 @@ class SetTooLargeError(StatesepError):
 
 class BadConfigError(StatesepError, ValueError):
     """A limit out of range or of the wrong type: rounds or trials not an
-    integer >= 1, eps not a number > 0, target gap not a finite number > 0."""
+    integer >= 1, eps not a number > 0, target gap not a finite number > 0,
+    or a seed that is not an integer (certify_forward, random_density)."""
 
 
 # --- files / CLI ---

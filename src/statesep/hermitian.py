@@ -61,7 +61,7 @@ from operator import mul
 
 import numpy as np
 
-from .errors import NoConvergenceError, NotHermitianError
+from .errors import BadMatrixError, NoConvergenceError, NotHermitianError
 
 # Max entry asymmetry tolerated before a matrix is rejected as non-Hermitian.
 HERMITICITY_TOL = 1e-9
@@ -111,10 +111,16 @@ class EigenDecomposition:
 
 
 def as_matrix(m) -> np.ndarray:
-    """Coerce to a square complex128 array (C order), without copying if possible."""
-    a = np.asarray(m, dtype=np.complex128, order="C")
+    """Coerce to a square complex128 array (C order), without copying if possible.
+
+    Anything else raises BadMatrixError.
+    """
+    try:
+        a = np.asarray(m, dtype=np.complex128, order="C")
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise BadMatrixError(f"expected a square matrix, got {type(m).__name__}: {exc}") from exc
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+        raise BadMatrixError(f"expected a square matrix, got shape {a.shape}")
     return a
 
 

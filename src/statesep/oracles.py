@@ -13,8 +13,8 @@ from itertools import combinations
 
 import numpy as np
 
+from .discrimination import _require_same_dim
 from .errors import BadGridStepError, SetTooLargeError, WrongDimensionError
-from .saddle import _check_instance
 from .states import StateSet
 
 _PAULIS = (
@@ -45,7 +45,7 @@ def brute_force_epsilon_d2(set0: StateSet, set1: StateSet, grid_step: float) -> 
     magnitude, so the returned maximum sits within O(grid_step) of the true
     optimal margin (and never above it by more than float noise).
     """
-    _check_instance(set0, set1)
+    _require_same_dim(set0.dim, set1.dim)
     if set0.dim != 2:
         raise WrongDimensionError(f"qubit oracle called with dim {set0.dim}")
     if not 0.0 < grid_step <= 0.1:
@@ -105,7 +105,7 @@ def mixture_grid_oracle(set0: StateSet, set1: StateSet, grid_step: float) -> flo
     O(grid_step) of it.  Cost grows combinatorially; set sizes are capped
     at 4.
     """
-    _check_instance(set0, set1)
+    _require_same_dim(set0.dim, set1.dim)
     if len(set0) > 4 or len(set1) > 4:
         raise SetTooLargeError(
             f"set sizes {len(set0)}, {len(set1)} exceed the oracle cap of 4"

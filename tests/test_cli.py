@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -462,3 +463,17 @@ def test_malformed_file_error_survives_python_optimize(files, command, bad_value
         proc = subprocess.run([sys.executable, *flags, "-m", "statesep.cli", *argv],
                               capture_output=True, text=True, env=env)
         assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", expected), flags
+
+
+def test_console_script_names_an_entry_point_that_exits_0_on_help(monkeypatch, capsys):
+    # A regex, not tomllib: Python 3.10 has no tomllib.
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    scripts = re.search(r"^\[project\.scripts\]\n(.*?)(?=^\[|\Z)", text, re.M | re.S).group(1)
+    name = re.search(r'^statesep = "statesep\.cli:(\w+)"$', scripts, re.M).group(1)
+    entry = getattr(cli, name)
+    # The installed script calls it with no arguments, on sys.argv.
+    monkeypatch.setattr(sys, "argv", ["statesep", "--help"])
+    with pytest.raises(SystemExit) as exc:
+        entry()
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: statesep")

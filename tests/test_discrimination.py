@@ -375,3 +375,21 @@ class TestLinearityBridge:
             assert mixed_gap >= rep.min_gap - 1e-9
             expected = float(mu0 @ rep.per_pair_gaps @ mu1)
             assert abs(mixed_gap - expected) <= 1e-9
+
+
+@pytest.mark.parametrize("call", [
+    lambda s0, s1: ss.solve_saddle(s0, s1),
+    # A measurement of set0's dimension, so that the sets' check fires.
+    lambda s0, s1: ss.certify_forward(ss.PovmElement(np.eye(2) / 2.0), s0, s1, 10, 0),
+    lambda s0, s1: ss.brute_force_epsilon_d2(s0, s1, 0.1),
+    lambda s0, s1: ss.mixture_grid_oracle(s0, s1, 0.25),
+    lambda s0, s1: ss.trace_distance(s0.states[0], s1.states[0]),
+    lambda s0, s1: ss.max_pair_gap(s0.states[0], s1.states[0]),
+    lambda s0, s1: ss.helstrom_measurement(s0.states[0], s1.states[0]),
+], ids=["solve_saddle", "certify_forward", "brute_force_epsilon_d2", "mixture_grid_oracle",
+        "trace_distance", "max_pair_gap", "helstrom_measurement"])
+def test_sets_of_mixed_dimensions_share_one_error(call):
+    set0 = state_set(KET0)
+    set1 = ss.StateSet(dim=3, states=(ss.random_density(3, 3, 1),))
+    with pytest.raises(DimensionMismatchError, match=r"mixed dimensions \(2, 3\)"):
+        call(set0, set1)

@@ -1,7 +1,10 @@
 """Rules on the package's own source."""
 
 import ast
+import warnings
 from pathlib import Path
+
+import pytest
 
 import statesep
 
@@ -19,3 +22,11 @@ def test_no_assert_statement_in_the_package():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_a_deprecation_warning_from_the_package_fails_the_suite():
+    # pyproject.toml's filterwarnings makes the package's own
+    # DeprecationWarnings errors, before a later numpy makes them errors.
+    with pytest.raises(DeprecationWarning, match="retired"):
+        warnings.warn_explicit("retired", DeprecationWarning, "states.py", 1,
+                               module="statesep.states")
