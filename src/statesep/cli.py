@@ -172,7 +172,7 @@ def _cmd_random(args) -> tuple[int, dict, list[str]]:
         random_density(args.dim, rank, seeds.next_uint64())
         for _ in range(args.count)
     ]
-    sset = StateSet(dim=args.dim, states=tuple(states))
+    sset = StateSet(dim=args.dim, states=states)
     stateio.save_state_set(args.out, sset)
     payload = {
         "out": args.out,

@@ -92,7 +92,8 @@ class SetTooLargeError(StatesepError):
 class BadConfigError(StatesepError, ValueError):
     """A limit out of range or of the wrong type: rounds or trials not an
     integer >= 1, eps not a number > 0, target gap not a finite number > 0,
-    or a seed that is not an integer (certify_forward, random_density)."""
+    a seed that is not an integer (certify_forward, random_density), or a
+    grid_step that is not a real number (the grid oracles)."""
 
 
 # --- files / CLI ---

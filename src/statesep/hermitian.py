@@ -341,7 +341,7 @@ def hermitian_eig(m) -> EigenDecomposition:
         with np.errstate(over="ignore"):  # past the largest float: infinite
             eigenvalues = np.ldexp(eigenvalues, exponent)
     order = np.argsort(eigenvalues, kind="stable")
-    return EigenDecomposition(np.ascontiguousarray(eigenvalues[order]), log, order)
+    return EigenDecomposition(eigenvalues[order], log, order)
 
 
 def positive_part_projector(h) -> np.ndarray:

@@ -14,7 +14,7 @@ from itertools import combinations
 import numpy as np
 
 from .discrimination import _require_same_dim
-from .errors import BadGridStepError, SetTooLargeError, WrongDimensionError
+from .errors import BadGridStepError, SetTooLargeError, WrongDimensionError, as_real
 from .states import StateSet
 
 _PAULIS = (
@@ -48,6 +48,7 @@ def brute_force_epsilon_d2(set0: StateSet, set1: StateSet, grid_step: float) -> 
     _require_same_dim(set0.dim, set1.dim)
     if set0.dim != 2:
         raise WrongDimensionError(f"qubit oracle called with dim {set0.dim}")
+    grid_step = as_real(grid_step, "grid_step")
     if not 0.0 < grid_step <= 0.1:
         raise BadGridStepError(f"grid_step must be in (0, 0.1], got {grid_step}")
 
@@ -110,6 +111,7 @@ def mixture_grid_oracle(set0: StateSet, set1: StateSet, grid_step: float) -> flo
         raise SetTooLargeError(
             f"set sizes {len(set0)}, {len(set1)} exceed the oracle cap of 4"
         )
+    grid_step = as_real(grid_step, "grid_step")
     if not 0.0 < grid_step <= 0.25:
         raise BadGridStepError(f"grid_step must be in (0, 0.25], got {grid_step}")
 

@@ -16,7 +16,6 @@ import numpy as np
 
 from ._rng import SplitMix64
 from .errors import (
-    BadConfigError,
     BadRankError,
     BadTraceError,
     BadWeightsError,
@@ -133,8 +132,7 @@ class StateSet:
             states.append(state)
         if not states:
             raise EmptySetError("state set must contain at least one state")
-        sset = cls(dim=states[0].dim, states=tuple(states),
-                   labels=tuple(labels) if labels is not None else None)
+        sset = cls(dim=states[0].dim, states=states, labels=labels)
         object.__setattr__(sset, "_stack", states[0].matrix.base)  # None unless a stack
         return sset
 
@@ -381,8 +379,8 @@ def _listed_parts(m):
     return h, EIGENVALUE_TOL * max(1.0, math.sqrt(norm2)), tr, d * 2.0 ** -51 * tr_abs
 
 
-def screen_densities(matrices) -> np.ndarray:
-    """Mask of the matrices, an (n, d, d) stack, that certainly pass validate_density.
+def screen_densities(a: np.ndarray) -> np.ndarray:
+    """Mask of the matrices of a, an (n, d, d) complex128 array, that certainly pass validate_density.
 
     validate_density's three checks run on the whole stack at once.  A
     matrix is passed only when each clears its threshold by a rounding
@@ -392,8 +390,7 @@ def screen_densities(matrices) -> np.ndarray:
     trace's real and imaginary deviations inside TRACE_TOL and
     TRACE_IMAG_TOL by d * 2^-51 * sum_i |M_ii|, more than two orders of
     summing the diagonal can differ by.  Every other matrix is
-    left to validate_density, which alone words an error; nothing is
-    passed if the input is not a stack of square matrices.
+    left to validate_density, which alone words an error.
 
     A stack of at most _LISTED_MAX entries (n d^2) is screened on Python
     numbers, one matrix at a time (_listed_parts, the trace check, then
@@ -447,9 +444,6 @@ def screen_densities(matrices) -> np.ndarray:
     fewest cells on the slower branch (17 of 128), in both runs; every
     bound from 27 to 54 comes within 0.6% of its sum.
     """
-    a = _as_stack(matrices)
-    if a is None:
-        return np.zeros(len(matrices), dtype=bool)
     if a.size <= _LISTED_MAX:
         passed = []
         for m in a.tolist():
@@ -476,8 +470,8 @@ def screen_densities(matrices) -> np.ndarray:
         )
 
 
-def screen_povm_element(m) -> bool:
-    """Whether the matrix m certainly passes validate_povm_element.
+def screen_povm_element(a: np.ndarray) -> bool:
+    """Whether a, the (d, d) complex128 matrix, certainly passes validate_povm_element.
 
     It must be Hermitian within HERMITICITY_TOL * (1 - 2^-50), and the
     certificate of h and of -h must prove h >= (EIG_FLOOR + margin) I and
@@ -486,20 +480,17 @@ def screen_povm_element(m) -> bool:
     side costs no rounding.  A matrix of at most _LISTED_MAX entries is
     screened on Python numbers (_factors_above on each), as
     screen_densities screens a small stack, and a larger one with numpy
-    (one _lowest_above call on the pair).  False leaves m to
+    (one _lowest_above call on the pair).  False leaves a to
     validate_povm_element, which alone words an error.
     """
-    a = _as_stack([m])
-    if a is None:
-        return False
     if a.size <= _LISTED_MAX:
-        parts = _listed_parts(a[0].tolist())
+        parts = _listed_parts(a.tolist())
         if parts is None:
             return False
         h, margin, _, _ = parts
         return (_factors_above(h, EIG_FLOOR + margin)
                 and _factors_above([[-z for z in row] for row in h], margin - POVM_CEILING))
-    h, hermitian, margin = _screen_parts(a)
+    h, hermitian, margin = _screen_parts(a[None])
     floors = np.concatenate([EIG_FLOOR + margin, margin - POVM_CEILING])
     return bool(hermitian[0] and _lowest_above(np.concatenate([h, -h]), floors).all())
 
@@ -530,10 +521,14 @@ def as_mixture_weights(weights, size: int | None = None) -> np.ndarray:
     """Coerce to a probability vector; enforce simplex membership.
 
     Raises LengthMismatchError when `size` is given and differs, and
-    BadWeightsError for a non-finite entry (its index named), a negative
-    entry, or a sum off 1 by more than 1e-9.
+    BadWeightsError for input numpy cannot read as floats (its reason
+    named), a non-finite entry (its index named), a negative entry, or a
+    sum off 1 by more than 1e-9.
     """
-    w = np.asarray(weights, dtype=np.float64)
+    try:
+        w = np.asarray(weights, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise BadWeightsError(f"weights must be real numbers: {exc}") from exc
     if w.ndim != 1:
         raise BadWeightsError(f"weights must be a flat vector, got shape {w.shape}")
     if size is not None and w.shape[0] != size:

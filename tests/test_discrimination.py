@@ -80,10 +80,6 @@ class TestTraceDistance:
             ub = ss.validate_density(u @ b.matrix @ u.conj().T)
             assert abs(ss.trace_distance(ua, ub) - ss.trace_distance(a, b)) <= 1e-9
 
-    def test_dimension_mismatch(self, qubits):
-        with pytest.raises(DimensionMismatchError):
-            ss.trace_distance(qubits["ket0"], ss.validate_density(np.eye(3) / 3.0))
-
 
 class TestHelstromMeasurement:
     def test_orthogonal_pair(self, qubits):

@@ -7,6 +7,7 @@ from hypothesis import Phase, given, settings, strategies as st
 
 import statesep as ss
 from statesep.errors import (
+    BadConfigError,
     BadGridStepError,
     SetTooLargeError,
     WrongDimensionError,
@@ -97,6 +98,13 @@ class TestMixtureGridOracle:
     def test_bad_grid_step(self, step):
         with pytest.raises(BadGridStepError):
             ss.mixture_grid_oracle(state_set(KET0), state_set(KET1), step)
+
+
+@pytest.mark.parametrize("oracle", [ss.brute_force_epsilon_d2, ss.mixture_grid_oracle])
+@pytest.mark.parametrize("step", ["x", None])
+def test_grid_step_that_is_no_number_is_a_config_error(oracle, step):
+    with pytest.raises(BadConfigError, match="^grid_step must be a real number"):
+        oracle(state_set(KET0), state_set(KET1), step)
 
 
 class TestCompositions:

@@ -10,7 +10,6 @@ from statesep._rng import SplitMix64
 from statesep.errors import (
     BadConfigError,
     BadWeightsError,
-    DimensionMismatchError,
     EmptySetError,
 )
 from statesep.states import _mixed
@@ -202,12 +201,6 @@ class TestSolveSaddle:
             base = ss.solve_saddle(set0, set1, FAST)
             grown = ss.solve_saddle(bigger, set1, FAST)
             assert grown.upper_bound <= base.upper_bound + 1e-3
-
-    def test_dimension_mismatch(self):
-        set0 = state_set(KET0)
-        set1 = ss.StateSet(dim=3, states=(ss.random_density(3, 3, 1),))
-        with pytest.raises(DimensionMismatchError):
-            ss.solve_saddle(set0, set1, FAST)
 
     def test_empty_set_unconstructible(self):
         with pytest.raises(EmptySetError):

@@ -17,6 +17,7 @@ from statesep.errors import (
     NotHermitianError,
     NotPositiveError,
     SpectrumOutOfRangeError,
+    StatesepError,
 )
 
 from conftest import KET0, KET1, MIXED2, density, huge_state, state_set
@@ -96,9 +97,9 @@ class TestScreenDensities:
     def test_a_single_valid_matrix_is_passed(self):
         # No size constant: a set of any size, one state included, is screened.
         for count in (1, 2, 9, 10, 12):
-            assert ss.states.screen_densities(valid_matrices(count)).all()
+            assert ss.states.screen_densities(np.array(valid_matrices(count))).all()
         for dim in (1, 2, 16):
-            assert ss.states.screen_densities([ss.random_density(dim, dim, 4).matrix]).all()
+            assert ss.states.screen_densities(ss.random_density(dim, dim, 4).matrix[None]).all()
 
     def test_only_certain_states_pass(self):
         mats = valid_matrices(12)
@@ -109,7 +110,7 @@ class TestScreenDensities:
         mats[5][0, 1] += 0.1  # not Hermitian
         mats[7] = np.diag([1.0 + 1e-9, -1e-9, 0.0])  # eigenvalue at the floor exactly
         mats[9] = np.array([[0.5, 1e160, 0], [1e160, 0.5, 0], [0, 0, 0]])
-        passed = ss.states.screen_densities(mats)
+        passed = ss.states.screen_densities(np.array(mats, dtype=complex))
         assert passed.tolist() == [k not in (1, 3, 5, 7, 9) for k in range(12)]
         # The state at the floor is valid, but only validate_density says so.
         ss.validate_density(mats[7])
@@ -124,7 +125,10 @@ class TestScreenDensities:
         [{}] * 12,
     ])
     def test_no_stack_of_square_matrices_passes_nothing(self, mats):
-        assert not ss.states.screen_densities(mats).any()
+        # The screen takes only stacks; such input reaches validation
+        # through from_matrices, which names the failing state.
+        with pytest.raises(StatesepError, match="^state "):
+            ss.StateSet.from_matrices(mats)
 
     def test_certificate_failure_passes_nothing(self, monkeypatch, kernel_calls):
         def fail(h, floor):
@@ -134,7 +138,7 @@ class TestScreenDensities:
         monkeypatch.setattr(ss.states, "_lowest_above", fail)
         # validate_density screens each d = 3 state on its rows.
         monkeypatch.setattr(ss.states, "_factors_above", lambda rows, floor: False)
-        assert not ss.states.screen_densities(mats).any()
+        assert not ss.states.screen_densities(np.array(mats)).any()
         kernel_calls.clear()
         sset = ss.StateSet.from_matrices(mats)
         # Every state went through validate_density, one spectrum each.
@@ -186,10 +190,9 @@ class TestScreenPovmElement:
         (np.diag([1.2, 0.0]), False),
         (np.array([[0.5, 0.1], [0.0, 0.5]]), False),  # not Hermitian
         (np.array([[0.5, np.nan], [np.nan, 0.5]]), False),
-        (np.ones((2, 3)), False),
     ])
     def test_only_certain_elements_pass(self, m, ok):
-        assert ss.states.screen_povm_element(m) is ok
+        assert ss.states.screen_povm_element(m.astype(complex)) is ok
 
 
 class TestValidatePovmElement:
@@ -431,6 +434,14 @@ class TestMixtureWeights:
             ss.as_mixture_weights([[0.5, 0.5]])
         with pytest.raises(BadWeightsError):
             ss.as_mixture_weights([])
+
+    def test_weights_numpy_cannot_read_as_floats(self):
+        with pytest.raises(BadWeightsError, match="could not convert string to float"):
+            ss.as_mixture_weights("abc")
+        with pytest.raises(BadWeightsError, match="setting an array element with a sequence"):
+            ss.as_mixture_weights([[1], [1, 2]])
+        with pytest.raises(BadWeightsError, match="could not convert string to float"):
+            ss.mixture_state("x", state_set(KET0, KET1))
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_entry_named(self, value):
